@@ -19,12 +19,13 @@ accepted with --json-in and emitted with --json.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
-from .bipartite import classify_bipartite, schmidt
+from .bipartite import BipartiteClass, schmidt
 from .errors import ReductionFailed, SloccError, StateFileError
 from .multiqubit import (
     cluster_state_4,
@@ -151,8 +152,8 @@ def _matrix_pairs(m) -> list[list[list[float]]]:
 
 
 def _classify_bipartite(state, pol, report):
-    cls = classify_bipartite(state, pol)
     form = schmidt(state, pol)
+    cls = BipartiteClass(schmidt_rank=form.coeffs.size)
     report["mode"] = "bipartite"
     report["class"] = cls.label(state.dims)
     report["schmidt_rank"] = cls.schmidt_rank
@@ -183,13 +184,20 @@ def _classify_tripartite(state, pol, report, include_ilos):
         }
 
 
+@functools.lru_cache(maxsize=4)
+def _named_4qubit_descriptors(pol) -> tuple:
+    """Descriptors of the 4-qubit states the CLI names; both have dim_w = 2."""
+    return ("GHZ4", descriptor(ghz_state(4), pol)), ("Phi4", descriptor(cluster_state_4(), pol))
+
+
 def _classify_4qubit(state, pol, report):
     desc = descriptor(state, pol)
     label = desc.signature()
-    if same_broad_class(desc, descriptor(ghz_state(4), pol)):
-        label = "GHZ4"
-    elif same_broad_class(desc, descriptor(cluster_state_4(), pol)):
-        label = "Phi4"
+    if desc.dim_w == 2:  # same_broad_class needs equal dim_w
+        for name, ref in _named_4qubit_descriptors(pol):
+            if same_broad_class(desc, ref):
+                label = name
+                break
     report["mode"] = "multiqubit"
     report["class"] = label
     report["descriptor"] = {

@@ -22,7 +22,7 @@ class SingularOperator(SloccError):
 
 
 class NonFinite(SloccError):
-    """Matrix contains NaN or infinite entries."""
+    """A matrix or an amplitude vector contains NaN or infinite entries."""
 
 
 class EmptySpectrum(SloccError):

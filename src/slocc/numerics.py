@@ -8,7 +8,8 @@ the same analysis under a different policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,25 +46,32 @@ class SvdResult:
     """Singular value decomposition ``Q = V @ diag(sigma) @ W.conj().T``.
 
     V is m x m unitary, W is n x n unitary (columns are the right singular
-    vectors), sigma is nonincreasing, and ``residual`` is the relative
-    Frobenius reconstruction error.
+    vectors), sigma is nonincreasing, and ``matrix`` is a read-only copy of
+    the decomposed input Q. ``residual``, the relative Frobenius
+    reconstruction error, is computed from it on first access.
     """
 
     V: np.ndarray
     sigma: np.ndarray
     W: np.ndarray
-    residual: float
+    matrix: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        norm = np.linalg.norm(self.matrix)
+        if norm == 0.0:
+            return 0.0
+        k = self.sigma.size
+        recon = (self.V[:, :k] * self.sigma) @ self.W[:, :k].conj().T
+        return float(np.linalg.norm(self.matrix - recon) / norm)
 
 
-def _fix_column_phase(M, k):
-    """Divide column k by the phase of its first significant component."""
-    col = M[:, k]
-    idx = np.flatnonzero(np.abs(col) > 1e-8)
-    if idx.size == 0:
-        return 1.0
-    phase = col[idx[0]] / abs(col[idx[0]])
-    M[:, k] = col / phase
-    return phase
+def _lead_phase(col) -> complex:
+    """Phase of the first significant component of a column (1 if none)."""
+    for z in col:
+        if abs(z) > 1e-8:
+            return z * (1.0 / abs(z))  # rounds as numpy divides complex by real
+    return 1.0
 
 
 def svd(matrix) -> SvdResult:
@@ -74,36 +82,23 @@ def svd(matrix) -> SvdResult:
     singular vector. Left-over null-space columns are phase-fixed on their
     own.
     """
-    a = np.asarray(matrix, dtype=complex)
+    a = np.array(matrix, dtype=complex)
     if a.ndim != 2 or a.size == 0:
         raise NonFinite(f"expected a nonempty 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise NonFinite("matrix contains non-finite entries")
 
-    m, n = a.shape
     U, s, Vh = np.linalg.svd(a, full_matrices=True)
-    V = U
-    W = Vh.conj().T
+    k = s.size
+    phases = [_lead_phase(col) for col in U.T.tolist()]
+    # rows of Vh are the conjugated columns of W, whose phases are the conjugates
+    null_phases = [_lead_phase(row).conjugate() for row in Vh[k:].tolist()]
+    V = U / np.array(phases)
+    W = Vh.conj().T / np.array(phases[:k] + null_phases)
 
-    k = min(m, n)
-    for j in range(m):
-        phase = _fix_column_phase(V, j)
-        if j < k:
-            W[:, j] = W[:, j] / phase
-    for j in range(k, n):
-        _fix_column_phase(W, j)
-
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        residual = 0.0
-    else:
-        recon = (V[:, :k] * s) @ W[:, :k].conj().T
-        residual = float(np.linalg.norm(a - recon) / norm)
-
-    V.flags.writeable = False
-    W.flags.writeable = False
-    s.flags.writeable = False
-    return SvdResult(V=V, sigma=s, W=W, residual=residual)
+    for arr in (a, V, W, s):
+        arr.flags.writeable = False
+    return SvdResult(V=V, sigma=s, W=W, matrix=a)
 
 
 def numerical_rank(sigma, pol: TolerancePolicy = DEFAULT_POLICY) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPivot, DimensionMismatch, SingularOperator, ZeroState
+from .errors import BadPivot, DimensionMismatch, NonFinite, SingularOperator, ZeroState
 
 _DET_FLOOR = float(np.finfo(np.float64).tiny)
 
@@ -99,6 +99,8 @@ def make_state(dims, amps) -> PureState:
         raise DimensionMismatch(
             f"got {a.size} amplitudes, dims {dims} require {total}"
         )
+    if not np.isfinite(a).all():
+        raise NonFinite("amplitudes contain NaN or infinite entries")
     if np.abs(a).max() == 0.0:
         raise ZeroState("the zero vector does not define a state")
     a = a.copy()

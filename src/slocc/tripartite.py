@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentRanks, ReductionFailed, ToleranceBreakdown, WrongArity
-from .numerics import DEFAULT_POLICY, SvdResult, TolerancePolicy, eig2, inv2, numerical_rank, svd
+from .numerics import DEFAULT_POLICY, SvdResult, TolerancePolicy, numerical_rank, svd
 from .states import PureState, apply_local_operators, coefficient_matrix, make_state
 from .subspaces import (
     RootKind,
@@ -35,6 +35,7 @@ from .subspaces import (
     pencil_quadratic,
     product_factors,
     product_roots,
+    projective_quadratic_roots,
     slice_matrix,
 )
 
@@ -120,6 +121,11 @@ _RANK1_CLASS = {
 
 def classify3(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> ClassificationReport:
     """Classify a 3-qubit state into one of the six SLOCC classes."""
+    return _classify3(state, pol)[0]
+
+
+def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationReport, SvdResult]:
+    """:func:`classify3`, also returning the pivot-1 SVD for the reduction."""
     _require_three_qubits(state)
     svds = [svd(coefficient_matrix(state, p).entries) for p in (1, 2, 3)]
     ranks = tuple(numerical_rank(res.sigma, pol) for res in svds)
@@ -132,31 +138,24 @@ def classify3(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> Classi
         raise InconsistentRanks(
             f"ranks {ranks}: exactly two pivots read rank 1, impossible for a valid state"
         )
-    if len(rank_ones) == 3:
-        return ClassificationReport(
-            tag=TripartiteClass.C000,
-            ranks=ranks,
-            sigma=sigma,
-            structure=classify_line(w1, pol),
-            spectrum_used=None,
-            near_boundary=False,
-        )
-    if len(rank_ones) == 1:
-        return ClassificationReport(
-            tag=_RANK1_CLASS[rank_ones[0]],
+    if rank_ones:
+        report = ClassificationReport(
+            tag=TripartiteClass.C000 if len(rank_ones) == 3 else _RANK1_CLASS[rank_ones[0]],
             ranks=ranks,
             sigma=sigma,
             structure=classify_line(w1, pol) if ranks[0] == 1 else classify_span(w1, w2, pol),
             spectrum_used=None,
             near_boundary=False,
         )
+        return report, svds[0]
 
     # All three ranks are 2: GHZ or W, decided on the slice pencil.
     W1 = slice_matrix(w1)
     W2 = slice_matrix(w2)
     a, b, c = pencil_quadratic(W1, W2)
     s = max(abs(a), abs(b), abs(c))
-    scale = (np.linalg.norm(W1) + np.linalg.norm(W2)) ** 2
+    n1, n2 = np.linalg.norm(W1), np.linalg.norm(W2)
+    scale = (n1 + n2) ** 2
     if s <= pol.rank_rel_tol * scale:
         raise ToleranceBreakdown(
             "pencil determinant vanishes identically although all pivots read rank 2"
@@ -166,29 +165,36 @@ def classify3(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> Classi
     tag = TripartiteClass.W if disc <= threshold else TripartiteClass.GHZ
     near = threshold / 100.0 < disc <= threshold * 100.0
 
-    spectrum = _slice_spectrum(W1, W2, pol)
-    return ClassificationReport(
+    report = ClassificationReport(
         tag=tag,
         ranks=ranks,
         sigma=sigma,
         structure=classify_span(w1, w2, pol),
-        spectrum_used=spectrum,
+        spectrum_used=_pencil_spectrum(a, b, c, n1, n2, pol),
         near_boundary=near,
     )
+    return report, svds[0]
 
 
-def _slice_spectrum(W1, W2, pol) -> SpectrumInfo | None:
-    """Eigenvalues of W_a^-1 W_b with the invertible slice on the left."""
-    r1 = numerical_rank(svd(W1).sigma, pol)
-    r2 = numerical_rank(svd(W2).sigma, pol)
-    try:
-        if r1 == 2:
-            return SpectrumInfo("W1^-1 @ W2", eig2(inv2(W1, pol) @ W2))
-        if r2 == 2:
-            return SpectrumInfo("W2^-1 @ W1", eig2(inv2(W2, pol) @ W1))
-    except Exception:
+def _pencil_spectrum(a, b, c, n1, n2, pol) -> SpectrumInfo | None:
+    """Eigenvalues of W_a^-1 W_b with the invertible slice on the left.
+
+    det(W2 - lam*W1) = a*lam^2 - b*lam + c, so each projective root
+    (alpha, beta) of the pencil is an eigenvalue -alpha/beta of W1^-1 W2
+    and -beta/alpha of W2^-1 W1. A slice of norm n counts as invertible by
+    the test of :func:`inv2`: |det| above ``rank_rel_tol * n^2``.
+    """
+    zero_tol = pol.rank_rel_tol * (n1 + n2) ** 2
+    kind, roots = projective_quadratic_roots(a, b, c, zero_tol, pol.deg_tol)
+    if kind is RootKind.ONE_DOUBLE:
+        roots = roots * 2
+    if abs(a) > pol.rank_rel_tol * n1 * n1 and all(beta != 0 for _, beta in roots):
+        product, lams = "W1^-1 @ W2", [-alpha / beta for alpha, beta in roots]
+    elif abs(c) > pol.rank_rel_tol * n2 * n2 and all(alpha != 0 for alpha, _ in roots):
+        product, lams = "W2^-1 @ W1", [-beta / alpha for alpha, beta in roots]
+    else:
         return None
-    return None
+    return SpectrumInfo(product, tuple(sorted(lams, key=abs, reverse=True)))
 
 
 def _columns(*vectors) -> np.ndarray:
@@ -239,8 +245,7 @@ def reduce_to_canonical(
     computational basis vectors by the second and third operators, and the
     pivot operator is the inverse of the mixed, sigma-weighted left factor.
     """
-    report = classify3(state, pol)
-    res = svd(coefficient_matrix(state, 1).entries)
+    report, res = _classify3(state, pol)
     tag = report.tag
 
     if tag is TripartiteClass.C000:

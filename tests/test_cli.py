@@ -90,6 +90,39 @@ class TestClassifyCommand:
         assert code == 3
         assert "unsupported" in err
 
+    def test_nan_amplitude_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.txt"
+        path.write_text("dims: 2 2\n1 0\n0 0\n0 0\nnan 0\n")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == "" and "NaN" in err
+
+    def test_named_4qubit_references_computed_once(self, tmp_path, capsys, monkeypatch):
+        import slocc.cli as cli_mod
+        from slocc.multiqubit import cluster_state_4, descriptor
+
+        # both named references have dim_w = 2, which lets the CLI skip them
+        # for dim_w = 1 states (same_broad_class needs equal dim_w)
+        assert descriptor(ghz_state(4)).dim_w == 2
+        assert descriptor(cluster_state_4()).dim_w == 2
+        calls = []
+
+        def counting(state, pol):
+            calls.append(state)
+            return descriptor(state, pol)
+
+        monkeypatch.setattr(cli_mod, "descriptor", counting)
+        cli_mod._named_4qubit_descriptors.cache_clear()
+        ghz = write_state(tmp_path, ghz_state(4), name="ghz.txt")
+        product = write_state(tmp_path, make_state((2,) * 4, [1] + [0] * 15), name="p.txt")
+        for _ in range(3):
+            _, out, _ = run(capsys, "classify", ghz, "--json")
+            assert json.loads(out)["class"] == "GHZ4"
+        assert len(calls) == 3 + 2
+        run(capsys, "classify", product, "--json")
+        assert len(calls) == 3 + 2 + 1
+        cli_mod._named_4qubit_descriptors.cache_clear()
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "classify", "/nonexistent/state.txt")
         assert code == 2

@@ -55,9 +55,50 @@ class TestSvd:
         assert np.array_equal(r1.W, r2.W)
         assert np.array_equal(r1.sigma, r2.sigma)
 
+    def test_matches_per_column_reference(self):
+        # reference: phases pinned one column at a time with numpy calls
+        def pin(M, k):
+            col = M[:, k]
+            lead = col[np.flatnonzero(np.abs(col) > 1e-8)[0]]
+            phase = lead / abs(lead)
+            M[:, k] = col / phase
+            return phase
+
+        g = RandomSource(9).generator()
+        for trial in range(300):
+            m, n = [(2, 2), (2, 4), (2, 8), (4, 2), (3, 5)][trial % 5]
+            a = g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))
+            if trial % 3 == 0:
+                a[-1] = 0  # rank-deficient: null-space columns on both sides
+            U, s, Vh = np.linalg.svd(a, full_matrices=True)
+            W = Vh.conj().T
+            for j in range(m):
+                phase = pin(U, j)
+                if j < min(m, n):
+                    W[:, j] = W[:, j] / phase
+            for j in range(min(m, n), n):
+                pin(W, j)
+            res = svd(a)
+            assert np.array_equal(res.sigma, s)
+            assert np.array_equal(res.V, U) and np.array_equal(res.W, W)
+
     def test_rejects_non_finite(self):
         with pytest.raises(NonFinite):
             svd([[np.nan, 0], [0, 1]])
+
+    def test_residual_is_lazy_reconstruction_error(self):
+        g = RandomSource(8).generator()
+        for m, n in ((2, 2), (2, 4), (2, 8), (4, 2), (3, 5)):
+            a = g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))
+            res = svd(a)
+            original = a.copy()
+            a[0, 0] += 1.0  # svd keeps a private copy, so this must not leak in
+            assert "residual" not in vars(res)
+            k = min(m, n)
+            recon = res.V[:, :k] @ np.diag(res.sigma) @ res.W[:, :k].conj().T
+            expected = np.linalg.norm(original - recon) / np.linalg.norm(original)
+            assert abs(res.residual - expected) <= 1e-15
+        assert svd(np.zeros((2, 3))).residual == 0.0
 
 
 class TestNumericalRank:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, rel_err
-from slocc.errors import BadPivot, DimensionMismatch, SingularOperator, ZeroState
+from slocc.errors import BadPivot, DimensionMismatch, NonFinite, SingularOperator, ZeroState
 from slocc.states import (
     LocalOperatorSet,
     apply_local_operators,
@@ -32,6 +32,11 @@ class TestMakeState:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             make_state([2, 2], [1, 0, 0, 1, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 1)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFinite):
+            make_state([2, 2], [1, 0, 0, bad])
 
     def test_amps_immutable(self):
         st = make_state([2, 2], [1, 0, 0, 1])

@@ -1,16 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import slocc.tripartite
 from conftest import orbit_state, random_complex, up_to_scale
 from slocc.errors import InconsistentRanks, ReductionFailed, WrongArity
-from slocc.numerics import TolerancePolicy
+from slocc.multiqubit import hyperdeterminant
+from slocc.numerics import TolerancePolicy, eig2, inv2, svd
 from slocc.states import (
     apply_local_operators,
     coefficient_matrix,
     make_state,
     permute_subsystems,
 )
-from slocc.subspaces import StructureTag, classify_span
+from slocc.subspaces import StructureTag, classify_span, slice_matrix
 from slocc.testkit import RandomSource, random_ilo
 from slocc.tripartite import (
     TripartiteClass,
@@ -106,6 +110,62 @@ class TestClassify3:
             v1 = q[0, 0] * w1 + q[0, 1] * w2
             v2 = q[1, 0] * w1 + q[1, 1] * w2
             assert classify_span(v1, v2).tag is StructureTag.TWO_PRODUCTS
+
+
+class TestComputedOnce:
+    """The pivot SVDs are computed once per call and passed down."""
+
+    @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
+    def test_three_svds_per_call(self, tag, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(np.shape(matrix))
+            return svd(matrix)
+
+        monkeypatch.setattr(slocc.tripartite, "svd", counting)
+        for trial in range(20):
+            state, _ = orbit_state(tag, RandomSource(2500 + trial))
+            for fn in (classify3, reduce_to_canonical):
+                calls.clear()
+                fn(state)
+                assert calls == [(2, 4)] * 3
+
+    def test_pencil_spectrum_matches_explicit_eigenvalues(self):
+        for trial in range(100):
+            state, _ = orbit_state(TripartiteClass.GHZ, RandomSource(2600 + trial))
+            spectrum = classify3(state).spectrum_used
+            W = svd(coefficient_matrix(state, 1).entries).W
+            W1, W2 = slice_matrix(W[:, 0]), slice_matrix(W[:, 1])
+            if spectrum.product == "W1^-1 @ W2":
+                expected = eig2(inv2(W1) @ W2)
+            else:
+                assert spectrum.product == "W2^-1 @ W1"
+                expected = eig2(inv2(W2) @ W1)
+            got = spectrum.eigenvalues
+            assert abs(got[0]) >= abs(got[1])
+            err = min(
+                max(abs(got[0] - expected[0]), abs(got[1] - expected[1])),
+                max(abs(got[0] - expected[1]), abs(got[1] - expected[0])),
+            )
+            assert err <= 1e-8 * max(abs(expected[0]), abs(expected[1]))
+
+    def test_huge_amplitudes_raise_no_warning(self):
+        amps = canonical_vector(TripartiteClass.W).amps * 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classify3(make_state([2, 2, 2], amps)).tag is TripartiteClass.W
+
+
+class TestHyperdeterminantOracle:
+    @pytest.mark.parametrize("index,tag", list(enumerate(TripartiteClass)))
+    def test_nonzero_exactly_on_ghz(self, index, tag):
+        # Cayley's hyperdeterminant (the 3-tangle) vanishes exactly off the
+        # GHZ class: an invariant independent of the SVD-based decision
+        for trial in range(200):
+            state, _ = orbit_state(tag, RandomSource(3000 + 1000 * index + trial))
+            tangle = abs(hyperdeterminant(state.amps)) / state.norm() ** 4
+            assert (tangle > 1e-10) == (classify3(state).tag is TripartiteClass.GHZ)
 
 
 def near_w_state(eps):
