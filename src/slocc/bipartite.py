@@ -65,10 +65,8 @@ def schmidt(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> SchmidtF
 
 
 def classify_bipartite(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> BipartiteClass:
-    """Class Psi+_k with k the numerical rank of the coefficient matrix."""
-    _require_bipartite(state)
-    res = svd(coefficient_matrix(state, 1).entries)
-    return BipartiteClass(schmidt_rank=numerical_rank(res.sigma, pol))
+    """Class Psi+_k with k the number of Schmidt coefficients."""
+    return BipartiteClass(schmidt_rank=schmidt(state, pol).coeffs.size)
 
 
 def reconstruct(form: SchmidtForm) -> np.ndarray:

@@ -163,11 +163,7 @@ def _classify_bipartite(state, pol, report):
 def _classify_tripartite(state, pol, report, include_ilos):
     if include_ilos:
         rep, ilos = reduce_to_canonical(state, pol)
-        report["ilos"] = {
-            "F1": _matrix_pairs(ilos.f1),
-            "F2": _matrix_pairs(ilos.f2),
-            "F3": _matrix_pairs(ilos.f3),
-        }
+        report["ilos"] = {f"F{k}": _matrix_pairs(f) for k, f in enumerate(ilos.ops, 1)}
         report["residual"] = ilos.residual
     else:
         rep = classify3(state, pol)

@@ -18,7 +18,7 @@ class BadPivot(SloccError):
 
 
 class SingularOperator(SloccError):
-    """A local operator has |det| at or below the machine floor."""
+    """A local operator has |det| at or below the machine floor, or beyond the float range."""
 
 
 class NonFinite(SloccError):

@@ -109,6 +109,11 @@ def numerical_rank(sigma, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
     return int(np.count_nonzero(s > pol.rank_rel_tol * s[0]))
 
 
+def det2(m) -> complex:
+    """Determinant of a 2x2 matrix."""
+    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
 def eig2(matrix) -> tuple[complex, complex]:
     """Both eigenvalues of a 2x2 matrix, larger magnitude first.
 
@@ -118,7 +123,7 @@ def eig2(matrix) -> tuple[complex, complex]:
     """
     m = np.asarray(matrix, dtype=complex)
     tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    det = det2(m)
     disc = np.sqrt(complex(tr * tr - 4.0 * det))
     if abs(tr + disc) >= abs(tr - disc):
         lam1 = (tr + disc) / 2.0
@@ -140,9 +145,13 @@ def is_degenerate(pair, scale: float, pol: TolerancePolicy = DEFAULT_POLICY) -> 
 
 
 def inv2(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Adjugate-over-determinant inverse of a 2x2 matrix."""
+    """Adjugate-over-determinant inverse of a 2x2 matrix.
+
+    Raises :class:`SingularMatrix` when |det| is at most ``rank_rel_tol``
+    times the squared Frobenius norm, a test independent of the matrix scale.
+    """
     m = np.asarray(matrix, dtype=complex)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    det = det2(m)
     scale = np.linalg.norm(m) ** 2
     if abs(det) <= pol.rank_rel_tol * scale:
         raise SingularMatrix(f"|det| = {abs(det):.3e} at matrix scale {scale:.3e}")

@@ -70,10 +70,13 @@ class LocalOperatorSet:
         for op in mats:
             if op.ndim != 2 or op.shape[0] != op.shape[1]:
                 raise DimensionMismatch(f"local operator must be square, got shape {op.shape}")
-        dets = tuple(abs(complex(np.linalg.det(op))) for op in mats)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            dets = tuple(abs(complex(np.linalg.det(op))) for op in mats)
         for op, d in zip(mats, dets):
             if not np.isfinite(d) or d <= _DET_FLOOR:
-                raise SingularOperator(f"|det| = {d:.3e} is at the machine floor")
+                raise SingularOperator(
+                    f"|det| = {d:.3e} is at the machine floor or outside the float range"
+                )
         for op in mats:
             op.flags.writeable = False
         self.ops = mats

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DependentGenerators, DimensionMismatch, ToleranceBreakdown, ZeroVector
-from .numerics import DEFAULT_POLICY, TolerancePolicy, numerical_rank, svd
+from .numerics import DEFAULT_POLICY, TolerancePolicy, det2, numerical_rank, svd
 
 _EPS = 1e-13
 
@@ -39,10 +39,14 @@ class StructureTag(enum.Enum):
 
 @dataclass(frozen=True)
 class RootReport:
-    """Projective roots of ``det(a*W1 + b*W2)``, normalized to max component 1."""
+    """Projective roots of ``det(a*W1 + b*W2)``, normalized to max component 1.
+
+    ``coeffs`` holds the pencil coefficients (a, b, c) the roots solve.
+    """
 
     kind: RootKind
     roots: tuple[tuple[complex, complex], ...]
+    coeffs: tuple[complex, complex, complex]
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,6 @@ def projective_quadratic_roots(a, b, c, zero_tol: float, deg_tol: float):
     )
 
 
-def _det2(m) -> complex:
-    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
 def _check_independent(w1, w2, pol):
     g11 = float(np.vdot(w1, w1).real)
     g22 = float(np.vdot(w2, w2).real)
@@ -125,9 +125,9 @@ def _check_independent(w1, w2, pol):
 
 def pencil_quadratic(W1, W2) -> tuple[complex, complex, complex]:
     """Coefficients (a, b, c) of ``det(alpha*W1 + beta*W2)``."""
-    a = _det2(W1)
-    c = _det2(W2)
-    b = _det2(np.asarray(W1) + np.asarray(W2)) - a - c
+    a = det2(W1)
+    c = det2(W2)
+    b = det2(np.asarray(W1) + np.asarray(W2)) - a - c
     return a, b, c
 
 
@@ -146,7 +146,7 @@ def product_roots(W1, W2, pol: TolerancePolicy = DEFAULT_POLICY) -> RootReport:
     kind, roots = projective_quadratic_roots(
         a, b, c, zero_tol=pol.rank_rel_tol * scale, deg_tol=pol.deg_tol
     )
-    return RootReport(kind=kind, roots=roots)
+    return RootReport(kind=kind, roots=roots, coeffs=(a, b, c))
 
 
 def product_factors(w, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
@@ -190,16 +190,22 @@ def classify_line(w, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStructure
 
 
 def classify_span(w1, w2, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStructure:
-    """Name the structure of span{w1, w2} and return its witnesses.
-
-    When the pencil vanishes identically the span is a full factor space;
-    the side of the common factor is read off by comparing the factors of
-    three sample product vectors (w1, w2, w1 + w2).
-    """
+    """Name the structure of span{w1, w2} and return its witnesses."""
     v1 = np.asarray(w1, dtype=complex).reshape(-1)
     v2 = np.asarray(w2, dtype=complex).reshape(-1)
-    report = product_roots(slice_matrix(v1), slice_matrix(v2), pol)
+    return span_structure(v1, v2, product_roots(slice_matrix(v1), slice_matrix(v2), pol), pol)
 
+
+def span_structure(
+    v1, v2, report: RootReport, pol: TolerancePolicy = DEFAULT_POLICY
+) -> SubspaceStructure:
+    """Structure of span{v1, v2} read from the roots of its slice pencil.
+
+    ``report`` must come from :func:`product_roots` on the slices of the flat
+    4-vectors v1, v2. When the pencil vanishes identically the span is a
+    full factor space; the side of the common factor is read off by
+    comparing the factors of three sample product vectors (v1, v2, v1 + v2).
+    """
     if report.kind is RootKind.INFINITELY_MANY:
         samples = (v1, v2, v1 + v2)
         factors = [product_factors(s, pol) for s in samples]

@@ -22,21 +22,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentRanks, ReductionFailed, ToleranceBreakdown, WrongArity
-from .numerics import DEFAULT_POLICY, SvdResult, TolerancePolicy, numerical_rank, svd
-from .states import PureState, apply_local_operators, coefficient_matrix, make_state
+from .errors import (
+    InconsistentRanks,
+    ReductionFailed,
+    SingularMatrix,
+    SingularOperator,
+    ToleranceBreakdown,
+    WrongArity,
+)
+from .numerics import DEFAULT_POLICY, SvdResult, TolerancePolicy, inv2, numerical_rank, svd
+from .states import (
+    LocalOperatorSet,
+    PureState,
+    apply_local_operators,
+    coefficient_matrix,
+    make_state,
+)
 from .subspaces import (
     RootKind,
+    RootReport,
     SubspaceStructure,
     classify_line,
-    classify_span,
     one_product_span_basis,
     orthogonal_complement,
-    pencil_quadratic,
     product_factors,
     product_roots,
-    projective_quadratic_roots,
     slice_matrix,
+    span_structure,
 )
 
 _DET_GUARD = 1e-12
@@ -85,19 +97,10 @@ class ClassificationReport:
 
 @dataclass(frozen=True)
 class IloTriple:
-    """Invertible operators reducing a state to its canonical vector."""
+    """Invertible operators F1, F2, F3 reducing a state to its canonical vector."""
 
-    f1: np.ndarray
-    f2: np.ndarray
-    f3: np.ndarray
+    ops: LocalOperatorSet
     residual: float
-
-    @property
-    def ops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.f1, self.f2, self.f3)
-
-    def det_abs(self) -> tuple[float, float, float]:
-        return tuple(abs(complex(np.linalg.det(f))) for f in self.ops)
 
 
 def canonical_vector(tag: TripartiteClass) -> PureState:
@@ -138,45 +141,42 @@ def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationRe
         raise InconsistentRanks(
             f"ranks {ranks}: exactly two pivots read rank 1, impossible for a valid state"
         )
-    if rank_ones:
-        report = ClassificationReport(
-            tag=TripartiteClass.C000 if len(rank_ones) == 3 else _RANK1_CLASS[rank_ones[0]],
-            ranks=ranks,
-            sigma=sigma,
-            structure=classify_line(w1, pol) if ranks[0] == 1 else classify_span(w1, w2, pol),
-            spectrum_used=None,
-            near_boundary=False,
-        )
-        return report, svds[0]
-
-    # All three ranks are 2: GHZ or W, decided on the slice pencil.
-    W1 = slice_matrix(w1)
-    W2 = slice_matrix(w2)
-    a, b, c = pencil_quadratic(W1, W2)
-    s = max(abs(a), abs(b), abs(c))
-    n1, n2 = np.linalg.norm(W1), np.linalg.norm(W2)
-    scale = (n1 + n2) ** 2
-    if s <= pol.rank_rel_tol * scale:
-        raise ToleranceBreakdown(
-            "pencil determinant vanishes identically although all pivots read rank 2"
-        )
-    disc = abs(b * b - 4.0 * a * c)
-    threshold = pol.deg_tol * s * s
-    tag = TripartiteClass.W if disc <= threshold else TripartiteClass.GHZ
-    near = threshold / 100.0 < disc <= threshold * 100.0
+    spectrum, near = None, False
+    if ranks[0] == 1:
+        tag = TripartiteClass.C000 if len(rank_ones) == 3 else TripartiteClass.C01_PSI23
+        structure = classify_line(w1, pol)
+    else:
+        # the slice pencil of span{w1, w2} names the span structure and, when
+        # all ranks are 2, decides GHZ (two roots) against W (one double root)
+        W1, W2 = slice_matrix(w1), slice_matrix(w2)
+        roots = product_roots(W1, W2, pol)
+        if rank_ones:
+            tag = _RANK1_CLASS[rank_ones[0]]
+        elif roots.kind is RootKind.INFINITELY_MANY:
+            raise ToleranceBreakdown(
+                "pencil determinant vanishes identically although all pivots read rank 2"
+            )
+        else:
+            tag = TripartiteClass.GHZ if roots.kind is RootKind.TWO_DISTINCT else TripartiteClass.W
+            a, b, c = roots.coeffs
+            s = max(abs(a), abs(b), abs(c))
+            threshold = pol.deg_tol * s * s
+            near = threshold / 100.0 < abs(b * b - 4.0 * a * c) <= threshold * 100.0
+            spectrum = _pencil_spectrum(roots, np.linalg.norm(W1), np.linalg.norm(W2), pol)
+        structure = span_structure(w1, w2, roots, pol)
 
     report = ClassificationReport(
         tag=tag,
         ranks=ranks,
         sigma=sigma,
-        structure=classify_span(w1, w2, pol),
-        spectrum_used=_pencil_spectrum(a, b, c, n1, n2, pol),
+        structure=structure,
+        spectrum_used=spectrum,
         near_boundary=near,
     )
     return report, svds[0]
 
 
-def _pencil_spectrum(a, b, c, n1, n2, pol) -> SpectrumInfo | None:
+def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
     """Eigenvalues of W_a^-1 W_b with the invertible slice on the left.
 
     det(W2 - lam*W1) = a*lam^2 - b*lam + c, so each projective root
@@ -184,9 +184,9 @@ def _pencil_spectrum(a, b, c, n1, n2, pol) -> SpectrumInfo | None:
     and -beta/alpha of W2^-1 W1. A slice of norm n counts as invertible by
     the test of :func:`inv2`: |det| above ``rank_rel_tol * n^2``.
     """
-    zero_tol = pol.rank_rel_tol * (n1 + n2) ** 2
-    kind, roots = projective_quadratic_roots(a, b, c, zero_tol, pol.deg_tol)
-    if kind is RootKind.ONE_DOUBLE:
+    a, _, c = report.coeffs
+    roots = report.roots
+    if report.kind is RootKind.ONE_DOUBLE:
         roots = roots * 2
     if abs(a) > pol.rank_rel_tol * n1 * n1 and all(beta != 0 for _, beta in roots):
         product, lams = "W1^-1 @ W2", [-alpha / beta for alpha, beta in roots]
@@ -197,41 +197,58 @@ def _pencil_spectrum(a, b, c, n1, n2, pol) -> SpectrumInfo | None:
     return SpectrumInfo(product, tuple(sorted(lams, key=abs, reverse=True)))
 
 
-def _columns(*vectors) -> np.ndarray:
-    return np.column_stack(vectors)
+def _reducing_operators(report: ClassificationReport, res: SvdResult, pol: TolerancePolicy):
+    """F1, F2, F3 sending the state to the canonical vector of its class.
 
+    F2 and F3 send the span witnesses to computational basis vectors. With
+    u_k = M[k, 0] t1 + M[k, 1] t2 over the target product vectors t_j, the
+    pivot operator is F1 = M^-1 diag(1/sigma) V^dagger: only the mixing
+    matrix M is inverted, and M does not carry the scale of the state.
+    """
+    tag = report.tag
+    U = res.W[:, :2].conj()  # columns u1, u2
+    u1, u2 = U.T
+    if tag is TripartiteClass.C000:
+        a, b = product_factors(u1, pol)
+        f2 = inv2(np.column_stack((a, orthogonal_complement(a))), pol)
+        f3 = inv2(np.column_stack((b, orthogonal_complement(b))), pol)
+    elif tag is TripartiteClass.C01_PSI23:
+        part = svd(u1.reshape(2, 2))
+        if part.sigma[1] <= _DET_GUARD * part.sigma[0]:
+            raise ReductionFailed("pair part of the state is numerically a product")
+        f2 = np.diag(1.0 / part.sigma[:2]) @ part.V.conj().T
+        f3 = part.W.T.copy()
+    if report.ranks[0] == 1:  # 000 or 0_1: F1 rescales the one pivot-1 direction
+        return np.diag([1.0 / res.sigma[0], 1.0]) @ res.V.conj().T, f2, f3
 
-def _inv_columns(*vectors) -> np.ndarray:
-    m = _columns(*vectors)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    scale = np.linalg.norm(m[:, 0]) * np.linalg.norm(m[:, 1])
-    if scale == 0.0 or abs(det) <= _DET_GUARD * scale:
-        raise ReductionFailed("target basis vectors are numerically parallel")
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
-
-
-def _mixing_matrix(t1, t2, u1, u2) -> np.ndarray:
-    targets = _columns(t1, t2)
-    m1, *_ = np.linalg.lstsq(targets, u1, rcond=None)[:1]
-    m2, *_ = np.linalg.lstsq(targets, u2, rcond=None)[:1]
-    M = np.array([m1, m2])
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if abs(det) <= _DET_GUARD * max(1.0, np.linalg.norm(M) ** 2):
-        raise ReductionFailed("generator mixing matrix is numerically singular")
-    return M
-
-
-def _pivot_op_rank1(res: SvdResult) -> np.ndarray:
-    return np.diag([1.0 / res.sigma[0], 1.0]) @ res.V.conj().T
-
-
-def _pivot_op_rank2(res: SvdResult, M) -> np.ndarray:
-    P = res.V @ np.diag(res.sigma[:2])
-    PM = P @ M
-    det = PM[0, 0] * PM[1, 1] - PM[0, 1] * PM[1, 0]
-    if abs(det) <= _DET_GUARD * max(1.0, np.linalg.norm(PM) ** 2):
-        raise ReductionFailed("pivot operator would be singular")
-    return np.array([[PM[1, 1], -PM[0, 1]], [-PM[1, 0], PM[0, 0]]], dtype=complex) / det
+    if tag is TripartiteClass.C02_PSI13:
+        stack = np.hstack([u1.reshape(2, 2), u2.reshape(2, 2)])
+        a = svd(stack).V[:, 0]
+        t1, t2 = np.kron(a, [1, 0]), np.kron(a, [0, 1])
+        f2 = inv2(np.column_stack((a, orthogonal_complement(a))), pol)
+        f3 = np.eye(2, dtype=complex)
+    elif tag is TripartiteClass.C03_PSI12:
+        stack = np.hstack([u1.reshape(2, 2).T, u2.reshape(2, 2).T])
+        b = svd(stack).V[:, 0]
+        t1, t2 = np.kron([1, 0], b), np.kron([0, 1], b)
+        f2 = np.eye(2, dtype=complex)
+        f3 = inv2(np.column_stack((b, orthogonal_complement(b))), pol)
+    elif tag is TripartiteClass.GHZ:
+        # the witnesses span {w1, w2}; conjugation carries them to span {u1, u2}
+        t1, t2 = (w.conj() for w in report.structure.witnesses)
+        a1, b1 = product_factors(t1, pol)
+        a2, b2 = product_factors(t2, pol)
+        f2 = inv2(np.column_stack((a1, a2)), pol)
+        f3 = inv2(np.column_stack((b1, b2)), pol)
+    else:  # W class
+        basis = one_product_span_basis(u1, u2, report.structure.witnesses[0].conj(), pol)
+        t1 = basis.entangled
+        t2 = np.kron(basis.left, basis.right)
+        f2 = inv2(np.column_stack((basis.left, basis.left_comp)), pol)
+        f3 = inv2(np.column_stack((basis.right, basis.right_comp)), pol)
+    M = np.linalg.lstsq(np.column_stack((t1, t2)), U, rcond=None)[0].T
+    f1 = (inv2(M, pol) / res.sigma[:2]) @ res.V.conj().T
+    return f1, f2, f3
 
 
 def reduce_to_canonical(
@@ -241,72 +258,18 @@ def reduce_to_canonical(
 
     The construction works on the conjugated right singular vectors
     u_k = conj(w_k), because the state decomposes exactly as
-    sum_k sigma_k v_k (x) u_k; the witnesses of span{u1, u2} are sent to
-    computational basis vectors by the second and third operators, and the
-    pivot operator is the inverse of the mixed, sigma-weighted left factor.
+    sum_k sigma_k v_k (x) u_k. A singular 2x2 matrix on the way, or an
+    operator whose |det| leaves the float range (amplitudes beyond about
+    1e+-150), raises :class:`ReductionFailed`.
     """
     report, res = _classify3(state, pol)
-    tag = report.tag
+    try:
+        ops = LocalOperatorSet(_reducing_operators(report, res, pol))
+    except (SingularMatrix, SingularOperator) as exc:
+        raise ReductionFailed(f"reducing operators are numerically singular: {exc}") from exc
 
-    if tag is TripartiteClass.C000:
-        u1 = res.W[:, 0].conj()
-        a, b = product_factors(u1, pol)
-        f1 = _pivot_op_rank1(res)
-        f2 = _inv_columns(a, orthogonal_complement(a))
-        f3 = _inv_columns(b, orthogonal_complement(b))
-    elif tag is TripartiteClass.C01_PSI23:
-        u1 = res.W[:, 0].conj()
-        part = svd(u1.reshape(2, 2))
-        if part.sigma[1] <= _DET_GUARD * part.sigma[0]:
-            raise ReductionFailed("pair part of the state is numerically a product")
-        f1 = _pivot_op_rank1(res)
-        f2 = np.diag(1.0 / part.sigma[:2]) @ part.V.conj().T
-        f3 = part.W.T.copy()
-    else:
-        u1 = res.W[:, 0].conj()
-        u2 = res.W[:, 1].conj()
-        if tag is TripartiteClass.C02_PSI13:
-            stack = np.hstack([u1.reshape(2, 2), u2.reshape(2, 2)])
-            a = svd(stack).V[:, 0]
-            t1, t2 = np.kron(a, [1, 0]), np.kron(a, [0, 1])
-            f2 = _inv_columns(a, orthogonal_complement(a))
-            f3 = np.eye(2, dtype=complex)
-        elif tag is TripartiteClass.C03_PSI12:
-            stack = np.hstack([u1.reshape(2, 2).T, u2.reshape(2, 2).T])
-            b = svd(stack).V[:, 0]
-            t1, t2 = np.kron([1, 0], b), np.kron([0, 1], b)
-            f2 = np.eye(2, dtype=complex)
-            f3 = _inv_columns(b, orthogonal_complement(b))
-        elif tag is TripartiteClass.GHZ:
-            roots = product_roots(slice_matrix(u1), slice_matrix(u2), pol)
-            if roots.kind is not RootKind.TWO_DISTINCT:
-                raise ReductionFailed(
-                    f"GHZ-class state but the slice pencil reports {roots.kind.value}"
-                )
-            g1 = roots.roots[0][0] * u1 + roots.roots[0][1] * u2
-            g2 = roots.roots[1][0] * u1 + roots.roots[1][1] * u2
-            a1, b1 = product_factors(g1, pol)
-            a2, b2 = product_factors(g2, pol)
-            t1, t2 = g1, g2
-            f2 = _inv_columns(a1, a2)
-            f3 = _inv_columns(b1, b2)
-        else:  # W class
-            roots = product_roots(slice_matrix(u1), slice_matrix(u2), pol)
-            if roots.kind is not RootKind.ONE_DOUBLE:
-                raise ReductionFailed(
-                    f"W-class state but the slice pencil reports {roots.kind.value}"
-                )
-            g = roots.roots[0][0] * u1 + roots.roots[0][1] * u2
-            basis = one_product_span_basis(u1, u2, g, pol)
-            t1 = basis.entangled
-            t2 = np.kron(basis.left, basis.right)
-            f2 = _inv_columns(basis.left, basis.left_comp)
-            f3 = _inv_columns(basis.right, basis.right_comp)
-        M = _mixing_matrix(t1, t2, u1, u2)
-        f1 = _pivot_op_rank2(res, M)
-
-    transformed = apply_local_operators(state, (f1, f2, f3))
-    canon = canonical_vector(tag)
+    transformed = apply_local_operators(state, ops)
+    canon = canonical_vector(report.tag)
     z = np.vdot(canon.amps, transformed.amps) / np.vdot(canon.amps, canon.amps)
     residual = float(
         np.linalg.norm(transformed.amps - z * canon.amps) / np.linalg.norm(transformed.amps)
@@ -315,4 +278,4 @@ def reduce_to_canonical(
         raise ReductionFailed(
             f"residual {residual:.3e} above tolerance {pol.residual_tol:.1e}"
         )
-    return report, IloTriple(f1=f1, f2=f2, f3=f3, residual=residual)
+    return report, IloTriple(ops=ops, residual=residual)

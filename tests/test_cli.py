@@ -189,6 +189,17 @@ class TestClassifyCommand:
         assert code == 4
         assert "reduction failed" in err
 
+    @pytest.mark.parametrize("scale,expected", [(1e-8, 0), (1e200, 4)])
+    def test_reduce_exit_code_at_scale(self, tmp_path, capsys, scale, expected):
+        from slocc.tripartite import TripartiteClass, canonical_vector
+
+        amps = canonical_vector(TripartiteClass.GHZ).amps * scale
+        path = write_state(tmp_path, make_state([2, 2, 2], amps))
+        code, out, _ = run(capsys, "reduce", path, "--json")
+        assert code == expected
+        if expected == 0:
+            assert json.loads(out)["class"] == "GHZ"
+
     def test_4qubit_factor_report(self, tmp_path, capsys):
         bell = np.array([1, 0, 0, 1])
         state = make_state((2,) * 4, np.kron(np.kron([1, 0], [1, 0]), bell))

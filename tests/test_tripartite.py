@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import slocc.subspaces
 import slocc.tripartite
 from conftest import orbit_state, random_complex, up_to_scale
 from slocc.errors import InconsistentRanks, ReductionFailed, WrongArity
@@ -131,6 +132,30 @@ class TestComputedOnce:
                 fn(state)
                 assert calls == [(2, 4)] * 3
 
+    @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
+    def test_pencil_solved_once_per_call(self, tag, monkeypatch):
+        counts = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        names = ("pencil_quadratic", "projective_quadratic_roots", "product_roots")
+        for name in names:
+            wrapped = counting(name, getattr(slocc.subspaces, name))
+            for module in (slocc.subspaces, slocc.tripartite):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        for trial in range(20):
+            state, _ = orbit_state(tag, RandomSource(2700 + trial))
+            for fn in (classify3, reduce_to_canonical):
+                counts.clear()
+                fn(state)
+                assert counts == dict.fromkeys(names, 1)
+
     def test_pencil_spectrum_matches_explicit_eigenvalues(self):
         for trial in range(100):
             state, _ = orbit_state(TripartiteClass.GHZ, RandomSource(2600 + trial))
@@ -155,6 +180,30 @@ class TestComputedOnce:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert classify3(make_state([2, 2, 2], amps)).tag is TripartiteClass.W
+
+
+class TestScale:
+    """The reduction does not depend on the overall scale of the amplitudes."""
+
+    @pytest.mark.parametrize("tag", list(TripartiteClass))
+    def test_reduces_at_every_scale(self, tag):
+        amps = canonical_vector(tag).amps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-150, 151):
+                report, ilos = reduce_to_canonical(make_state([2, 2, 2], amps * 10.0**k))
+                assert report.tag is tag, k
+                assert ilos.residual <= 1e-8, k
+
+    @pytest.mark.parametrize("tag", [t for t, r in RANKS.items() if r[0] == 2])
+    @pytest.mark.parametrize("k", [-200, 200])
+    def test_pivot_det_out_of_float_range_is_a_reduction_failure(self, tag, k):
+        # F1 carries 1/sigma twice on rank-2 pivots, so |det F1| ~ 10^(-2k)
+        state = make_state([2, 2, 2], canonical_vector(tag).amps * 10.0**k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ReductionFailed):
+                reduce_to_canonical(state)
 
 
 class TestHyperdeterminantOracle:
