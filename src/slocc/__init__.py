@@ -72,7 +72,6 @@ from .subspaces import (
     slice_matrix,
     unslice,
 )
-from .testkit import MANY, RandomSource, brute_product_count, random_ilo, random_state
 from .tripartite import (
     ClassificationReport,
     IloTriple,

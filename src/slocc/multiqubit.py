@@ -14,7 +14,9 @@ Exceptional points are located algebraically: rank drops of any pivot's
 coefficient matrix along the line are common roots of its 2x2-minor
 quadratics, and (for N = 4) the genuinely tripartite GHZ/W boundary is the
 root set of the degree-4 hyperdeterminant along the line. Rank-drop loci
-have measure zero, so sampling alone would miss them.
+have measure zero, so sampling alone would miss them. Every other point of
+the line carries the generic class, which is read at one fixed probe point
+farthest from all candidates.
 """
 
 from __future__ import annotations
@@ -24,24 +26,22 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    ArityMismatch,
-    DegenerateParameter,
-    SloccError,
-    ToleranceBreakdown,
-    UnsupportedDepth,
-    WrongArity,
-)
+from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
 from .numerics import DEFAULT_POLICY, TolerancePolicy, numerical_rank, svd
 from .states import PureState, coefficient_matrix, make_state
 from .subspaces import RootKind, projective_quadratic_roots
-from .testkit import RandomSource
 from .tripartite import classify3
 
-_GENERIC_SAMPLE_SEED = 20_240_714
 # chordal distances of machine-identical points already read ~sqrt(eps)
 _MERGE_DISTANCE = 1e-6
-_SAMPLE_CLEARANCE = 1e-3
+# Probe directions (alpha, beta) for the generic class, a golden-angle spiral
+# on the Bloch sphere: cos(theta) = 1 - odd/16 and phi an irrational multiple
+# of pi keep every probe off the poles and round angles of structured states.
+_PROBE_THETA = np.arccos(1.0 - (2 * np.arange(16) + 1) / 16)
+_PROBE_PHI = (np.arange(16) + 0.5) * np.pi * (3.0 - np.sqrt(5.0))
+_PROBES = np.stack(
+    [np.cos(_PROBE_THETA / 2), np.sin(_PROBE_THETA / 2) * np.exp(1j * _PROBE_PHI)], axis=1
+)
 
 
 @dataclass(frozen=True)
@@ -199,27 +199,14 @@ def _tangle_candidates(w1, w2):
     return candidates
 
 
-def _generic_class(w1, w2, candidates, n_sub, pol, max_qubits) -> str:
-    src = RandomSource(_GENERIC_SAMPLE_SEED)
-    g = src.generator()
-    classes = []
-    attempts = 0
-    while len(classes) < 3 and attempts < 64:
-        attempts += 1
-        pair = tuple(g.standard_normal(2) + 1j * g.standard_normal(2))
-        point = _unit_point(pair)
-        if any(_chordal_distance(point, c) < _SAMPLE_CLEARANCE for c in candidates):
-            continue
-        try:
-            classes.append(_point_class(point[0] * w1 + point[1] * w2, n_sub, pol, max_qubits))
-        except SloccError:
-            continue
-    if len(classes) < 3:
-        raise ToleranceBreakdown("could not sample generic points of the line")
-    labels = sorted(set(classes), key=classes.count, reverse=True)
-    if classes.count(labels[0]) < 2:
-        raise ToleranceBreakdown(f"generic samples disagree: {classes}")
-    return labels[0]
+def _generic_point(merged):
+    """The probe with the largest chordal distance to every unit candidate.
+
+    That distance falls as the overlap |<p, c>| grows; ties go to the
+    earlier probe, and with no candidates the first probe is returned.
+    """
+    overlap = np.abs(_PROBES.conj() @ np.array(merged, dtype=complex).reshape(-1, 2).T)
+    return _PROBES[np.argmin(overlap.max(axis=1, initial=0.0))]
 
 
 def descriptor(
@@ -258,12 +245,11 @@ def descriptor(
         if all(_chordal_distance(cand, kept) > _MERGE_DISTANCE for kept in merged):
             merged.append(cand)
 
-    generic = _generic_class(w1, w2, merged, n_sub, pol, max_qubits)
-    exceptional = []
-    for point in merged:
-        cls = _point_class(point[0] * w1 + point[1] * w2, n_sub, pol, max_qubits)
-        if cls != generic:
-            exceptional.append((cls, point))
+    generic, *classes = (
+        _point_class(point[0] * w1 + point[1] * w2, n_sub, pol, max_qubits)
+        for point in (_generic_point(merged), *merged)
+    )
+    exceptional = [(cls, point) for cls, point in zip(classes, merged) if cls != generic]
     exceptional.sort(key=lambda item: (item[0], repr(np.round(np.array(item[1]), 9))))
 
     return StructureDescriptor(

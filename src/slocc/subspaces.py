@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DependentGenerators, DimensionMismatch, ToleranceBreakdown, ZeroVector
+from .errors import DependentGenerators, DimensionMismatch, NonFinite, ToleranceBreakdown, ZeroVector
 from .numerics import DEFAULT_POLICY, TolerancePolicy, det2, numerical_rank, svd
 
 _EPS = 1e-13
@@ -181,9 +181,11 @@ def classify_line(w, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStructure
     v = np.asarray(w, dtype=complex).reshape(-1)
     if v.size != 4:
         raise DimensionMismatch(f"expected a 4-vector, got length {v.size}")
+    if not np.isfinite(v).all():
+        raise NonFinite("vector contains non-finite entries")
     if np.abs(v).max() == 0.0:
         raise ZeroVector("the zero vector spans no line")
-    rank = numerical_rank(svd(slice_matrix(v)).sigma, pol)
+    rank = numerical_rank(np.linalg.svd(slice_matrix(v), compute_uv=False), pol)
     if rank == 1:
         return SubspaceStructure(tag=StructureTag.PRODUCT_LINE, witnesses=(v.copy(),))
     return SubspaceStructure(tag=StructureTag.ENTANGLED_LINE)

@@ -1,8 +1,19 @@
+import json
+from itertools import combinations_with_replacement
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slocc.multiqubit
 from conftest import random_complex
-from slocc.errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
+from slocc.errors import (
+    ArityMismatch,
+    DegenerateParameter,
+    SingularMatrix,
+    UnsupportedDepth,
+    WrongArity,
+)
 from slocc.multiqubit import (
     class_count_bound,
     cluster_state_4,
@@ -19,11 +30,30 @@ from slocc.tripartite import TripartiteClass, canonical_vector, classify3
 
 GHZ4 = ghz_state(4)
 CLUSTER = cluster_state_4()
+CENSUS_TABLE = json.loads((Path(__file__).with_name("data") / "census4.json").read_text())
 
 
 def four_qubit_orbit(state, src, cond_cap=1e3):
     ops = [random_ilo(2, src.split(k), cond_cap) for k in range(4)]
     return apply_local_operators(state, ops)
+
+
+def census_representatives():
+    """|0>psi1 + |1>psi2 for each unordered pair of 3-qubit classes.
+
+    psi2 carries one fixed ILO on qubits 2-4, so that a pair of equal
+    classes still spans a two-dimensional right singular subspace.
+    """
+    relative = [random_ilo(2, RandomSource(900).split(k)) for k in range(3)]
+    reps = {}
+    for t1, t2 in combinations_with_replacement(TripartiteClass, 2):
+        psi2 = apply_local_operators(canonical_vector(t2), relative).amps
+        amps = np.concatenate([canonical_vector(t1).amps, psi2])
+        reps[f"{t1.value} + {t2.value}"] = make_state((2,) * 4, amps)
+    return reps
+
+
+CENSUS = census_representatives()
 
 
 class TestHyperdeterminant:
@@ -82,6 +112,55 @@ class TestDescriptor:
             "4q|dimW=1|line=000",
             "4q|dimW=1|line=000",
         )
+
+
+class TestGenericProbe:
+    @pytest.mark.parametrize("state", [GHZ4, CLUSTER], ids=["GHZ4", "cluster"])
+    def test_generic_class_read_once(self, state, monkeypatch):
+        # two exceptional candidates plus one probe point
+        calls = []
+
+        def counting(point, *args, **kwargs):
+            calls.append(point)
+            return classify3(point, *args, **kwargs)
+
+        monkeypatch.setattr(slocc.multiqubit, "classify3", counting)
+        descriptor(state)
+        assert len(calls) == 3
+
+    def test_probe_error_propagates(self, monkeypatch):
+        def failing(point, *args, **kwargs):
+            raise SingularMatrix("probe")
+
+        monkeypatch.setattr(slocc.multiqubit, "classify3", failing)
+        with pytest.raises(SingularMatrix):
+            descriptor(GHZ4)
+
+    def test_farthest_probe_matches_chordal_reference(self):
+        from slocc.multiqubit import _PROBES, _chordal_distance, _generic_point, _unit_point
+
+        g = RandomSource(610).generator()
+        assert np.array_equal(_generic_point([]), _PROBES[0])
+        for trial in range(300):
+            merged = [_unit_point(random_complex(g, 2)) for _ in range(trial % 7)]
+            reference = max(
+                map(tuple, _PROBES),
+                key=lambda p: min((_chordal_distance(p, c) for c in merged), default=1.0),
+            )
+            assert np.array_equal(_generic_point(merged), reference)
+
+
+class TestCensus:
+    """Signatures of the 21 generator-pair representatives (21 = m(m+1)/2, m = 6)."""
+
+    def test_signature_table(self):
+        assert {name: descriptor(s).signature() for name, s in CENSUS.items()} == CENSUS_TABLE
+
+    @pytest.mark.parametrize("name", sorted(CENSUS))
+    def test_orbit_stable(self, name):
+        for k in range(5):
+            moved = four_qubit_orbit(CENSUS[name], RandomSource(1000 + k))
+            assert descriptor(moved).signature() == CENSUS_TABLE[name]
 
 
 class TestSameBroadClass:

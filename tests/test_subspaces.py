@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import orbit_state, random_complex
-from slocc.errors import DependentGenerators, ZeroVector
+from slocc.errors import DependentGenerators, NonFinite, ZeroVector
 from slocc.numerics import svd
 from slocc.states import coefficient_matrix
 from slocc.subspaces import (
@@ -138,6 +138,11 @@ class TestClassifyLine:
     def test_zero_rejected(self):
         with pytest.raises(ZeroVector):
             classify_line([0, 0, 0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFinite):
+            classify_line([1, 0, bad, 1])
 
 
 class TestOneProductBasis:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,3 +87,17 @@ class TestBruteProductCount:
             w2 = g.standard_normal(4) + 1j * g.standard_normal(4)
             report = product_roots(slice_matrix(w1), slice_matrix(w2))
             assert brute_product_count(w1, w2, 10_000, 20) == KIND_TO_COUNT[report.kind]
+
+
+def test_package_loads_no_test_kit():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, slocc, slocc.cli; print('slocc.testkit' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
