@@ -10,26 +10,26 @@ the same broad-sense class exactly when these summaries match; residual
 continuous freedom (the exceptional points' positions) is deliberately
 excluded from the comparison.
 
-Exceptional points are located algebraically: rank drops of any pivot's
-coefficient matrix along the line are common roots of its 2x2-minor
-quadratics, and (for N = 4) the genuinely tripartite GHZ/W boundary is the
-root set of the degree-4 hyperdeterminant along the line. Rank-drop loci
-have measure zero, so sampling alone would miss them. Every other point of
-the line carries the generic class, which is read at one fixed probe point
-farthest from all candidates.
+Exceptional points are located algebraically: rank drops of a pivot's
+coefficient matrix along the line are the roots of its largest 2x2-minor
+quadratic that zero all of its minors, and (for N = 4) the genuinely
+tripartite GHZ/W boundary is the root set of the degree-4 hyperdeterminant
+along the line. Rank-drop loci have measure zero, so sampling alone would
+miss them. Every other point of the line carries the generic class, which
+is read at one fixed probe point farthest from all candidates.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
 from .numerics import DEFAULT_POLICY, TolerancePolicy, numerical_rank, svd
 from .states import PureState, coefficient_matrix, make_state
-from .subspaces import RootKind, projective_quadratic_roots
+from .subspaces import projective_quadratic_roots
 from .tripartite import classify3
 
 # chordal distances of machine-identical points already read ~sqrt(eps)
@@ -42,6 +42,9 @@ _PROBE_PHI = (np.arange(16) + 0.5) * np.pi * (3.0 - np.sqrt(5.0))
 _PROBES = np.stack(
     [np.cos(_PROBE_THETA / 2), np.sin(_PROBE_THETA / 2) * np.exp(1j * _PROBE_PHI)], axis=1
 )
+# interpolation nodes of the hyperdeterminant quartic along the line
+_TANGLE_NODES = (-2.0, -1.0, 0.0, 1.0, 2.0)
+_TANGLE_VANDER = np.array([[t**k for k in range(5)] for t in _TANGLE_NODES])
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,9 @@ class StructureDescriptor:
     """Broad-sense class summary of an N-qubit right singular subspace.
 
     ``exceptional_points`` records where on the line each exceptional class
-    sits; it is diagnostic only and never takes part in equality.
+    sits, as unit (alpha, beta); it is diagnostic only and never takes part
+    in equality. Points are ordered by class, then by (Re alpha, Im alpha,
+    Re beta, Im beta) rounded to 9 decimals.
     """
 
     n_qubits: int
@@ -127,65 +132,60 @@ def _chordal_distance(p, q) -> float:
     return float(np.sqrt(max(0.0, 1.0 - abs(np.vdot(a, b)) ** 2)))
 
 
-def _minor_quadratics(A, B):
-    """Quadratic (a, b, c) coefficients of every 2x2 minor of alpha*A + beta*B."""
-    quads = []
-    for p, q in combinations(range(A.shape[1]), 2):
-        a = A[0, p] * A[1, q] - A[0, q] * A[1, p]
-        c = B[0, p] * B[1, q] - B[0, q] * B[1, p]
-        b = (
-            A[0, p] * B[1, q]
-            + B[0, p] * A[1, q]
-            - A[0, q] * B[1, p]
-            - B[0, q] * A[1, p]
-        )
-        quads.append((complex(a), complex(b), complex(c)))
-    return quads
-
-
-def _eval_quadratic(coeffs, point) -> float:
-    a, b, c = coeffs
-    alpha, beta = point
-    return abs(a * alpha * alpha + b * alpha * beta + c * beta * beta)
-
-
 def _unit_point(point):
     v = np.array(point, dtype=complex)
     return tuple(v / np.linalg.norm(v))
 
 
+@functools.lru_cache(maxsize=None)
+def _minor_index(n_sub: int) -> np.ndarray:
+    """Flat indices (4, n_sub, n_minors) of A[0,p], A[1,q], A[0,q], A[1,p].
+
+    A is each pivot's coefficient matrix, its column pairs p < q in triu_indices order.
+    """
+    flat = np.arange(2**n_sub).reshape((2,) * n_sub)
+    mats = np.stack([np.moveaxis(flat, k, 0).reshape(2, -1) for k in range(n_sub)])
+    p, q = np.triu_indices(mats.shape[2], 1)
+    index = np.stack([mats[:, 0, p], mats[:, 1, q], mats[:, 0, q], mats[:, 1, p]])
+    index.flags.writeable = False
+    return index
+
+
 def _rank_drop_candidates(w1, w2, n_sub: int, pol: TolerancePolicy):
-    """Roots of the minor quadratics that are common to a whole pivot."""
-    candidates = []
-    for pivot in range(1, n_sub + 1):
-        A = coefficient_matrix(make_state((2,) * n_sub, w1), pivot).entries
-        B = coefficient_matrix(make_state((2,) * n_sub, w2), pivot).entries
-        quads = _minor_quadratics(A, B)
-        scale = max(max(abs(a), abs(b), abs(c)) for a, b, c in quads)
-        if scale <= 1e-13 * (np.linalg.norm(A) + np.linalg.norm(B)) ** 2:
+    """Unit points of the line where some pivot's coefficient matrix drops rank.
+
+    Such a point zeroes every 2x2 minor of the pivot, so it is one of the
+    roots of the pivot's largest minor quadratic that all its minors share.
+    """
+    index = _minor_index(n_sub)
+    a0p, a1q, a0q, a1p = w1[index]
+    b0p, b1q, b0q, b1p = w2[index]
+    a = a0p * a1q - a0q * a1p
+    c = b0p * b1q - b0q * b1p
+    b = a0p * b1q + b0p * a1q - a0q * b1p - b0q * a1p
+    size = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    scale = size.max(axis=1)
+    floor = 1e-13 * (np.linalg.norm(w1) + np.linalg.norm(w2)) ** 2
+    roots, owner = [], []
+    for k, m in enumerate(size.argmax(axis=1)):
+        if scale[k] <= floor:
             continue  # pivot is rank-deficient on the whole line
-        pivot_roots = []
-        for coeffs in quads:
-            if max(abs(x) for x in coeffs) <= 1e-12 * scale:
-                continue
-            kind, roots = projective_quadratic_roots(
-                *coeffs, zero_tol=0.0, deg_tol=pol.deg_tol
-            )
-            if kind is not RootKind.INFINITELY_MANY:
-                pivot_roots.extend(roots)
-        for root in pivot_roots:
-            unit = _unit_point(root)
-            if all(_eval_quadratic(q, unit) <= pol.deg_tol * scale for q in quads):
-                candidates.append(unit)
-    return candidates
+        _, found = projective_quadratic_roots(
+            a[k, m], b[k, m], c[k, m], zero_tol=0.0, deg_tol=pol.deg_tol
+        )
+        roots.extend(found)
+        owner.extend([k] * len(found))
+    units = np.array(roots, dtype=complex).reshape(-1, 2)
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    alpha, beta = units[:, :1], units[:, 1:]
+    residual = np.abs(a[owner] * alpha * alpha + b[owner] * alpha * beta + c[owner] * beta * beta)
+    return list(units[(residual <= pol.deg_tol * scale[owner, None]).all(axis=1)])
 
 
 def _tangle_candidates(w1, w2):
     """Roots of the hyperdeterminant quartic along the line (N = 4 only)."""
-    nodes = (-2.0, -1.0, 0.0, 1.0, 2.0)
-    values = [hyperdeterminant(t * w1 + w2) for t in nodes]
-    vander = np.array([[t**k for k in range(5)] for t in nodes])
-    h = np.linalg.solve(vander, np.array(values))
+    values = [hyperdeterminant(t * w1 + w2) for t in _TANGLE_NODES]
+    h = np.linalg.solve(_TANGLE_VANDER, np.array(values))
     s = float(np.abs(h).max())
     if s <= 1e-12 * (np.linalg.norm(w1) + np.linalg.norm(w2)) ** 4:
         return []
@@ -197,6 +197,17 @@ def _tangle_candidates(w1, w2):
         for t in np.roots(h[degree::-1]):
             candidates.append(_unit_point((complex(t), 1.0)))
     return candidates
+
+
+def _merge(candidates) -> np.ndarray:
+    """Greedy merge: keep each candidate farther than _MERGE_DISTANCE from all kept."""
+    points = np.array(candidates, dtype=complex).reshape(-1, 2)
+    far = np.sqrt(np.maximum(0.0, 1.0 - np.abs(points.conj() @ points.T) ** 2)) > _MERGE_DISTANCE
+    kept = []
+    for i, row in enumerate(far.tolist()):
+        if all(row[j] for j in kept):
+            kept.append(i)
+    return points[kept]
 
 
 def _generic_point(merged):
@@ -240,25 +251,23 @@ def descriptor(
     if n == 4:
         candidates.extend(_tangle_candidates(w1, w2))
 
-    merged = []
-    for cand in candidates:
-        if all(_chordal_distance(cand, kept) > _MERGE_DISTANCE for kept in merged):
-            merged.append(cand)
-
+    merged = _merge(candidates)
     generic, *classes = (
         _point_class(point[0] * w1 + point[1] * w2, n_sub, pol, max_qubits)
         for point in (_generic_point(merged), *merged)
     )
-    exceptional = [(cls, point) for cls, point in zip(classes, merged) if cls != generic]
-    exceptional.sort(key=lambda item: (item[0], repr(np.round(np.array(item[1]), 9))))
+    keys = np.round(merged, 9).view(float).tolist()
+    exceptional = sorted(
+        (cls, *key, i) for i, (cls, key) in enumerate(zip(classes, keys)) if cls != generic
+    )
 
     return StructureDescriptor(
         n_qubits=n,
         dim_w=2,
         line_class=None,
         generic_class=generic,
-        exceptional_classes=tuple(cls for cls, _ in exceptional),
-        exceptional_points=tuple(point for _, point in exceptional),
+        exceptional_classes=tuple(item[0] for item in exceptional),
+        exceptional_points=tuple(tuple(merged[item[-1]]) for item in exceptional),
     )
 
 

@@ -279,3 +279,164 @@ class TestContinuousFamily:
         d1 = descriptor(example_4partite_canonical([1, 1]))
         d2 = descriptor(example_4partite_canonical([0.3, 1 - 0.2j]))
         assert same_broad_class(d1, d2)
+
+
+def _reference_minor_quadratics(A, B):
+    """Scalar reference: (a, b, c) of every 2x2 minor of alpha*A + beta*B."""
+    quads = []
+    for p in range(A.shape[1]):
+        for q in range(p + 1, A.shape[1]):
+            a = A[0, p] * A[1, q] - A[0, q] * A[1, p]
+            c = B[0, p] * B[1, q] - B[0, q] * B[1, p]
+            b = A[0, p] * B[1, q] + B[0, p] * A[1, q] - A[0, q] * B[1, p] - B[0, q] * A[1, p]
+            quads.append((complex(a), complex(b), complex(c)))
+    return quads
+
+
+def _reference_eval_quadratic(coeffs, point):
+    a, b, c = coeffs
+    alpha, beta = point
+    return abs(a * alpha * alpha + b * alpha * beta + c * beta * beta)
+
+
+def _reference_rank_drop_candidates(w1, w2, n_sub, pol):
+    """Scalar reference: solve every minor of every pivot, keep the common roots."""
+    from slocc.multiqubit import _unit_point
+    from slocc.states import coefficient_matrix
+    from slocc.subspaces import RootKind, projective_quadratic_roots
+
+    candidates = []
+    for pivot in range(1, n_sub + 1):
+        A = coefficient_matrix(make_state((2,) * n_sub, w1), pivot).entries
+        B = coefficient_matrix(make_state((2,) * n_sub, w2), pivot).entries
+        quads = _reference_minor_quadratics(A, B)
+        scale = max(max(abs(a), abs(b), abs(c)) for a, b, c in quads)
+        if scale <= 1e-13 * (np.linalg.norm(A) + np.linalg.norm(B)) ** 2:
+            continue
+        pivot_roots = []
+        for coeffs in quads:
+            if max(abs(x) for x in coeffs) <= 1e-12 * scale:
+                continue
+            kind, roots = projective_quadratic_roots(*coeffs, zero_tol=0.0, deg_tol=pol.deg_tol)
+            if kind is not RootKind.INFINITELY_MANY:
+                pivot_roots.extend(roots)
+        for root in pivot_roots:
+            unit = _unit_point(root)
+            if all(_reference_eval_quadratic(q, unit) <= pol.deg_tol * scale for q in quads):
+                candidates.append(unit)
+    return candidates
+
+
+def _reference_merge(candidates):
+    from slocc.multiqubit import _MERGE_DISTANCE, _chordal_distance
+
+    merged = []
+    for cand in candidates:
+        if all(_chordal_distance(cand, kept) > _MERGE_DISTANCE for kept in merged):
+            merged.append(cand)
+    return merged
+
+
+def _line(state):
+    from slocc.numerics import svd
+    from slocc.states import coefficient_matrix
+
+    res = svd(coefficient_matrix(state, 1).entries)
+    return res.W[:, 0], res.W[:, 1]
+
+
+def _sine_distance(p, q):
+    """Chordal distance without the sqrt(eps) floor of sqrt(1 - |<p, q>|^2)."""
+    p = np.asarray(p, dtype=complex) / np.linalg.norm(p)
+    q = np.asarray(q, dtype=complex) / np.linalg.norm(q)
+    return float(np.linalg.norm(q - np.vdot(p, q) * p))
+
+
+def _candidate_lines():
+    """Structured and random lines: every rank-drop and tangle branch is hit."""
+    states = [GHZ4, CLUSTER, example_4partite_canonical([0.8, 0.6j]), *CENSUS.values()]
+    g = RandomSource(620).generator()
+    tags = list(TripartiteClass)
+    for k in range(200):
+        if k % 2:
+            states.append(make_state((2,) * 4, random_complex(g, 16)))
+            continue
+        # |0>psi1 + |1>psi2 with both 3-qubit generators in random orbits
+        halves = [
+            apply_local_operators(
+                canonical_vector(tags[g.integers(len(tags))]),
+                [random_ilo(2, RandomSource(621, (k, h, j))) for j in range(3)],
+            ).amps
+            for h in range(2)
+        ]
+        states.append(make_state((2,) * 4, np.concatenate(halves)))
+    return states
+
+
+class TestCandidateSearch:
+    def test_matches_scalar_reference(self):
+        from slocc.multiqubit import _merge, _rank_drop_candidates, _tangle_candidates
+        from slocc.numerics import DEFAULT_POLICY as pol
+
+        lines = [(s, 4) for s in _candidate_lines()] + [(ghz_state(5), 5)]
+        with_drops = 0
+        for state, n in lines:
+            w1, w2 = _line(state)
+            tangle = _tangle_candidates(w1, w2) if n == 4 else []
+            drops = _rank_drop_candidates(w1, w2, n - 1, pol)
+            reference = _reference_merge(_reference_rank_drop_candidates(w1, w2, n - 1, pol) + tangle)
+            merged = [tuple(p) for p in _merge(drops + tangle)]
+            assert len(merged) == len(reference)
+            unmatched = list(reference)
+            for point in merged:
+                dist = [_sine_distance(point, r) for r in unmatched]
+                assert min(dist) <= 1e-9
+                unmatched.pop(int(np.argmin(dist)))
+            with_drops += bool(drops)
+        assert with_drops >= 100
+
+    @pytest.mark.parametrize("seed", [None, *range(630, 635)])
+    def test_one_root_solve_per_pivot(self, seed, monkeypatch):
+        from slocc.multiqubit import projective_quadratic_roots
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return projective_quadratic_roots(*args, **kwargs)
+
+        monkeypatch.setattr(slocc.multiqubit, "projective_quadratic_roots", counting)
+        states = (
+            [GHZ4, CLUSTER]
+            if seed is None
+            else [make_state((2,) * 4, random_complex(RandomSource(seed).generator(), 16))]
+        )
+        for state in states:
+            calls.clear()
+            descriptor(state)
+            assert len(calls) <= 3
+
+
+def _census_images(count):
+    names = sorted(CENSUS)
+    return [
+        four_qubit_orbit(CENSUS[names[k % len(names)]], RandomSource(640 + k)) for k in range(count)
+    ]
+
+
+class TestExceptionalPointOrder:
+    def test_sorted_by_numeric_key_without_negative_zero(self):
+        for state in [GHZ4, CLUSTER, *_census_images(50)]:
+            d = descriptor(state)
+            points = [np.array(p, dtype=complex) for p in d.exceptional_points]
+            for p in points:
+                parts = p.view(float)
+                assert not np.signbit(parts[parts == 0.0]).any()
+            keys = [tuple(np.round(p, 9).view(float)) for p in points]
+            for k in range(len(points) - 1):
+                if d.exceptional_classes[k] == d.exceptional_classes[k + 1]:
+                    assert keys[k] <= keys[k + 1]
+
+    @pytest.mark.parametrize("state", [GHZ4, CLUSTER], ids=["GHZ4", "cluster"])
+    def test_basis_points(self, state):
+        assert descriptor(state).exceptional_points == ((0, 1), (1, 0))
