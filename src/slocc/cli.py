@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -246,8 +247,8 @@ def _render_text(report) -> str:
 
 def cmd_classify(args) -> int:
     try:
-        text = sys.stdin.read() if args.input == "-" else open(args.input).read()
-    except OSError as exc:
+        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

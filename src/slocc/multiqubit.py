@@ -286,29 +286,22 @@ def same_broad_class(a: StructureDescriptor, b: StructureDescriptor) -> bool:
 def factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
     """Detect a single-qubit tensor factor at a non-pivot position.
 
-    Tests, for every position p >= 2, whether all right singular subspace
-    generators share a common factor there; if so returns
-    ``(p, factor, reduced_state)`` with the factor removed, else ``None``.
-    A pivot-qubit factor shows up as dim_w = 1 in :func:`descriptor`
+    Qubit p >= 2 factors out exactly when its coefficient matrix
+    ``coefficient_matrix(state, p)`` has numerical rank 1; the factor is
+    that matrix's first left singular vector. Returns
+    ``(p, factor, reduced_state)`` for the first such p whose factor
+    rebuilds the state within ``residual_tol``, else ``None``. A
+    pivot-qubit factor shows up as dim_w = 1 in :func:`descriptor`
     instead.
     """
     _require_qubits(state, 3)
     n = state.n_subsystems
-    res = svd(coefficient_matrix(state, 1).entries)
-    dim_w = numerical_rank(res.sigma, pol)
-    generators = [res.W[:, k] for k in range(dim_w)]
-    shape = (2,) * (n - 1)
-
+    t = state.tensor()
     for p in range(2, n + 1):
-        blocks = [
-            np.moveaxis(g.reshape(shape), p - 2, 0).reshape(2, -1) for g in generators
-        ]
-        stacked = np.hstack(blocks)
-        sres = svd(stacked)
-        if sres.sigma[1] > pol.rank_rel_tol * sres.sigma[0]:
+        res = svd(coefficient_matrix(state, p).entries)
+        if numerical_rank(res.sigma, pol) != 1:
             continue
-        factor = sres.V[:, 0].conj()
-        t = state.tensor()
+        factor = res.V[:, 0]
         reduced = np.tensordot(factor.conj(), t, axes=(0, p - 1))
         rebuilt = np.moveaxis(np.tensordot(factor, reduced, axes=0), 0, p - 1)
         if np.linalg.norm(rebuilt - t) > pol.residual_tol * np.linalg.norm(t):

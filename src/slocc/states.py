@@ -91,9 +91,10 @@ class LocalOperatorSet:
 
 def make_state(dims, amps) -> PureState:
     """Validate and build a :class:`PureState`; amplitudes stored verbatim."""
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise DimensionMismatch(f"subsystem dimensions must be positive, got {dims}")
+    raw = tuple(dims)
+    dims = tuple(int(d) for d in raw)
+    if any(d < 1 for d in dims) or dims != raw:
+        raise DimensionMismatch(f"subsystem dimensions must be positive integers, got {raw}")
     total = int(np.prod(dims))
     if total < 2:
         raise DimensionMismatch("the total dimension must be at least 2")

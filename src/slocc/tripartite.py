@@ -1,14 +1,15 @@
 """Three-qubit SLOCC classification and canonical-form reduction.
 
-Decision procedure: the ranks of the three coefficient matrices separate the
-product-like classes; when all three ranks are 2 the span of the two right
-singular vectors of the pivot-1 matrix is analyzed through its slice
-matrices W1, W2. Two distinct product directions in the span mean GHZ, a
-single (double) one means W. Equivalently, the spectrum of W1^-1 W2 is
-non-degenerate for GHZ and degenerate for W; the implementation decides via
-the discriminant of det(alpha*W1 + beta*W2), which is the same predicate
-evaluated without the square-root noise amplification of an explicit
-eigenvalue gap (see the module tests for the fixture table).
+Decision procedure: the ranks of the three coefficient matrices name the
+product-like classes, whose structure is read from the rank-1 pivots; when
+all three ranks are 2 the span of the two right singular vectors of the
+pivot-1 matrix is analyzed through its slice matrices W1, W2. Two distinct
+product directions in the span mean GHZ, a single (double) one means W.
+Equivalently, the spectrum of W1^-1 W2 is non-degenerate for GHZ and
+degenerate for W; the implementation decides via the discriminant of
+det(alpha*W1 + beta*W2), which is the same predicate evaluated without the
+square-root noise amplification of an explicit eigenvalue gap (see the
+module tests for the fixture table).
 
 The reduction constructs one invertible operator per qubit sending the span
 witnesses to computational basis vectors; the pivot operator is the inverse
@@ -30,7 +31,7 @@ from .errors import (
     ToleranceBreakdown,
     WrongArity,
 )
-from .numerics import DEFAULT_POLICY, SvdResult, TolerancePolicy, inv2, numerical_rank, svd
+from .numerics import DEFAULT_POLICY, TolerancePolicy, inv2, numerical_rank, svd
 from .states import (
     LocalOperatorSet,
     PureState,
@@ -41,8 +42,8 @@ from .states import (
 from .subspaces import (
     RootKind,
     RootReport,
+    StructureTag,
     SubspaceStructure,
-    classify_line,
     one_product_span_basis,
     orthogonal_complement,
     product_factors,
@@ -115,10 +116,11 @@ def _require_three_qubits(state: PureState):
         raise WrongArity(f"expected dims (2, 2, 2), got {state.dims}")
 
 
-_RANK1_CLASS = {
-    1: TripartiteClass.C01_PSI23,
-    2: TripartiteClass.C02_PSI13,
-    3: TripartiteClass.C03_PSI12,
+_RANK_CLASS = {
+    (1, 1, 1): TripartiteClass.C000,
+    (1, 2, 2): TripartiteClass.C01_PSI23,
+    (2, 1, 2): TripartiteClass.C02_PSI13,
+    (2, 2, 1): TripartiteClass.C03_PSI12,
 }
 
 
@@ -127,42 +129,43 @@ def classify3(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> Classi
     return _classify3(state, pol)[0]
 
 
-def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationReport, SvdResult]:
-    """:func:`classify3`, also returning the pivot-1 SVD for the reduction."""
+def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationReport, list]:
+    """:func:`classify3`, also returning the pivot-1, 2 and 3 SVDs for the reduction."""
     _require_three_qubits(state)
     svds = [svd(coefficient_matrix(state, p).entries) for p in (1, 2, 3)]
     ranks = tuple(numerical_rank(res.sigma, pol) for res in svds)
     sigma = tuple(float(s) for s in svds[0].sigma)
-    w1 = svds[0].W[:, 0]
-    w2 = svds[0].W[:, 1]
+    w1, w2 = svds[0].W[:, 0], svds[0].W[:, 1]
 
-    rank_ones = [p for p, r in zip((1, 2, 3), ranks) if r == 1]
-    if len(rank_ones) == 2:
+    spectrum, near = None, False
+    tag = _RANK_CLASS.get(ranks)
+    # a factored qubit is a rank-1 pivot; the conjugate of its factor lies in span{w1, w2}
+    if tag is TripartiteClass.C000:
+        structure = SubspaceStructure(tag=StructureTag.PRODUCT_LINE, witnesses=(w1.copy(),))
+    elif tag is TripartiteClass.C01_PSI23:
+        structure = SubspaceStructure(tag=StructureTag.ENTANGLED_LINE)
+    elif tag is TripartiteClass.C02_PSI13:
+        structure = SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=svds[1].V[:, 0].conj())
+    elif tag is TripartiteClass.C03_PSI12:
+        structure = SubspaceStructure(tag=StructureTag.RIGHT_FACTOR, factor=svds[2].V[:, 0].conj())
+    elif ranks != (2, 2, 2):
         raise InconsistentRanks(
             f"ranks {ranks}: exactly two pivots read rank 1, impossible for a valid state"
         )
-    spectrum, near = None, False
-    if ranks[0] == 1:
-        tag = TripartiteClass.C000 if len(rank_ones) == 3 else TripartiteClass.C01_PSI23
-        structure = classify_line(w1, pol)
     else:
-        # the slice pencil of span{w1, w2} names the span structure and, when
-        # all ranks are 2, decides GHZ (two roots) against W (one double root)
+        # the slice pencil decides GHZ (two roots) against W (one double root)
         W1, W2 = slice_matrix(w1), slice_matrix(w2)
         roots = product_roots(W1, W2, pol)
-        if rank_ones:
-            tag = _RANK1_CLASS[rank_ones[0]]
-        elif roots.kind is RootKind.INFINITELY_MANY:
+        if roots.kind is RootKind.INFINITELY_MANY:
             raise ToleranceBreakdown(
                 "pencil determinant vanishes identically although all pivots read rank 2"
             )
-        else:
-            tag = TripartiteClass.GHZ if roots.kind is RootKind.TWO_DISTINCT else TripartiteClass.W
-            a, b, c = roots.coeffs
-            s = max(abs(a), abs(b), abs(c))
-            threshold = pol.deg_tol * s * s
-            near = threshold / 100.0 < abs(b * b - 4.0 * a * c) <= threshold * 100.0
-            spectrum = _pencil_spectrum(roots, np.linalg.norm(W1), np.linalg.norm(W2), pol)
+        tag = TripartiteClass.GHZ if roots.kind is RootKind.TWO_DISTINCT else TripartiteClass.W
+        a, b, c = roots.coeffs
+        s = max(abs(a), abs(b), abs(c))
+        threshold = pol.deg_tol * s * s
+        near = threshold / 100.0 < abs(b * b - 4.0 * a * c) <= threshold * 100.0
+        spectrum = _pencil_spectrum(roots, np.linalg.norm(W1), np.linalg.norm(W2), pol)
         structure = span_structure(w1, w2, roots, pol)
 
     report = ClassificationReport(
@@ -173,7 +176,7 @@ def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationRe
         spectrum_used=spectrum,
         near_boundary=near,
     )
-    return report, svds[0]
+    return report, svds
 
 
 def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
@@ -197,21 +200,27 @@ def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
     return SpectrumInfo(product, tuple(sorted(lams, key=abs, reverse=True)))
 
 
-def _reducing_operators(report: ClassificationReport, res: SvdResult, pol: TolerancePolicy):
+def _onto_e1(v, pol: TolerancePolicy) -> np.ndarray:
+    """Invertible 2x2 operator sending v to the first basis vector."""
+    return inv2(np.column_stack((v, orthogonal_complement(v))), pol)
+
+
+def _reducing_operators(report: ClassificationReport, svds, pol: TolerancePolicy):
     """F1, F2, F3 sending the state to the canonical vector of its class.
 
-    F2 and F3 send the span witnesses to computational basis vectors. With
+    ``svds`` are the three pivot SVDs. A factored qubit p is a rank-1 pivot,
+    and F_p sends its factor ``svds[p-1].V[:, 0]`` to e1; otherwise F2 and
+    F3 send the span witnesses to computational basis vectors. With
     u_k = M[k, 0] t1 + M[k, 1] t2 over the target product vectors t_j, the
     pivot operator is F1 = M^-1 diag(1/sigma) V^dagger: only the mixing
     matrix M is inverted, and M does not carry the scale of the state.
     """
     tag = report.tag
+    res = svds[0]
     U = res.W[:, :2].conj()  # columns u1, u2
     u1, u2 = U.T
     if tag is TripartiteClass.C000:
-        a, b = product_factors(u1, pol)
-        f2 = inv2(np.column_stack((a, orthogonal_complement(a))), pol)
-        f3 = inv2(np.column_stack((b, orthogonal_complement(b))), pol)
+        f2, f3 = (_onto_e1(pivot.V[:, 0], pol) for pivot in svds[1:])
     elif tag is TripartiteClass.C01_PSI23:
         part = svd(u1.reshape(2, 2))
         if part.sigma[1] <= _DET_GUARD * part.sigma[0]:
@@ -222,17 +231,13 @@ def _reducing_operators(report: ClassificationReport, res: SvdResult, pol: Toler
         return np.diag([1.0 / res.sigma[0], 1.0]) @ res.V.conj().T, f2, f3
 
     if tag is TripartiteClass.C02_PSI13:
-        stack = np.hstack([u1.reshape(2, 2), u2.reshape(2, 2)])
-        a = svd(stack).V[:, 0]
+        a = svds[1].V[:, 0]
         t1, t2 = np.kron(a, [1, 0]), np.kron(a, [0, 1])
-        f2 = inv2(np.column_stack((a, orthogonal_complement(a))), pol)
-        f3 = np.eye(2, dtype=complex)
+        f2, f3 = _onto_e1(a, pol), np.eye(2, dtype=complex)
     elif tag is TripartiteClass.C03_PSI12:
-        stack = np.hstack([u1.reshape(2, 2).T, u2.reshape(2, 2).T])
-        b = svd(stack).V[:, 0]
+        b = svds[2].V[:, 0]
         t1, t2 = np.kron([1, 0], b), np.kron([0, 1], b)
-        f2 = np.eye(2, dtype=complex)
-        f3 = inv2(np.column_stack((b, orthogonal_complement(b))), pol)
+        f2, f3 = np.eye(2, dtype=complex), _onto_e1(b, pol)
     elif tag is TripartiteClass.GHZ:
         # the witnesses span {w1, w2}; conjugation carries them to span {u1, u2}
         t1, t2 = (w.conj() for w in report.structure.witnesses)
@@ -262,9 +267,9 @@ def reduce_to_canonical(
     operator whose |det| leaves the float range (amplitudes beyond about
     1e+-150), raises :class:`ReductionFailed`.
     """
-    report, res = _classify3(state, pol)
+    report, svds = _classify3(state, pol)
     try:
-        ops = LocalOperatorSet(_reducing_operators(report, res, pol))
+        ops = LocalOperatorSet(_reducing_operators(report, svds, pol))
     except (SingularMatrix, SingularOperator) as exc:
         raise ReductionFailed(f"reducing operators are numerically singular: {exc}") from exc
 

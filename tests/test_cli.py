@@ -1,4 +1,8 @@
+import gc
+import io
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +130,34 @@ class TestClassifyCommand:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "classify", "/nonexistent/state.txt")
         assert code == 2
+
+    def test_undecodable_file_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    def test_undecodable_stdin_is_a_parse_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), "utf-8"))
+        code, out, err = run(capsys, "classify", "-")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    def test_input_file_is_closed(self, tmp_path, capsys):
+        path = write_state(tmp_path, make_state([2, 2], [1, 0, 0, 1]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(capsys, "classify", path)[0] == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_non_integer_json_dims_are_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": [2.7, 2], "amps": [[1, 0], [0, 0], [0, 0], [1, 0]]}))
+        code, out, err = run(capsys, "classify", str(path), "--json-in")
+        assert code == 2
+        assert out == "" and "dimensions" in err
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import slocc.multiqubit
+import slocc.numerics
 from conftest import random_complex
 from slocc.errors import (
     ArityMismatch,
@@ -24,7 +25,7 @@ from slocc.multiqubit import (
     hyperdeterminant,
     same_broad_class,
 )
-from slocc.states import apply_local_operators, make_state
+from slocc.states import apply_local_operators, coefficient_matrix, make_state
 from slocc.testkit import RandomSource, random_ilo
 from slocc.tripartite import TripartiteClass, canonical_vector, classify3
 
@@ -227,6 +228,40 @@ class TestFactorSupport:
         d = descriptor(state)
         assert d.dim_w == 2
         assert d.generic_class == "0_1 Psi+_23"
+
+
+class TestFactorSupportReadsPivots:
+    """Qubit p factors out exactly when its own pivot matrix reads rank 1."""
+
+    @staticmethod
+    def factored_state():
+        # GHZ on qubits 1-3 with a factor on qubit 4, under a random ILO
+        amps = np.kron(canonical_vector(TripartiteClass.GHZ).amps, [1, 2j])
+        ops = [random_ilo(2, RandomSource(620).split(k)) for k in range(4)]
+        return apply_local_operators(make_state((2,) * 4, amps), ops), ops[3] @ [1, 2j]
+
+    @pytest.mark.parametrize("name", ["GHZ4", "cluster", "factored"])
+    def test_one_svd_per_non_pivot_qubit(self, name, monkeypatch):
+        state = {"GHZ4": GHZ4, "cluster": CLUSTER, "factored": self.factored_state()[0]}[name]
+        calls = []
+
+        def recording(matrix):
+            calls.append(np.array(matrix))
+            return slocc.numerics.svd(matrix)
+
+        monkeypatch.setattr(slocc.multiqubit, "svd", recording)
+        support = factor_support(state)
+        assert (support is None) == (name != "factored")
+        assert len(calls) == 3
+        for p, matrix in zip((2, 3, 4), calls):
+            assert np.array_equal(matrix, coefficient_matrix(state, p).entries)
+
+    def test_factor_on_last_qubit(self):
+        state, phi = self.factored_state()
+        position, factor, reduced = factor_support(state)
+        assert position == 4
+        assert abs(np.vdot(factor, phi)) >= (1 - 1e-10) * np.linalg.norm(phi)
+        assert classify3(reduced).tag is TripartiteClass.GHZ
 
 
 class TestClassCountBound:

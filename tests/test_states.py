@@ -38,6 +38,17 @@ class TestMakeState:
         with pytest.raises(NonFinite):
             make_state([2, 2], [1, 0, 0, bad])
 
+    def test_non_integer_dims_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            make_state([2.9, 2.2], [1, 0, 0, 1])
+        with pytest.raises(DimensionMismatch):
+            make_state([2, 2.5], [1, 0, 0, 1])
+
+    def test_integer_valued_dims_accepted(self):
+        st = make_state([2.0, np.int64(2)], [1, 0, 0, 1])
+        assert st.dims == (2, 2)
+        assert all(type(d) is int for d in st.dims)
+
     def test_amps_immutable(self):
         st = make_state([2, 2], [1, 0, 0, 1])
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 import slocc.subspaces
 import slocc.tripartite
 from conftest import orbit_state, random_complex, up_to_scale
-from slocc.errors import InconsistentRanks, ReductionFailed, WrongArity
+from slocc.errors import InconsistentRanks, ReductionFailed, SloccError, WrongArity
 from slocc.multiqubit import hyperdeterminant
 from slocc.numerics import TolerancePolicy, eig2, inv2, svd
 from slocc.states import (
@@ -180,6 +180,113 @@ class TestComputedOnce:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert classify3(make_state([2, 2, 2], amps)).tag is TripartiteClass.W
+
+
+FACTORED = [
+    TripartiteClass.C000,
+    TripartiteClass.C01_PSI23,
+    TripartiteClass.C02_PSI13,
+    TripartiteClass.C03_PSI12,
+]
+
+
+def count_calls(monkeypatch, names):
+    """Count calls to the named subspaces functions, wherever they are bound."""
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        wrapped = counting(name, getattr(slocc.subspaces, name))
+        for module in (slocc.subspaces, slocc.tripartite):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    return counts
+
+
+class TestFactoredClassesReadFromRanks:
+    """The rank pattern names 000, 0_1, 0_2 and 0_3; their structure and
+    factors come from the pivot SVDs already computed."""
+
+    @pytest.mark.parametrize("tag", FACTORED)
+    def test_no_pencil_and_no_line_test(self, tag, monkeypatch):
+        counts = count_calls(
+            monkeypatch,
+            (
+                "product_roots",
+                "pencil_quadratic",
+                "projective_quadratic_roots",
+                "classify_line",
+                "product_factors",
+            ),
+        )
+        for trial in range(20):
+            state, _ = orbit_state(tag, RandomSource(2800 + trial))
+            assert classify3(state).tag is tag
+        assert counts == {}
+
+    @pytest.mark.parametrize("tag", [FACTORED[0], FACTORED[2], FACTORED[3]])
+    def test_reduction_takes_factors_from_the_pivots(self, tag, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(np.shape(matrix))
+            return svd(matrix)
+
+        monkeypatch.setattr(slocc.tripartite, "svd", counting)
+        counts = count_calls(monkeypatch, ("product_factors",))
+        for trial in range(20):
+            state, _ = orbit_state(tag, RandomSource(2900 + trial))
+            calls.clear()
+            report, ilos = reduce_to_canonical(state)
+            assert report.tag is tag and ilos.residual <= 1e-8
+            assert calls == [(2, 4)] * 3
+        assert counts == {}
+
+    @pytest.mark.parametrize("tag", [FACTORED[2], FACTORED[3]])
+    def test_factor_lies_in_the_span(self, tag):
+        # a LeftFactor f divides both generators as f (x) x, a RightFactor as x (x) f
+        for trial in range(20):
+            state, _ = orbit_state(tag, RandomSource(3000 + trial))
+            report = classify3(state)
+            f = report.structure.factor
+            assert abs(np.linalg.norm(f) - 1.0) <= 1e-12
+            for w in svd(coefficient_matrix(state, 1).entries).W.T[:2]:
+                m = w.reshape(2, 2)
+                if tag is TripartiteClass.C02_PSI13:
+                    rest = m - np.outer(f, f.conj() @ m)
+                else:
+                    rest = m - np.outer(m @ f.conj(), f)
+                assert np.linalg.norm(rest) <= 1e-10
+
+
+class TestReportSelfConsistency:
+    def test_structure_matches_class_near_rank_boundary(self):
+        # noise of 0.3-3x rank_rel_tol puts a pivot's sigma ratio at the
+        # rank cut, where a second reading of the same distinction could
+        # disagree with the ranks
+        pol = TolerancePolicy(rank_rel_tol=1e-6, deg_tol=1e-5)
+        paired = {tag: structure for tag, _, _, structure in TABLE}
+        checked = 0
+        for index, tag in enumerate(FACTORED[1:]):
+            for trial in range(100):
+                src = RandomSource(3100).split(index).split(trial)
+                state, _ = orbit_state(tag, src)
+                noise = random_complex(src.split(9).generator(), 8)
+                size = (0.3, 1.0, 3.0)[trial % 3] * pol.rank_rel_tol * state.norm()
+                noisy = make_state([2, 2, 2], state.amps + size * noise / np.linalg.norm(noise))
+                try:
+                    report = classify3(noisy, pol)
+                except SloccError:
+                    continue
+                checked += 1
+                assert report.structure.tag is paired[report.tag], (tag, trial, report.tag)
+        assert checked >= 250
 
 
 class TestScale:
