@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -92,7 +93,7 @@ def parse_state_text(text: str) -> tuple[PureState, str | None]:
             raise StateFileError("amplitudes must be real numbers", lineno) from None
     if dims is None:
         raise StateFileError("missing dims line")
-    expected = int(np.prod(dims))
+    expected = math.prod(dims)
     if len(amps) != expected:
         raise StateFileError(f"got {len(amps)} amplitudes, dims require {expected}")
     try:

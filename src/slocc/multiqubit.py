@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
 from .numerics import DEFAULT_POLICY, TolerancePolicy, numerical_rank, svd
-from .states import PureState, coefficient_matrix, make_state
+from .states import PureState, coefficient_matrix, make_state, pivot_index
 from .subspaces import projective_quadratic_roots
 from .tripartite import classify3
 
@@ -143,8 +143,7 @@ def _minor_index(n_sub: int) -> np.ndarray:
 
     A is each pivot's coefficient matrix, its column pairs p < q in triu_indices order.
     """
-    flat = np.arange(2**n_sub).reshape((2,) * n_sub)
-    mats = np.stack([np.moveaxis(flat, k, 0).reshape(2, -1) for k in range(n_sub)])
+    mats = np.stack([pivot_index((2,) * n_sub, k) for k in range(1, n_sub + 1)])
     p, q = np.triu_indices(mats.shape[2], 1)
     index = np.stack([mats[:, 0, p], mats[:, 1, q], mats[:, 0, q], mats[:, 1, p]])
     index.flags.writeable = False

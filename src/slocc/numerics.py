@@ -8,6 +8,7 @@ the same analysis under a different policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,12 +59,14 @@ class SvdResult:
 
     @cached_property
     def residual(self) -> float:
-        norm = np.linalg.norm(self.matrix)
+        e = _exponent(self.matrix)  # Q and sigma scaled by 2**-e: no norm under- or overflows
+        q = _ldexp(self.matrix, -e)
+        norm = np.linalg.norm(q)
         if norm == 0.0:
             return 0.0
         k = self.sigma.size
-        recon = (self.V[:, :k] * self.sigma) @ self.W[:, :k].conj().T
-        return float(np.linalg.norm(self.matrix - recon) / norm)
+        recon = (self.V[:, :k] * np.ldexp(self.sigma, -e)) @ self.W[:, :k].conj().T
+        return float(np.linalg.norm(q - recon) / norm)
 
 
 def _lead_phase(col) -> complex:
@@ -89,15 +92,13 @@ def svd(matrix) -> SvdResult:
         raise NonFinite("matrix contains non-finite entries")
 
     U, s, Vh = np.linalg.svd(a, full_matrices=True)
-    k = s.size
+    # phases of U's columns, then of W's null columns (rows of Vh are conjugated columns of W)
     phases = [_lead_phase(col) for col in U.T.tolist()]
-    # rows of Vh are the conjugated columns of W, whose phases are the conjugates
-    null_phases = [_lead_phase(row).conjugate() for row in Vh[k:].tolist()]
-    V = U / np.array(phases)
-    W = Vh.conj().T / np.array(phases[:k] + null_phases)
-
+    phases = np.array(phases + [_lead_phase(row).conjugate() for row in Vh[s.size :].tolist()])
+    V = U / phases[: len(U)]
+    W = Vh.conj().T / phases[: len(Vh)]
     for arr in (a, V, W, s):
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return SvdResult(V=V, sigma=s, W=W, matrix=a)
 
 
@@ -144,15 +145,39 @@ def is_degenerate(pair, scale: float, pol: TolerancePolicy = DEFAULT_POLICY) -> 
     return abs(lam1 - lam2) <= pol.deg_tol * max(scale, abs(lam1) + abs(lam2))
 
 
+def _exponent(m) -> int:
+    """Binary exponent e with every real and imaginary part of m below 2**e in size."""
+    return math.frexp(max(max(abs(z.real), abs(z.imag)) for z in m.ravel().tolist()))[1]
+
+
+def _ldexp(m, e: int) -> np.ndarray:
+    """Complex m times 2**e in m's memory order, exact in every part that stays normal."""
+    if e == 0:
+        return m
+    if m.flags.f_contiguous and not m.flags.c_contiguous:
+        return _ldexp(m.T, e).T
+    return np.ldexp(np.ascontiguousarray(m).view(float), e).view(complex)
+
+
 def inv2(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Adjugate-over-determinant inverse of a 2x2 matrix.
 
     Raises :class:`SingularMatrix` when |det| is at most ``rank_rel_tol``
-    times the squared Frobenius norm, a test independent of the matrix scale.
+    times the squared Frobenius norm, a test independent of the matrix scale,
+    or when the inverse could leave the float range. The test and the
+    adjugate run on the matrix scaled by the power of two that puts its
+    largest real or imaginary part in [0.5, 1): the scaling is exact, so
+    neither |det| nor the norm under- or overflows at any scale.
     """
     m = np.asarray(matrix, dtype=complex)
+    e = _exponent(m)
+    m = _ldexp(m, -e)
     det = det2(m)
     scale = np.linalg.norm(m) ** 2
     if abs(det) <= pol.rank_rel_tol * scale:
-        raise SingularMatrix(f"|det| = {abs(det):.3e} at matrix scale {scale:.3e}")
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
+        with np.errstate(over="ignore"):  # report the unscaled values
+            det_abs, scale = np.ldexp([abs(det), scale], 2 * e)
+        raise SingularMatrix(f"|det| = {det_abs:.3e} at matrix scale {scale:.3e}")
+    if math.frexp(abs(det))[1] + e < -1022:  # |inverse| < 2^(0.5-e)/|det| may pass 2^1024
+        raise SingularMatrix(f"inverse outside the float range, entries below 2^{e}")
+    return _ldexp(np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det, -e)

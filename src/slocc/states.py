@@ -12,6 +12,8 @@ nonzero rescaling, so the amplitudes are kept verbatim.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +97,7 @@ def make_state(dims, amps) -> PureState:
     dims = tuple(int(d) for d in raw)
     if any(d < 1 for d in dims) or dims != raw:
         raise DimensionMismatch(f"subsystem dimensions must be positive integers, got {raw}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total < 2:
         raise DimensionMismatch("the total dimension must be at least 2")
     a = np.asarray(amps, dtype=complex).reshape(-1)
@@ -112,24 +114,32 @@ def make_state(dims, amps) -> PureState:
     return PureState(dims=dims, amps=a)
 
 
+@functools.lru_cache(maxsize=128)
+def pivot_index(dims: tuple[int, ...], pivot: int) -> np.ndarray:
+    """Read-only flat offsets: ``amps[pivot_index(dims, pivot)]`` is the pivot's matrix."""
+    index = np.moveaxis(np.arange(math.prod(dims)).reshape(dims), pivot - 1, 0)
+    index = np.ascontiguousarray(index.reshape(dims[pivot - 1], -1))
+    index.flags.writeable = False
+    return index
+
+
 def coefficient_matrix(state: PureState, pivot: int) -> CoeffMatrix:
     """Matrix of the state for the partition pivot | rest (pivot is 1-based)."""
     n = state.n_subsystems
     if not 1 <= pivot <= n:
         raise BadPivot(f"pivot {pivot} out of range 1..{n}")
-    t = np.moveaxis(state.tensor(), pivot - 1, 0)
-    entries = t.reshape(state.dims[pivot - 1], -1)
-    entries = np.ascontiguousarray(entries)
+    entries = state.amps[pivot_index(state.dims, pivot)]
     entries.flags.writeable = False
     cols = tuple(k for k in range(1, n + 1) if k != pivot)
     return CoeffMatrix(pivot=pivot, entries=entries, col_subsystems=cols)
 
 
 def apply_local_operators(state: PureState, ops) -> PureState:
-    """Apply one invertible operator per subsystem by mode-k contractions.
+    """Apply one invertible operator per subsystem: ``C -> F1 @ C @ kron(F2, ..., FN).T``.
 
-    For pivot 1 the coefficient matrix transforms as
-    ``C -> F1 @ C @ kron(F2, ..., FN).T``.
+    F_k maps the pivot-k matrix C_k, gathered and scattered back through
+    :func:`pivot_index`, to ``np.dot(F_k, C_k)``: the 2-D product that
+    ``np.tensordot`` forms for a mode-k contraction, so the bytes match it.
     """
     if not isinstance(ops, LocalOperatorSet):
         ops = LocalOperatorSet(ops)
@@ -137,15 +147,15 @@ def apply_local_operators(state: PureState, ops) -> PureState:
         raise DimensionMismatch(
             f"{len(ops)} operators for {state.n_subsystems} subsystems"
         )
+    amps = state.amps
     for k, op in enumerate(ops):
         if op.shape[0] != state.dims[k]:
             raise DimensionMismatch(
                 f"operator {k + 1} is {op.shape[0]}x{op.shape[1]}, subsystem has dimension {state.dims[k]}"
             )
-    t = state.tensor()
-    for k, op in enumerate(ops):
-        t = np.moveaxis(np.tensordot(op, t, axes=(1, k)), 0, k)
-    return make_state(state.dims, t.reshape(-1))
+        index, old, amps = pivot_index(state.dims, k + 1), amps, np.empty_like(amps)
+        amps[index] = np.dot(op, old[index])
+    return make_state(state.dims, amps)
 
 
 def permute_subsystems(state: PureState, order) -> PureState:

@@ -279,21 +279,17 @@ def one_product_span_basis(
     if nh == 0.0:
         raise DependentGenerators("span collapses onto the witness")
 
-    basis = {
-        (0, 0): np.kron(a, b),
-        (0, 1): np.kron(a, b_perp),
-        (1, 0): np.kron(a_perp, b),
-        (1, 1): np.kron(a_perp, b_perp),
-    }
-    beta = {key: complex(np.vdot(vec, h)) for key, vec in basis.items()}
-    leak = abs(beta[(1, 1)]) / nh
-    if abs(beta[(0, 1)]) <= _EPS * nh or abs(beta[(1, 0)]) <= _EPS * nh:
+    # coordinates of h on the product vectors a (x) b_perp, a_perp (x) b, a_perp (x) b_perp
+    pairs = ((a, b_perp), (a_perp, b), (a_perp, b_perp))
+    b01, b10, b11 = (complex(np.vdot(np.outer(x, y).ravel(), h)) for x, y in pairs)
+    leak = abs(b11) / nh
+    if abs(b01) <= _EPS * nh or abs(b10) <= _EPS * nh:
         raise ToleranceBreakdown(
             "complement of the witness has no cross component; span is not of one-product type"
         )
-    right_comp = beta[(0, 1)] * b_perp
-    left_comp = beta[(1, 0)] * a_perp
-    entangled = np.kron(a, right_comp) + np.kron(left_comp, b)
+    right_comp = b01 * b_perp
+    left_comp = b10 * a_perp
+    entangled = np.outer(a, right_comp).ravel() + np.outer(left_comp, b).ravel()
     return AdaptedSpanBasis(
         left=a,
         right=b,

@@ -19,6 +19,7 @@ of the generator-mixing matrix composed with diag(1/sigma_k) V^dagger.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,11 +105,10 @@ class IloTriple:
     residual: float
 
 
+@functools.cache
 def canonical_vector(tag: TripartiteClass) -> PureState:
-    """The canonical representative of a class (unnormalized, 0/1 amplitudes)."""
-    amps = np.zeros(8, dtype=complex)
-    amps[list(_CANONICAL_AMPS[tag])] = 1.0
-    return make_state((2, 2, 2), amps)
+    """The canonical representative of a class (unnormalized, 0/1 amplitudes; cached)."""
+    return make_state((2, 2, 2), [k in _CANONICAL_AMPS[tag] for k in range(8)])
 
 
 def _require_three_qubits(state: PureState):
@@ -232,11 +232,11 @@ def _reducing_operators(report: ClassificationReport, svds, pol: TolerancePolicy
 
     if tag is TripartiteClass.C02_PSI13:
         a = svds[1].V[:, 0]
-        t1, t2 = np.kron(a, [1, 0]), np.kron(a, [0, 1])
+        t1, t2 = np.outer(a, [1, 0]).ravel(), np.outer(a, [0, 1]).ravel()
         f2, f3 = _onto_e1(a, pol), np.eye(2, dtype=complex)
     elif tag is TripartiteClass.C03_PSI12:
         b = svds[2].V[:, 0]
-        t1, t2 = np.kron([1, 0], b), np.kron([0, 1], b)
+        t1, t2 = np.outer([1, 0], b).ravel(), np.outer([0, 1], b).ravel()
         f2, f3 = np.eye(2, dtype=complex), _onto_e1(b, pol)
     elif tag is TripartiteClass.GHZ:
         # the witnesses span {w1, w2}; conjugation carries them to span {u1, u2}
@@ -248,7 +248,7 @@ def _reducing_operators(report: ClassificationReport, svds, pol: TolerancePolicy
     else:  # W class
         basis = one_product_span_basis(u1, u2, report.structure.witnesses[0].conj(), pol)
         t1 = basis.entangled
-        t2 = np.kron(basis.left, basis.right)
+        t2 = np.outer(basis.left, basis.right).ravel()
         f2 = inv2(np.column_stack((basis.left, basis.left_comp)), pol)
         f3 = inv2(np.column_stack((basis.right, basis.right_comp)), pol)
     M = np.linalg.lstsq(np.column_stack((t1, t2)), U, rcond=None)[0].T
@@ -273,12 +273,9 @@ def reduce_to_canonical(
     except (SingularMatrix, SingularOperator) as exc:
         raise ReductionFailed(f"reducing operators are numerically singular: {exc}") from exc
 
-    transformed = apply_local_operators(state, ops)
-    canon = canonical_vector(report.tag)
-    z = np.vdot(canon.amps, transformed.amps) / np.vdot(canon.amps, canon.amps)
-    residual = float(
-        np.linalg.norm(transformed.amps - z * canon.amps) / np.linalg.norm(transformed.amps)
-    )
+    out, canon = apply_local_operators(state, ops).amps, canonical_vector(report.tag).amps
+    z = np.vdot(canon, out) / np.vdot(canon, canon)
+    residual = float(np.linalg.norm(out - z * canon) / np.linalg.norm(out))
     if residual > pol.residual_tol:
         raise ReductionFailed(
             f"residual {residual:.3e} above tolerance {pol.residual_tol:.1e}"

@@ -159,6 +159,14 @@ class TestClassifyCommand:
         assert code == 2
         assert out == "" and "dimensions" in err
 
+    def test_dims_product_does_not_wrap(self, tmp_path, capsys):
+        # 2^32 * 2^32 wraps to 0 in int64; the message carries the true product
+        path = tmp_path / "huge.txt"
+        path.write_text("dims: 4294967296 4294967296\n1 0\n0 0\n")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == "" and "dims require 18446744073709551616" in err
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("dims: 2 2\n1 0\n")

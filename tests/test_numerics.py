@@ -1,10 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slocc.errors import EmptySpectrum, NonFinite, SingularMatrix
-from slocc.numerics import TolerancePolicy, eig2, inv2, is_degenerate, numerical_rank, svd
+from slocc.numerics import (
+    SvdResult,
+    TolerancePolicy,
+    eig2,
+    inv2,
+    is_degenerate,
+    numerical_rank,
+    svd,
+)
 from slocc.testkit import RandomSource
 
 finite_complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -100,6 +110,27 @@ class TestSvd:
             assert abs(res.residual - expected) <= 1e-15
         assert svd(np.zeros((2, 3))).residual == 0.0
 
+    def test_residual_is_scale_free(self):
+        # 2^k Q with its SVD scaled by 2^k has the same residual, bit for bit, without warnings
+        g = RandomSource(81).generator()
+        for m, n in ((2, 2), (2, 4), (2, 8), (4, 2), (3, 5)):
+            c_order = g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))
+            for q in (c_order, np.asfortranarray(c_order)):
+                res = svd(q)
+                assert res.residual > 0.0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    for k in range(-1000, 1001, 25):
+                        scaled = SvdResult(
+                            V=res.V,
+                            sigma=np.ldexp(res.sigma, k),
+                            W=res.W,
+                            matrix=np.ldexp(q.real, k) + 1j * np.ldexp(q.imag, k),
+                        )
+                        assert scaled.residual == res.residual
+                        if abs(k) <= 900:
+                            assert 0.0 < svd(2.0**k * q).residual <= 1e-14
+
 
 class TestNumericalRank:
     def test_two_equal(self):
@@ -181,6 +212,39 @@ class TestInv2:
         for _ in range(50):
             m = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
             assert np.allclose(inv2(m) @ m, np.eye(2), atol=1e-9)
+
+    def test_scale_free(self):
+        # power-of-two scaling is exact, so inv2(2^k M) == 2^-k inv2(M) bit for bit
+        g = RandomSource(82).generator()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for trial in range(40):
+                m = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
+                if trial % 2:
+                    m = np.asfortranarray(m)
+                ref = inv2(m)
+                for k in range(-900, 901, 30):
+                    assert inv2(2.0**k * m).tobytes() == (2.0**-k * ref).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300])
+    def test_diagonal_at_extreme_scales(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inv = inv2(np.diag([scale, 2 * scale]))
+        assert np.allclose(inv * scale, np.diag([1.0, 0.5]), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1, 1e300])
+    def test_singular_at_every_scale(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix):
+                inv2(scale * np.array([[1, 2], [2, 4 + 1e-12]]))
+
+    def test_inverse_outside_float_range_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix, match="float range"):
+                inv2(np.diag([1e-310, 1e-310]))
 
 
 class TestTolerancePolicy:

@@ -11,9 +11,12 @@ from slocc.states import (
     coefficient_matrix,
     make_state,
     permute_subsystems,
+    pivot_index,
 )
 from slocc.testkit import RandomSource, random_ilo
 from slocc.tripartite import TripartiteClass, canonical_vector
+
+GATHER_DIMS = [(2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (3, 2), (2, 3, 4)]
 
 GHZ = canonical_vector(TripartiteClass.GHZ)
 W = canonical_vector(TripartiteClass.W)
@@ -53,6 +56,11 @@ class TestMakeState:
         st = make_state([2, 2], [1, 0, 0, 1])
         with pytest.raises(ValueError):
             st.amps[0] = 5
+
+    def test_dims_product_does_not_wrap(self):
+        # 2^32 * 2^32 wraps to 0 in int64; the message carries the true product
+        with pytest.raises(DimensionMismatch, match="require 18446744073709551616"):
+            make_state((2**32, 2**32), [1, 0])
 
 
 class TestCoefficientMatrix:
@@ -96,8 +104,55 @@ class TestCoefficientMatrix:
             ).reshape(-1)
             assert np.array_equal(back, st.amps)
 
+    @pytest.mark.parametrize("dims", GATHER_DIMS)
+    def test_gather_matches_moveaxis_reference(self, dims):
+        g = RandomSource(sum(dims) * 31 + len(dims)).generator()
+        st = make_state(dims, random_complex(g, int(np.prod(dims))))
+        for pivot in range(1, len(dims) + 1):
+            reference = np.moveaxis(st.tensor(), pivot - 1, 0).reshape(dims[pivot - 1], -1)
+            entries = coefficient_matrix(st, pivot).entries
+            assert entries.flags.c_contiguous
+            assert entries.tobytes() == np.ascontiguousarray(reference).tobytes()
+
+    @pytest.mark.parametrize("dims", GATHER_DIMS)
+    def test_entries_and_index_read_only(self, dims):
+        st = make_state(dims, np.arange(1, int(np.prod(dims)) + 1))
+        before = st.amps.tobytes()
+        for pivot in range(1, len(dims) + 1):
+            index = pivot_index(dims, pivot)
+            assert index is pivot_index(dims, pivot)  # cached
+            with pytest.raises(ValueError):
+                index[0, 0] = 1
+            entries = coefficient_matrix(st, pivot).entries
+            with pytest.raises(ValueError):
+                entries[0, 0] = 99
+            entries.flags.writeable = True  # a copy: writing to it leaves the state alone
+            entries[...] = 0
+        assert st.amps.tobytes() == before
+        assert np.array_equal(coefficient_matrix(st, 1).entries.reshape(-1), st.amps)
+
 
 class TestApplyLocalOperators:
+    @pytest.mark.parametrize("dims", GATHER_DIMS)
+    def test_matches_tensordot_reference(self, dims):
+        # reference: one np.tensordot mode-k contraction per subsystem
+        def reference(state, ops):
+            t = state.tensor()
+            for k, op in enumerate(ops):
+                t = np.moveaxis(np.tensordot(op, t, axes=(1, k)), 0, k)
+            return t.reshape(-1)
+
+        src = RandomSource(sum(dims) * 37 + len(dims))
+        g = src.generator()
+        for trial in range(30):
+            st = make_state(dims, random_complex(g, int(np.prod(dims))))
+            ops = [random_ilo(d, src.split(trial).split(k)) for k, d in enumerate(dims)]
+            if trial % 3 == 0:
+                ops = [np.asfortranarray(op) for op in ops]
+            out = apply_local_operators(st, ops)
+            assert out.dims == dims
+            assert out.amps.tobytes() == reference(st, ops).tobytes()
+
     def test_identity(self):
         out = apply_local_operators(GHZ, [np.eye(2)] * 3)
         assert np.array_equal(out.amps, GHZ.amps)

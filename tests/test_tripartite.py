@@ -58,6 +58,17 @@ class TestCanonicalVector:
         assert list(np.flatnonzero(canonical_vector(TripartiteClass.W).amps)) == [1, 2, 4]
         assert list(np.flatnonzero(canonical_vector(TripartiteClass.C03_PSI12).amps)) == [0, 6]
 
+    @pytest.mark.parametrize("tag", list(TripartiteClass))
+    def test_repeated_calls_equal_and_read_only(self, tag):
+        first, second = canonical_vector(tag), canonical_vector(tag)
+        assert first.dims == second.dims == (2, 2, 2)
+        assert first.amps.dtype == second.amps.dtype == complex
+        assert first.amps.tobytes() == second.amps.tobytes()
+        with pytest.raises(ValueError):
+            first.amps[0] = 5
+        with pytest.raises(AttributeError):
+            first.amps = np.zeros(8)
+
 
 class TestClassify3:
     @pytest.mark.parametrize("tag,nonzero,matrix,structure", TABLE)
