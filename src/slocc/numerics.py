@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg._umath_linalg import svd_f as _lapack_svd  # numpy >= 2.0 name
 
 from .errors import EmptySpectrum, NonFinite, SingularMatrix
 
@@ -77,6 +78,13 @@ def _lead_phase(col) -> complex:
     return 1.0
 
 
+def _svd_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@np.errstate(
+    call=_svd_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
 def svd(matrix) -> SvdResult:
     """SVD with a pinned phase convention so results are deterministic.
 
@@ -84,6 +92,12 @@ def svd(matrix) -> SvdResult:
     real positive; the compensating phase is absorbed into the paired right
     singular vector. Left-over null-space columns are phase-fixed on their
     own.
+
+    The decomposition calls ``svd_f``, the LAPACK gufunc that
+    ``np.linalg.svd(a, full_matrices=True)`` wraps, under the same error
+    state, so its output is byte for byte numpy's. The input is already a
+    finite complex 2-d array here; on matrices this small numpy's per-call
+    conversions and checks would add about half of LAPACK's own time.
     """
     a = np.array(matrix, dtype=complex)
     if a.ndim != 2 or a.size == 0:
@@ -91,7 +105,7 @@ def svd(matrix) -> SvdResult:
     if not np.isfinite(a).all():
         raise NonFinite("matrix contains non-finite entries")
 
-    U, s, Vh = np.linalg.svd(a, full_matrices=True)
+    U, s, Vh = _lapack_svd(a, signature="D->DdD")
     # phases of U's columns, then of W's null columns (rows of Vh are conjugated columns of W)
     phases = [_lead_phase(col) for col in U.T.tolist()]
     phases = np.array(phases + [_lead_phase(row).conjugate() for row in Vh[s.size :].tolist()])

@@ -23,12 +23,24 @@ from .errors import BadPivot, DimensionMismatch, NonFinite, SingularOperator, Ze
 _DET_FLOOR = float(np.finfo(np.float64).tiny)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Unnormalized pure state: subsystem dimensions plus flat amplitudes."""
+    """Unnormalized pure state: subsystem dimensions plus flat amplitudes.
+
+    Two states are equal when their dims and their amplitudes are equal
+    entry by entry (so not up to scale), and equal states hash alike.
+    """
 
     dims: tuple[int, ...]
     amps: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, PureState):
+            return NotImplemented
+        return self.dims == other.dims and bool(np.array_equal(self.amps, other.amps))
+
+    def __hash__(self):
+        return hash((self.dims, (self.amps + 0.0).tobytes()))  # + 0.0 turns -0.0 into 0.0
 
     @property
     def n_subsystems(self) -> int:

@@ -227,8 +227,8 @@ def _reducing_operators(report: ClassificationReport, svds, pol: TolerancePolicy
             raise ReductionFailed("pair part of the state is numerically a product")
         f2 = np.diag(1.0 / part.sigma[:2]) @ part.V.conj().T
         f3 = part.W.T.copy()
-    if report.ranks[0] == 1:  # 000 or 0_1: F1 rescales the one pivot-1 direction
-        return np.diag([1.0 / res.sigma[0], 1.0]) @ res.V.conj().T, f2, f3
+    if report.ranks[0] == 1:  # 000 or 0_1: V^dagger / sigma_1 scales both directions alike
+        return res.V.conj().T / res.sigma[0], f2, f3
 
     if tag is TripartiteClass.C02_PSI13:
         a = svds[1].V[:, 0]
@@ -276,7 +276,7 @@ def reduce_to_canonical(
     out, canon = apply_local_operators(state, ops).amps, canonical_vector(report.tag).amps
     z = np.vdot(canon, out) / np.vdot(canon, canon)
     residual = float(np.linalg.norm(out - z * canon) / np.linalg.norm(out))
-    if residual > pol.residual_tol:
+    if not residual <= pol.residual_tol:  # a NaN residual fails too
         raise ReductionFailed(
             f"residual {residual:.3e} above tolerance {pol.residual_tol:.1e}"
         )

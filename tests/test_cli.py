@@ -240,6 +240,23 @@ class TestClassifyCommand:
         if expected == 0:
             assert json.loads(out)["class"] == "GHZ"
 
+    @pytest.mark.parametrize("scale,expected", [(1e7, 0), (1e-100, 0), (1e200, 4)])
+    def test_reduce_rank1_orbit_state_at_scale(self, tmp_path, capsys, scale, expected):
+        from conftest import orbit_state
+        from slocc.testkit import RandomSource
+        from slocc.tripartite import TripartiteClass
+
+        for tag in (TripartiteClass.C000, TripartiteClass.C01_PSI23):
+            state = orbit_state(tag, RandomSource(77))[0]
+            path = write_state(tmp_path, make_state([2, 2, 2], state.amps * scale))
+            code, out, _ = run(capsys, "reduce", path, "--json")
+            assert code == expected, tag
+            if expected == 0:
+                report = json.loads(out)
+                assert report["class"] == tag.value and report["residual"] <= 1e-8
+            else:
+                assert out == ""
+
     def test_4qubit_factor_report(self, tmp_path, capsys):
         bell = np.array([1, 0, 0, 1])
         state = make_state((2,) * 4, np.kron(np.kron([1, 0], [1, 0]), bell))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slocc.numerics
 from slocc.errors import EmptySpectrum, NonFinite, SingularMatrix
 from slocc.numerics import (
     SvdResult,
@@ -130,6 +131,152 @@ class TestSvd:
                         assert scaled.residual == res.residual
                         if abs(k) <= 900:
                             assert 0.0 < svd(2.0**k * q).residual <= 1e-14
+
+
+def _phase(vector):
+    """Phase of the first component above 1e-8 in size, as Python complex (1 if none)."""
+    for z in vector.tolist():
+        if abs(z) > 1e-8:
+            return z * (1.0 / abs(z))
+    return 1.0
+
+
+def pinned_reference(matrix):
+    """np.linalg.svd of the complex matrix, phases pinned one column at a time.
+
+    Column j of U is divided by its own phase, and so is the paired column of
+    W = Vh^H; each null column of W is divided by the conjugated phase of its
+    row of Vh.
+    """
+    a = np.array(matrix, dtype=complex)
+    U, s, Vh = np.linalg.svd(a, full_matrices=True)
+    V, W = np.empty_like(U), np.empty_like(Vh.T)
+    m, n = a.shape
+    for j in range(m):
+        phase = _phase(U[:, j])
+        V[:, j] = U[:, j] / phase
+        if j < n:
+            W[:, j] = Vh[j].conj() / phase
+    for j in range(m, n):
+        W[:, j] = Vh[j].conj() / _phase(Vh[j]).conjugate()
+    return V, s, W
+
+
+SVD_SHAPES = [(1, 4), (1, 1), (4, 1), (2, 2), (2, 4), (2, 8), (4, 2), (3, 5)]
+
+
+class TestSvdMatchesNumpy:
+    """svd returns numpy's LAPACK decomposition byte for byte, only with phases pinned."""
+
+    @staticmethod
+    def assert_same_bytes(res, matrix):
+        U, s, W = pinned_reference(matrix)
+        for got, want in ((res.V, U), (res.sigma, s), (res.W, W)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert res.matrix.tobytes() == np.asarray(matrix, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("shape", SVD_SHAPES)
+    def test_random_and_rank_deficient(self, shape):
+        g = RandomSource(17).generator()
+        m, n = shape
+        for trial in range(40):
+            a = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+            if trial % 4 == 1:
+                a = np.outer(a[:, 0], a[0])  # rank 1
+            elif trial % 4 == 2 and m > 1:
+                a[1:] = 0  # all-zero rows
+            elif trial % 4 == 3 and n > 1:
+                a[:, -1] = a[:, 0]  # repeated column
+            self.assert_same_bytes(svd(a), a)
+
+    @pytest.mark.parametrize("shape", SVD_SHAPES)
+    def test_every_scale(self, shape):
+        g = RandomSource(18).generator()
+        a = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        for k in range(-300, 301, 25):
+            scaled = a * 10.0**k
+            self.assert_same_bytes(svd(scaled), scaled)
+        self.assert_same_bytes(svd(np.zeros(shape)), np.zeros(shape))
+
+    def test_memory_layouts(self):
+        g = RandomSource(19).generator()
+        big = g.standard_normal((8, 24)) + 1j * g.standard_normal((8, 24))
+        for m, n in SVD_SHAPES:
+            for a in (
+                np.asfortranarray(big[:m, :n]),
+                big[: 2 * m : 2, : 3 * n : 3],  # strided view
+                big[:n, :m].T,  # transposed view
+                big[m - 1 :: -1, :n] if m > 1 else big[:1, n - 1 :: -1],  # negative stride
+            ):
+                assert a.shape == (m, n)
+                before = a.copy()
+                self.assert_same_bytes(svd(a), a)
+                assert np.array_equal(a, before)
+
+    def test_real_and_integer_inputs(self):
+        g = RandomSource(20).generator()
+        for m, n in SVD_SHAPES:
+            real = g.standard_normal((m, n))
+            ints = g.integers(-5, 6, (m, n))
+            for a in (real, ints, ints.astype(np.int8), real.astype(np.float32), ints.tolist()):
+                res = svd(a)
+                assert res.V.dtype == res.W.dtype == complex and res.sigma.dtype == float
+                self.assert_same_bytes(res, a)
+
+    @pytest.mark.parametrize("entry", [1e-310, 1e307])
+    def test_inside_raising_error_state(self, entry):
+        # numpy's svd ignores over/underflow inside LAPACK whatever the caller's error state
+        g = RandomSource(21).generator()
+        for m, n in SVD_SHAPES:
+            a = entry * (g.integers(-3, 4, (m, n)) + 1j * g.integers(-3, 4, (m, n)))
+            a[0, 0] = entry
+            with np.errstate(all="raise"):
+                np.linalg.svd(a, full_matrices=True)
+                res = svd(a)
+                assert np.geterr() == {
+                    "divide": "raise", "over": "raise", "under": "raise", "invalid": "raise"
+                }
+            self.assert_same_bytes(res, a)
+
+    @pytest.mark.parametrize("outer", ["ignore", "warn", "raise"])
+    def test_nonconvergence_is_linalg_error(self, monkeypatch, outer):
+        # numpy's SVD gufunc reports a failed convergence as an invalid operation
+        def not_converged(a, signature):
+            nan = np.subtract(np.inf, np.inf)
+            m, n = a.shape
+            return (
+                np.full((m, m), nan, complex),
+                np.full(min(m, n), nan),
+                np.full((n, n), nan, complex),
+            )
+
+        monkeypatch.setattr(slocc.numerics, "_lapack_svd", not_converged)
+        with np.errstate(all=outer), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            svd([[1, 2], [3, 4]])
+
+    def test_outer_error_state_restored(self):
+        def handler(err, flag):
+            pass
+
+        with np.errstate(all="warn", call=handler):
+            before = np.geterr(), np.geterrcall()
+            svd([[1, 2, 3, 4], [5, 6, 7, 8]])
+            assert (np.geterr(), np.geterrcall()) == before
+
+    def test_non_finite_and_bad_shapes_refused(self):
+        for bad in ([[1e308 * 10, 0]], [[0, np.nan]], [[complex(0, np.inf)]]):
+            with pytest.raises(NonFinite):
+                svd(bad)
+        for bad in ([], [1, 2], np.zeros((2, 0)), np.zeros((2, 2, 2))):
+            with pytest.raises(NonFinite):
+                svd(bad)
+
+    def test_outputs_read_only(self):
+        res = svd([[1, 2], [3, 4j]])
+        for arr in (res.V, res.sigma, res.W, res.matrix):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestNumericalRank:

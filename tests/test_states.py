@@ -63,6 +63,41 @@ class TestMakeState:
             make_state((2**32, 2**32), [1, 0])
 
 
+class TestEquality:
+    def test_equal_states(self):
+        a = make_state([2, 2], [1, 0, 0, 1j])
+        b = make_state((2, 2), np.array([1, 0, 0, 1j]))
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a in [GHZ, b] and b in {a}
+        assert len({a, b}) == 1
+        assert canonical_vector(TripartiteClass.W) == W
+
+    def test_signed_zeros_are_equal(self):
+        states = [
+            make_state([2, 2], [1, z, complex(0.0, z), complex(z, -0.0)]) for z in (0.0, -0.0)
+        ]
+        assert states[0].amps.tobytes() != states[1].amps.tobytes()
+        assert states[0] == states[1]
+        assert hash(states[0]) == hash(states[1])
+        assert len(set(states)) == 1
+
+    def test_distinct_states(self):
+        a = make_state([2, 2], [1, 0, 0, 1])
+        distinct = [
+            make_state([2, 2], [1, 0, 0, -1]),
+            make_state([2, 2], [2, 0, 0, 2]),  # equal up to scale is still distinct
+            make_state([4], [1, 0, 0, 1]),  # same amplitudes, other dims
+            make_state([2, 2, 2], [1, 0, 0, 1, 0, 0, 0, 0]),
+        ]
+        for other in distinct:
+            assert a != other and not a == other
+        assert a not in distinct
+        assert len({a, *distinct}) == 5
+        assert a != "state" and a != None  # noqa: E711
+
+
 class TestCoefficientMatrix:
     def test_ghz_pivot1(self):
         cm = coefficient_matrix(GHZ, 1)

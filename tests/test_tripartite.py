@@ -10,6 +10,7 @@ from slocc.errors import InconsistentRanks, ReductionFailed, SloccError, WrongAr
 from slocc.multiqubit import hyperdeterminant
 from slocc.numerics import TolerancePolicy, eig2, inv2, svd
 from slocc.states import (
+    PureState,
     apply_local_operators,
     coefficient_matrix,
     make_state,
@@ -322,6 +323,31 @@ class TestScale:
             warnings.simplefilter("error")
             with pytest.raises(ReductionFailed):
                 reduce_to_canonical(state)
+
+    @pytest.mark.parametrize("tag", [t for t, r in RANKS.items() if r[0] == 1])
+    def test_rank1_orbit_states_reduce_at_every_scale(self, tag):
+        # F1 = V^dagger / sigma_1 leaves a relative residual, so orbit states whose pivot-1
+        # sigma_2 is rounding noise reduce at every scale the operator dets can carry
+        states = [orbit_state(tag, RandomSource(4200 + trial))[0].amps for trial in range(20)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-140, 141, 10):
+                for amps in states:
+                    report, ilos = reduce_to_canonical(make_state([2, 2, 2], amps * 10.0**k))
+                    assert report.tag is tag, k
+                    assert ilos.residual <= 1e-8, k
+            for k in (-200, 200):  # |det F1| = sigma_1^-2 leaves the float range
+                for amps in states:
+                    with pytest.raises(ReductionFailed):
+                        reduce_to_canonical(make_state([2, 2, 2], amps * 10.0**k))
+
+    def test_nan_residual_is_a_reduction_failure(self, monkeypatch):
+        def nan_out(state, ops):
+            return PureState(state.dims, np.full(8, np.nan, dtype=complex))
+
+        monkeypatch.setattr(slocc.tripartite, "apply_local_operators", nan_out)
+        with pytest.raises(ReductionFailed, match="nan"):
+            reduce_to_canonical(canonical_vector(TripartiteClass.GHZ))
 
 
 class TestHyperdeterminantOracle:
