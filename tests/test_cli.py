@@ -257,6 +257,32 @@ class TestClassifyCommand:
             else:
                 assert out == ""
 
+    @pytest.mark.parametrize("verb", [("reduce",), ("classify", "--ilos")])
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    @pytest.mark.parametrize(
+        "state",
+        [
+            make_state([2, 2], [1, 0, 0, 1]),
+            make_state([2, 3], [1, 0, 0, 0, 1, 0]),
+            ghz_state(4),
+            ghz_state(5),
+        ],
+        ids=["Psi+", "2x3", "GHZ4", "GHZ5"],
+    )
+    def test_reduce_refuses_other_dims(self, tmp_path, capsys, verb, fmt, state):
+        path = write_state(tmp_path, state)
+        code, out, err = run(capsys, *verb, path, *fmt)
+        assert code == 3 and out == ""
+        assert err == f"error: reduce needs dims [2, 2, 2], got {list(state.dims)}\n"
+
+    def test_reduce_refuses_canonical_4qubit_pipe_file(self, tmp_path, capsys):
+        for name in ("GHZ4", "Phi4", "Psi+", "00"):
+            _, text, _ = run(capsys, "canonical", name)
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text)
+            assert run(capsys, "reduce", str(path), "--json")[0] == 3
+            assert run(capsys, "classify", str(path), "--json")[0] == 0
+
     def test_4qubit_factor_report(self, tmp_path, capsys):
         bell = np.array([1, 0, 0, 1])
         state = make_state((2,) * 4, np.kron(np.kron([1, 0], [1, 0]), bell))

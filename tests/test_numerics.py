@@ -302,6 +302,32 @@ class TestNumericalRank:
         sigma = np.array([3.0, 1.2, 1e-13])
         assert numerical_rank(sigma * scale) == numerical_rank(sigma) == 2
 
+    def test_matches_numpy_count_reference(self):
+        def reference(sigma, pol):
+            s = np.asarray(sigma, dtype=float)
+            if s.size == 0 or s[0] <= 0.0:
+                return EmptySpectrum
+            return int(np.count_nonzero(s > pol.rank_rel_tol * s[0]))
+
+        g = np.random.default_rng(20260)
+        for trial in range(5000):
+            pol = TolerancePolicy(rank_rel_tol=10.0 ** g.uniform(-12, -0.01))
+            n = int(g.integers(0, 5))
+            sigma = np.sort(np.abs(g.standard_normal(n)))[::-1] * 10.0 ** g.uniform(-300, 300)
+            if n and trial % 3 == 0:  # values on and next to the cut
+                cut = pol.rank_rel_tol * sigma[0]
+                sigma[1:] = g.choice([cut, np.nextafter(cut, 0), np.nextafter(cut, np.inf)], n - 1)
+            if n and trial % 7 == 0:
+                sigma[0] = g.choice([0.0, -0.0, -1.0])
+            expected = reference(sigma, pol)
+            for form in (sigma, sigma.tolist(), tuple(sigma)):
+                if expected is EmptySpectrum:
+                    with pytest.raises(EmptySpectrum):
+                        numerical_rank(form, pol)
+                else:
+                    got = numerical_rank(form, pol)
+                    assert type(got) is int and got == expected
+
 
 class TestEig2:
     def test_nilpotent(self):

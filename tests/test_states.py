@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,54 @@ class TestApplyLocalOperators:
     def test_operator_set_dets(self):
         ops = LocalOperatorSet([np.eye(2), 2 * np.eye(2)])
         assert ops.det_abs == (1.0, 4.0)
+
+
+class TestOperatorDeterminant:
+    """A 2x2 |det| is abs(a*d - b*c) in Python complex arithmetic."""
+
+    def test_scaled_identity_inside_the_float_range_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ops = LocalOperatorSet([1e150 * np.eye(2)])
+        assert ops.det_abs == (abs(complex(1e150) * complex(1e150)),)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e-160, 1e-200])
+    def test_scaled_identity_outside_the_float_range_refused(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularOperator):
+                LocalOperatorSet([np.eye(2), scale * np.eye(2)])
+
+    def test_modulus_overflow_is_refused_not_raised(self):
+        # a*d = 1.5e308 (1 + 1j): both parts finite, the modulus is not
+        x = np.sqrt(1.5e308)
+        op = np.array([[x, 0], [0, x * (1 + 1j)]])
+        with pytest.raises(OverflowError):
+            abs(complex(op[0, 0]) * complex(op[1, 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularOperator, match="inf"):
+                LocalOperatorSet([op])
+
+    def test_nan_determinant_refused(self):
+        # a*d and b*c both overflow to inf, and inf - inf is nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularOperator, match="nan"):
+                LocalOperatorSet([np.full((2, 2), 1e200)])
+
+    def test_2x2_is_the_exact_cross_difference(self):
+        g = RandomSource(61).generator()
+        for _ in range(200):
+            op = random_complex(g, 4).reshape(2, 2) * 10.0 ** g.uniform(-100, 100)
+            (a, b), (c, d) = op.tolist()
+            assert LocalOperatorSet([op]).det_abs == (abs(a * d - b * c),)
+
+    def test_larger_operators_keep_the_lu_determinant(self):
+        g = RandomSource(62).generator()
+        for _ in range(50):
+            op = random_complex(g, 9).reshape(3, 3)
+            assert LocalOperatorSet([op]).det_abs == (abs(complex(np.linalg.det(op))),)
 
 
 class TestPermuteSubsystems:

@@ -6,7 +6,14 @@ import pytest
 import slocc.subspaces
 import slocc.tripartite
 from conftest import orbit_state, random_complex, up_to_scale
-from slocc.errors import InconsistentRanks, ReductionFailed, SloccError, WrongArity
+from slocc.errors import (
+    EmptySpectrum,
+    InconsistentRanks,
+    ReductionFailed,
+    SloccError,
+    ToleranceBreakdown,
+    WrongArity,
+)
 from slocc.multiqubit import hyperdeterminant
 from slocc.numerics import TolerancePolicy, eig2, inv2, svd
 from slocc.states import (
@@ -16,7 +23,15 @@ from slocc.states import (
     make_state,
     permute_subsystems,
 )
-from slocc.subspaces import StructureTag, classify_span, slice_matrix
+from slocc.subspaces import (
+    RootKind,
+    StructureTag,
+    SubspaceStructure,
+    classify_span,
+    product_roots,
+    slice_matrix,
+    span_structure,
+)
 from slocc.testkit import RandomSource, random_ilo
 from slocc.tripartite import (
     TripartiteClass,
@@ -442,3 +457,161 @@ class TestReduce:
                 assert abs(np.linalg.det(f)) > 1e-12 * np.linalg.norm(f) ** 2
             out = apply_local_operators(state, ilos.ops)
             assert up_to_scale(canonical_vector(tag).amps, out.amps, 1e-8)
+
+
+def reference_classify3(state, pol):
+    """The decision with the earlier front end: ``coefficient_matrix`` gathers,
+    a numpy rank count and an eagerly computed spectrum."""
+
+    def rank(sigma):
+        s = np.asarray(sigma, dtype=float)
+        if s.size == 0 or s[0] <= 0.0:
+            raise EmptySpectrum("rank needs at least one positive singular value")
+        return int(np.count_nonzero(s > pol.rank_rel_tol * s[0]))
+
+    svds = [svd(coefficient_matrix(state, p).entries) for p in (1, 2, 3)]
+    ranks = tuple(rank(res.sigma) for res in svds)
+    sigma = tuple(float(s) for s in svds[0].sigma)
+    w1, w2 = svds[0].W[:, 0], svds[0].W[:, 1]
+    spectrum, near = None, False
+    if ranks == (1, 1, 1):
+        tag, structure = TripartiteClass.C000, SubspaceStructure(StructureTag.PRODUCT_LINE, (w1.copy(),))
+    elif ranks == (1, 2, 2):
+        tag, structure = TripartiteClass.C01_PSI23, SubspaceStructure(StructureTag.ENTANGLED_LINE)
+    elif ranks == (2, 1, 2):
+        tag = TripartiteClass.C02_PSI13
+        structure = SubspaceStructure(StructureTag.LEFT_FACTOR, factor=svds[1].V[:, 0].conj())
+    elif ranks == (2, 2, 1):
+        tag = TripartiteClass.C03_PSI12
+        structure = SubspaceStructure(StructureTag.RIGHT_FACTOR, factor=svds[2].V[:, 0].conj())
+    elif ranks != (2, 2, 2):
+        raise InconsistentRanks(
+            f"ranks {ranks}: exactly two pivots read rank 1, impossible for a valid state"
+        )
+    else:
+        W1, W2 = slice_matrix(w1), slice_matrix(w2)
+        roots = product_roots(W1, W2, pol)
+        if roots.kind is RootKind.INFINITELY_MANY:
+            raise ToleranceBreakdown(
+                "pencil determinant vanishes identically although all pivots read rank 2"
+            )
+        tag = TripartiteClass.GHZ if roots.kind is RootKind.TWO_DISTINCT else TripartiteClass.W
+        a, b, c = roots.coeffs
+        s = max(abs(a), abs(b), abs(c))
+        threshold = pol.deg_tol * s * s
+        near = threshold / 100.0 < abs(b * b - 4.0 * a * c) <= threshold * 100.0
+        spectrum = slocc.tripartite._pencil_spectrum(
+            roots, np.linalg.norm(W1), np.linalg.norm(W2), pol
+        )
+        structure = span_structure(w1, w2, roots, pol)
+    return tag, ranks, sigma, structure, spectrum, near
+
+
+def report_fields(tag, ranks, sigma, structure, spectrum, near):
+    """Every report field as exact, comparable values (floats and arrays as bytes)."""
+    assert all(type(x) is float for x in sigma)
+    return (
+        tag,
+        ranks,
+        tuple(x.hex() for x in sigma),
+        structure.tag,
+        tuple(w.tobytes() for w in structure.witnesses),
+        None if structure.factor is None else structure.factor.tobytes(),
+        None if spectrum is None else (spectrum.product, np.array(spectrum.eigenvalues).tobytes()),
+        near,
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return report_fields(*fn(*args))
+    except SloccError as exc:
+        return type(exc), str(exc)
+
+
+def unpack(report):
+    return (
+        report.tag,
+        report.ranks,
+        report.sigma,
+        report.structure,
+        report.spectrum_used,
+        report.near_boundary,
+    )
+
+
+class TestMatchesReferenceFrontEnd:
+    """The direct gathers, the float rank count and the lazy spectrum leave
+    every report field byte for byte as the earlier front end had it."""
+
+    @pytest.mark.parametrize(
+        "pol",
+        [
+            TolerancePolicy(),
+            TolerancePolicy(rank_rel_tol=1e-6, deg_tol=1e-5),
+            TolerancePolicy(rank_rel_tol=1e-4, deg_tol=1e-3),
+        ],
+        ids=["default", "1e-6", "1e-4"],
+    )
+    @pytest.mark.parametrize("scale", [1.0, 1e140, 1e-140])
+    def test_every_field_identical(self, pol, scale):
+        seen = set()
+        for tag in TripartiteClass:
+            for trial in range(30):
+                base, _ = orbit_state(tag, RandomSource(5100 + trial))
+                state = make_state([2, 2, 2], base.amps * scale)
+                expected = outcome(reference_classify3, state, pol)
+                assert outcome(lambda s, p: unpack(classify3(s, p)), state, pol) == expected
+                try:
+                    report, _ = reduce_to_canonical(state, pol)
+                except ReductionFailed:
+                    continue
+                except SloccError as exc:
+                    assert (type(exc), str(exc)) == expected
+                    continue
+                assert report_fields(*unpack(report)) == expected
+                seen.add(report.tag)
+        assert seen == set(TripartiteClass)
+
+
+class TestSpectrumOnFirstAccess:
+    """``spectrum_used`` is a diagnostic: the decision never computes it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = slocc.tripartite._pencil_spectrum
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(slocc.tripartite, "_pencil_spectrum", counting)
+        return calls
+
+    @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
+    def test_computed_once_when_read(self, tag, calls):
+        for trial in range(10):
+            state, _ = orbit_state(tag, RandomSource(5200 + trial))
+            for report in (classify3(state), reduce_to_canonical(state)[0]):
+                calls.clear()
+                assert report.tag is tag
+                assert calls == []
+                spectrum = report.spectrum_used
+                assert spectrum is not None and len(calls) == 1
+                assert report.spectrum_used is spectrum and len(calls) == 1
+
+    def test_descriptor_never_computes_it(self, calls):
+        from slocc.multiqubit import cluster_state_4, descriptor, ghz_state
+
+        for state in (ghz_state(4), cluster_state_4()):
+            descriptor(state)
+        assert calls == []
+
+    @pytest.mark.parametrize("tag", FACTORED)
+    def test_none_for_factored_classes(self, tag, calls):
+        for trial in range(10):
+            state, _ = orbit_state(tag, RandomSource(5300 + trial))
+            for report in (classify3(state), reduce_to_canonical(state)[0]):
+                assert report.tag is tag and report.spectrum_used is None
+        assert calls == []
