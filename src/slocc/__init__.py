@@ -44,9 +44,7 @@ from .numerics import (
     DEFAULT_POLICY,
     SvdResult,
     TolerancePolicy,
-    eig2,
     inv2,
-    is_degenerate,
     numerical_rank,
     svd,
 )

@@ -68,7 +68,3 @@ def classify_bipartite(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) 
     """Class Psi+_k with k the number of Schmidt coefficients."""
     return BipartiteClass(schmidt_rank=schmidt(state, pol).coeffs.size)
 
-
-def reconstruct(form: SchmidtForm) -> np.ndarray:
-    """Flat amplitude vector rebuilt from a Schmidt form."""
-    return ((form.left_basis * form.coeffs) @ form.right_basis.T).reshape(-1)

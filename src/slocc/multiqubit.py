@@ -124,14 +124,6 @@ def _point_class(vec, n_sub: int, pol: TolerancePolicy, max_qubits: int) -> str:
     return descriptor(point, pol, max_qubits=max_qubits).signature()
 
 
-def _chordal_distance(p, q) -> float:
-    a = np.array(p, dtype=complex)
-    b = np.array(q, dtype=complex)
-    a /= np.linalg.norm(a)
-    b /= np.linalg.norm(b)
-    return float(np.sqrt(max(0.0, 1.0 - abs(np.vdot(a, b)) ** 2)))
-
-
 def _unit_point(point):
     v = np.array(point, dtype=complex)
     return tuple(v / np.linalg.norm(v))

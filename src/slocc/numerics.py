@@ -131,36 +131,6 @@ def det2(m) -> complex:
     return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
-def eig2(matrix) -> tuple[complex, complex]:
-    """Both eigenvalues of a 2x2 matrix, larger magnitude first.
-
-    Roots of ``lam^2 - tr*lam + det`` via the numerically stable quadratic
-    formula; the companion root is recovered as ``det / lam1`` when lam1 is
-    nonzero.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    tr = m[0, 0] + m[1, 1]
-    det = det2(m)
-    disc = np.sqrt(complex(tr * tr - 4.0 * det))
-    if abs(tr + disc) >= abs(tr - disc):
-        lam1 = (tr + disc) / 2.0
-    else:
-        lam1 = (tr - disc) / 2.0
-    lam2 = det / lam1 if lam1 != 0 else complex(0.0)
-    return complex(lam1), complex(lam2)
-
-
-def is_degenerate(pair, scale: float, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """True when the two eigenvalues coincide at the policy's tolerance.
-
-    ``scale`` is a caller-supplied spectral scale (typically the norm of the
-    matrix whose spectrum is tested) so that a pair of near-zero eigenvalues
-    of a non-zero matrix still registers as degenerate.
-    """
-    lam1, lam2 = pair
-    return abs(lam1 - lam2) <= pol.deg_tol * max(scale, abs(lam1) + abs(lam2))
-
-
 def _exponent(m) -> int:
     """Binary exponent e with every real and imaginary part of m below 2**e in size."""
     return math.frexp(max(max(abs(z.real), abs(z.imag)) for z in m.ravel().tolist()))[1]

@@ -49,18 +49,36 @@ class RootReport:
     coeffs: tuple[complex, complex, complex]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceStructure:
     """Span (or line) structure with its product-vector witnesses.
 
     ``witnesses`` lists the product vectors found (none for an entangled
     line or a factor span, one or two otherwise); ``factor`` carries the
     common single-qubit factor for the LeftFactor / RightFactor spans.
+    Two structures are equal when their tags match and their witnesses and
+    factors are equal entry by entry, and equal structures hash alike.
     """
 
     tag: StructureTag
     witnesses: tuple[np.ndarray, ...] = ()
     factor: np.ndarray | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, SubspaceStructure):
+            return NotImplemented
+        return (
+            self.tag is other.tag
+            and len(self.witnesses) == len(other.witnesses)
+            and all(map(np.array_equal, self.witnesses, other.witnesses))
+            and (self.factor is None) == (other.factor is None)
+            and (self.factor is None or bool(np.array_equal(self.factor, other.factor)))
+        )
+
+    def __hash__(self):
+        arrays = self.witnesses if self.factor is None else (*self.witnesses, self.factor)
+        # + 0.0 turns -0.0 into 0.0
+        return hash((self.tag, tuple((np.asarray(a, complex) + 0.0).tobytes() for a in arrays)))
 
 
 def slice_matrix(w) -> np.ndarray:

@@ -96,10 +96,6 @@ class ClassificationReport:
     near_boundary: bool
     pencil: tuple | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def label(self) -> str:
-        return self.tag.value
-
     @functools.cached_property
     def spectrum_used(self) -> SpectrumInfo | None:
         if self.pencil is None:

@@ -1,4 +1,10 @@
-"""Reproducible generators and brute-force oracles for the property suites.
+"""Reproducible generators and reference oracles for the test suites.
+
+None of this is part of the ``slocc`` package: the package computes the
+decisions, and these helpers draw inputs for it or re-derive its readings by
+independent routes (eigenvalues of a 2x2 matrix, a Schmidt-form rebuild, the
+chordal distance of projective points, a brute-force count of product
+directions).
 
 The random source is counter-based (Philox keyed through SeedSequence), so a
 given seed produces the same draws on every platform. Sources are values:
@@ -11,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DependentGenerators
-from .states import PureState, make_state
+from slocc.bipartite import SchmidtForm
+from slocc.errors import DependentGenerators
+from slocc.numerics import DEFAULT_POLICY, TolerancePolicy, det2
+from slocc.states import PureState, make_state
 
 MANY = "many"
 
@@ -54,8 +62,47 @@ def random_ilo(dim: int, src: RandomSource, cond_cap: float = 1e3) -> np.ndarray
             return m
 
 
-def random_ilo_list(dims, src: RandomSource, cond_cap: float = 1e3) -> list[np.ndarray]:
-    return [random_ilo(d, src.split(i), cond_cap) for i, d in enumerate(dims)]
+def eig2(matrix) -> tuple[complex, complex]:
+    """Both eigenvalues of a 2x2 matrix, larger magnitude first.
+
+    Roots of ``lam^2 - tr*lam + det`` via the numerically stable quadratic
+    formula; the companion root is recovered as ``det / lam1`` when lam1 is
+    nonzero.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    tr = m[0, 0] + m[1, 1]
+    det = det2(m)
+    disc = np.sqrt(complex(tr * tr - 4.0 * det))
+    if abs(tr + disc) >= abs(tr - disc):
+        lam1 = (tr + disc) / 2.0
+    else:
+        lam1 = (tr - disc) / 2.0
+    lam2 = det / lam1 if lam1 != 0 else complex(0.0)
+    return complex(lam1), complex(lam2)
+
+
+def is_degenerate(pair, scale: float, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """True when the two eigenvalues coincide at the policy's tolerance.
+
+    ``scale`` is a caller-supplied spectral scale (typically the norm of the
+    matrix whose spectrum is tested) so that a pair of near-zero eigenvalues
+    of a non-zero matrix still registers as degenerate.
+    """
+    lam1, lam2 = pair
+    return abs(lam1 - lam2) <= pol.deg_tol * max(scale, abs(lam1) + abs(lam2))
+
+
+def reconstruct(form: SchmidtForm) -> np.ndarray:
+    """Flat amplitude vector rebuilt from a Schmidt form."""
+    return ((form.left_basis * form.coeffs) @ form.right_basis.T).reshape(-1)
+
+
+def _chordal_distance(p, q) -> float:
+    a = np.array(p, dtype=complex)
+    b = np.array(q, dtype=complex)
+    a /= np.linalg.norm(a)
+    b /= np.linalg.norm(b)
+    return float(np.sqrt(max(0.0, 1.0 - abs(np.vdot(a, b)) ** 2)))
 
 
 _GRID_CACHE: dict[int, tuple] = {}
@@ -122,12 +169,6 @@ def _refine_batch(W1, W2, alpha, beta, depth, half0=0.5, avoid=None):
     return a, b, _abs_det(W1, W2, a, b)
 
 
-def _projective_distance(p, q):
-    a = np.array(p) / np.linalg.norm(p)
-    b = np.array(q) / np.linalg.norm(q)
-    return float(np.sqrt(max(0.0, 1.0 - abs(np.vdot(a, b)) ** 2)))
-
-
 def brute_product_count(w1, w2, grid_n: int = 10_000, depth: int = 20):
     """Count product directions in span{w1, w2} by sweeping |det| to zero.
 
@@ -189,7 +230,7 @@ def brute_product_count(w1, w2, grid_n: int = 10_000, depth: int = 20):
             if val > 1e-7 * q_scale:
                 continue
             point = (complex(al), complex(be))
-            if all(_projective_distance(point, z) > 1e-6 for z in zeros):
+            if all(_chordal_distance(point, z) > 1e-6 for z in zeros):
                 zeros.append(point)
         return zeros
 

@@ -1,7 +1,7 @@
 import numpy as np
 
+from _kit import RandomSource, random_ilo
 from slocc.states import apply_local_operators
-from slocc.testkit import RandomSource, random_ilo
 from slocc.tripartite import canonical_vector
 
 

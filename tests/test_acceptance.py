@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from _kit import MANY, RandomSource, brute_product_count, random_ilo
 from slocc.bipartite import classify_bipartite
 from slocc.multiqubit import (
     class_count_bound,
@@ -29,7 +30,6 @@ from slocc.subspaces import (
     product_roots,
     slice_matrix,
 )
-from slocc.testkit import MANY, RandomSource, brute_product_count, random_ilo
 from slocc.tripartite import TripartiteClass, canonical_vector, classify3, reduce_to_canonical
 
 SEED_ORBITS = 515_001

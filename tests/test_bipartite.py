@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from _kit import RandomSource, random_ilo, reconstruct
 from conftest import random_complex
-from slocc.bipartite import classify_bipartite, reconstruct, schmidt
+from slocc.bipartite import classify_bipartite, schmidt
 from slocc.errors import WrongArity
 from slocc.states import apply_local_operators, make_state
-from slocc.testkit import RandomSource, random_ilo
 
 BELL = make_state([2, 2], [1, 0, 0, 1])
 

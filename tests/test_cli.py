@@ -63,6 +63,43 @@ class TestStateFiles:
         assert np.allclose(parsed.amps, state.amps)
 
 
+BAD_STATE_FILES = [
+    ("dims: 2 2\nlabel: x\n1 0\n0 0\n0 0\n1 0\n", False, "label must precede dims", 2),
+    ("dims: 2 2\ndims: 2 2\n", False, "duplicate dims line", 2),
+    ("# header\ndims: 2 x\n", False, "dims must be integers", 2),
+    ("dims:\n", False, "dims line is empty", 1),
+    ("dims: 2 2\n1 0\n0 zero\n0 0\n1 0\n", False, "amplitudes must be real numbers", 3),
+    ("label: x\n", False, "missing dims line", None),
+    ('{"dims": [2, 2], ', True, "invalid JSON: ", None),
+    ('{"amps": [[1, 0]]}', True, "JSON state needs 'dims' and 'amps' fields", None),
+    ('{"dims": [2, 2]}', True, "JSON state needs 'dims' and 'amps' fields", None),
+    ("[2, 2]", True, "JSON state needs 'dims' and 'amps' fields", None),
+]
+
+
+@pytest.mark.parametrize(
+    "text,json_in,message,line",
+    BAD_STATE_FILES,
+    ids=[
+        "label-after-dims", "duplicate-dims", "dims-not-integer", "dims-empty",
+        "amplitude-not-numeric", "no-dims", "invalid-json", "json-no-dims",
+        "json-no-amps", "json-not-object",
+    ],
+)
+def test_state_file_parse_errors(text, json_in, message, line, tmp_path, capsys):
+    expected = message if line is None else f"line {line}: {message}"
+    with pytest.raises(StateFileError) as exc:
+        (parse_state_json if json_in else parse_state_text)(text)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(expected)
+
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", str(path), *(("--json-in",) if json_in else ()))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: {expected}")
+
+
 class TestClassifyCommand:
     def test_ghz_file(self, tmp_path, capsys):
         from slocc.tripartite import TripartiteClass, canonical_vector
@@ -243,7 +280,7 @@ class TestClassifyCommand:
     @pytest.mark.parametrize("scale,expected", [(1e7, 0), (1e-100, 0), (1e200, 4)])
     def test_reduce_rank1_orbit_state_at_scale(self, tmp_path, capsys, scale, expected):
         from conftest import orbit_state
-        from slocc.testkit import RandomSource
+        from _kit import RandomSource
         from slocc.tripartite import TripartiteClass
 
         for tag in (TripartiteClass.C000, TripartiteClass.C01_PSI23):
@@ -291,6 +328,67 @@ class TestClassifyCommand:
         report = json.loads(out)
         assert report["factor"]["position"] == 2
         assert report["factor"]["reduced_class"] == "0_1 Psi+_23"
+
+
+class TestTextReportsAndExitPaths:
+    def test_reduce_text_report(self, capsys, monkeypatch):
+        from slocc.tripartite import TripartiteClass, canonical_vector
+
+        text = format_state_text(canonical_vector(TripartiteClass.W))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "reduce", "-")
+        assert code == 0
+        lines = out.splitlines()
+        assert "class: W" in lines
+        for prefix in ("residual: ", "spectrum: W1^-1 @ W2 -> ", "F1: ", "F2: ", "F3: "):
+            assert sum(line.startswith(prefix) for line in lines) == 1, prefix
+
+    def test_4qubit_descriptor_text_report(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "classify", write_state(tmp_path, ghz_state(4)))
+        assert code == 0
+        lines = out.splitlines()
+        assert "class: GHZ4" in lines
+        assert "descriptor: 4q|dimW=2|generic=GHZ|exc=[000,000]" in lines
+        assert sum(line.startswith("exceptional_points: [") for line in lines) == 1
+
+    def test_4qubit_factor_text_report(self, tmp_path, capsys):
+        from slocc.tripartite import TripartiteClass, canonical_vector
+
+        w = canonical_vector(TripartiteClass.W).amps
+        path = write_state(tmp_path, make_state((2,) * 4, np.kron(w, [1, 0])))
+        code, out, _ = run(capsys, "classify", path)
+        assert code == 0
+        (factor,) = [line for line in out.splitlines() if line.startswith("factor: ")]
+        assert factor.startswith("factor: qubit 4, vector ")
+        assert factor.endswith(", reduced class W")
+
+    def test_tolerance_out_of_range_exits_2(self, tmp_path, capsys):
+        path = write_state(tmp_path, make_state([2, 2], [1, 0, 0, 1]))
+        code, out, err = run(capsys, "classify", path, "--tol", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: rank_rel_tol must lie strictly between 0 and 1")
+
+    def test_pivot_out_of_range_exits_2(self, tmp_path, capsys):
+        from slocc.tripartite import TripartiteClass, canonical_vector
+
+        path = write_state(tmp_path, canonical_vector(TripartiteClass.GHZ))
+        code, out, err = run(capsys, "classify", path, "--pivot", "5")
+        assert code == 2 and out == ""
+        assert err == "error: pivot 5 out of range 1..3\n"
+
+    def test_decision_error_exits_2(self, tmp_path, capsys):
+        path = write_state(tmp_path, make_state([2, 2, 2], [1, 0, 0, 0.5, 0, 0.05, 0, 0]))
+        code, out, err = run(capsys, "classify", path, "--tol", "0.501")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ranks (1, 1, 2)")
+
+    def test_canonical_json_pipes_into_json_in(self, capsys, monkeypatch):
+        code, text, _ = run(capsys, "canonical", "GHZ", "--json")
+        assert code == 0 and json.loads(text)["label"] == "GHZ"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "classify", "-", "--json-in", "--json")
+        report = json.loads(out)
+        assert code == 0 and report["label"] == "GHZ" and report["class"] == "GHZ"
 
 
 class TestCanonicalCommand:

@@ -7,6 +7,7 @@ import pytest
 
 import slocc.multiqubit
 import slocc.numerics
+from _kit import RandomSource, random_ilo
 from conftest import random_complex
 from slocc.errors import (
     ArityMismatch,
@@ -26,7 +27,6 @@ from slocc.multiqubit import (
     same_broad_class,
 )
 from slocc.states import apply_local_operators, coefficient_matrix, make_state
-from slocc.testkit import RandomSource, random_ilo
 from slocc.tripartite import TripartiteClass, canonical_vector, classify3
 
 GHZ4 = ghz_state(4)
@@ -138,7 +138,8 @@ class TestGenericProbe:
             descriptor(GHZ4)
 
     def test_farthest_probe_matches_chordal_reference(self):
-        from slocc.multiqubit import _PROBES, _chordal_distance, _generic_point, _unit_point
+        from _kit import _chordal_distance
+        from slocc.multiqubit import _PROBES, _generic_point, _unit_point
 
         g = RandomSource(610).generator()
         assert np.array_equal(_generic_point([]), _PROBES[0])
@@ -363,7 +364,8 @@ def _reference_rank_drop_candidates(w1, w2, n_sub, pol):
 
 
 def _reference_merge(candidates):
-    from slocc.multiqubit import _MERGE_DISTANCE, _chordal_distance
+    from _kit import _chordal_distance
+    from slocc.multiqubit import _MERGE_DISTANCE
 
     merged = []
     for cand in candidates:

@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slocc.numerics
+from _kit import RandomSource, eig2, is_degenerate
 from slocc.errors import EmptySpectrum, NonFinite, SingularMatrix
 from slocc.numerics import (
     SvdResult,
     TolerancePolicy,
-    eig2,
     inv2,
-    is_degenerate,
     numerical_rank,
     svd,
 )
-from slocc.testkit import RandomSource
 
 finite_complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _kit import RandomSource, random_ilo
 from conftest import random_complex, rel_err
 from slocc.errors import BadPivot, DimensionMismatch, NonFinite, SingularOperator, ZeroState
 from slocc.states import (
@@ -14,7 +15,6 @@ from slocc.states import (
     permute_subsystems,
     pivot_index,
 )
-from slocc.testkit import RandomSource, random_ilo
 from slocc.tripartite import TripartiteClass, canonical_vector
 
 GATHER_DIMS = [(2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (3, 2), (2, 3, 4)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _kit import RandomSource
 from conftest import orbit_state, random_complex
 from slocc.errors import DependentGenerators, NonFinite, ZeroVector
 from slocc.numerics import svd
@@ -16,7 +17,6 @@ from slocc.subspaces import (
     slice_matrix,
     unslice,
 )
-from slocc.testkit import RandomSource
 from slocc.tripartite import TripartiteClass
 
 E11 = np.array([1, 0, 0, 0], dtype=complex)  # e1 (x) e1

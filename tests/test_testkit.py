@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _kit import MANY, RandomSource, brute_product_count, random_ilo, random_state
 from slocc.errors import DependentGenerators
 from slocc.subspaces import RootKind, product_roots, slice_matrix
-from slocc.testkit import MANY, RandomSource, brute_product_count, random_ilo, random_state
 from slocc.tripartite import TripartiteClass, classify3
 
 KIND_TO_COUNT = {

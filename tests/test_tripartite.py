@@ -5,6 +5,7 @@ import pytest
 
 import slocc.subspaces
 import slocc.tripartite
+from _kit import RandomSource, eig2, random_ilo
 from conftest import orbit_state, random_complex, up_to_scale
 from slocc.errors import (
     EmptySpectrum,
@@ -15,7 +16,7 @@ from slocc.errors import (
     WrongArity,
 )
 from slocc.multiqubit import hyperdeterminant
-from slocc.numerics import TolerancePolicy, eig2, inv2, svd
+from slocc.numerics import TolerancePolicy, inv2, svd
 from slocc.states import (
     PureState,
     apply_local_operators,
@@ -32,7 +33,6 @@ from slocc.subspaces import (
     slice_matrix,
     span_structure,
 )
-from slocc.testkit import RandomSource, random_ilo
 from slocc.tripartite import (
     TripartiteClass,
     canonical_vector,
@@ -615,3 +615,40 @@ class TestSpectrumOnFirstAccess:
             for report in (classify3(state), reduce_to_canonical(state)[0]):
                 assert report.tag is tag and report.spectrum_used is None
         assert calls == []
+
+
+class TestReportEquality:
+    """Reports are values: equal readings compare equal and hash alike."""
+
+    def test_reports_of_one_state_are_equal_and_hash_alike(self):
+        reports = []
+        for tag in TripartiteClass:
+            orbit, _ = orbit_state(tag, RandomSource(5400))
+            for state in (canonical_vector(tag), orbit):
+                first = classify3(state)
+                again = classify3(make_state(state.dims, state.amps.copy()))
+                assert first is not again and first.tag is tag
+                assert first == again and hash(first) == hash(again)
+                assert first.structure == again.structure
+                assert hash(first.structure) == hash(again.structure)
+                reports.append(first)
+        for a in reports:
+            for b in reports:
+                if a.tag is not b.tag:
+                    assert a != b and a.structure != b.structure
+
+    def test_structure_equality_reads_the_arrays(self):
+        w = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        line = SubspaceStructure(StructureTag.PRODUCT_LINE, (w,))
+        assert line == SubspaceStructure(StructureTag.PRODUCT_LINE, (w.copy(),))
+        assert line != SubspaceStructure(StructureTag.PRODUCT_LINE, (2 * w,))
+        assert line != SubspaceStructure(StructureTag.PRODUCT_LINE, (w, w))
+        assert line != SubspaceStructure(StructureTag.PRODUCT_LINE)
+        assert line != SubspaceStructure(StructureTag.LEFT_FACTOR, factor=w[:2])
+        assert line != "ProductLine"
+        negative_zero = SubspaceStructure(StructureTag.PRODUCT_LINE, (np.array([1, -0.0, 0, 0j]),))
+        assert line == negative_zero and hash(line) == hash(negative_zero)
+        factor = SubspaceStructure(StructureTag.LEFT_FACTOR, factor=w[:2])
+        assert factor == SubspaceStructure(StructureTag.LEFT_FACTOR, factor=w[:2].copy())
+        assert factor != SubspaceStructure(StructureTag.LEFT_FACTOR, factor=w[1::-1])
+        assert factor != SubspaceStructure(StructureTag.RIGHT_FACTOR, factor=w[:2])
