@@ -60,13 +60,14 @@ class SvdResult:
 
     @cached_property
     def residual(self) -> float:
-        e = _exponent(self.matrix)  # Q and sigma scaled by 2**-e: no norm under- or overflows
-        q = _ldexp(self.matrix, -e)
+        # Q and sigma scaled by 2**-e: no norm under- or overflows
+        f = math.ldexp(1.0, -_exponent(self.matrix.ravel().tolist()))
+        q = self.matrix * f
         norm = np.linalg.norm(q)
         if norm == 0.0:
             return 0.0
         k = self.sigma.size
-        recon = (self.V[:, :k] * np.ldexp(self.sigma, -e)) @ self.W[:, :k].conj().T
+        recon = (self.V[:, :k] * (self.sigma * f)) @ self.W[:, :k].conj().T
         return float(np.linalg.norm(q - recon) / norm)
 
 
@@ -131,22 +132,15 @@ def det2(m) -> complex:
     return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
-def _exponent(m) -> int:
-    """Binary exponent e with every real and imaginary part of m below 2**e in size."""
-    return math.frexp(max(max(abs(z.real), abs(z.imag)) for z in m.ravel().tolist()))[1]
-
-
-def _ldexp(m, e: int) -> np.ndarray:
-    """Complex m times 2**e in m's memory order, exact in every part that stays normal."""
-    if e == 0:
-        return m
-    if m.flags.f_contiguous and not m.flags.c_contiguous:
-        return _ldexp(m.T, e).T
-    return np.ldexp(np.ascontiguousarray(m).view(float), e).view(complex)
+def _exponent(parts) -> int:
+    """Binary exponent e with every real and imaginary part below 2**e in size, at
+    least -1023 so that 2**-e is finite: scaling by 2**-e is exact in every part
+    that stays normal."""
+    return max(math.frexp(max(max(abs(z.real), abs(z.imag)) for z in parts))[1], -1023)
 
 
 def inv2(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Adjugate-over-determinant inverse of a 2x2 matrix.
+    """Adjugate-over-determinant inverse of a 2x2 matrix, in Python complex scalars.
 
     Raises :class:`SingularMatrix` when |det| is at most ``rank_rel_tol``
     times the squared Frobenius norm, a test independent of the matrix scale,
@@ -155,15 +149,17 @@ def inv2(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     largest real or imaginary part in [0.5, 1): the scaling is exact, so
     neither |det| nor the norm under- or overflows at any scale.
     """
-    m = np.asarray(matrix, dtype=complex)
-    e = _exponent(m)
-    m = _ldexp(m, -e)
-    det = det2(m)
-    scale = np.linalg.norm(m) ** 2
+    parts = np.asarray(matrix, dtype=complex).ravel().tolist()
+    e = _exponent(parts)
+    f = math.ldexp(1.0, -e)
+    p, q, r, s = (z * f for z in parts)
+    det = p * s - q * r
+    scale = abs(p) ** 2 + abs(q) ** 2 + abs(r) ** 2 + abs(s) ** 2
     if abs(det) <= pol.rank_rel_tol * scale:
         with np.errstate(over="ignore"):  # report the unscaled values
             det_abs, scale = np.ldexp([abs(det), scale], 2 * e)
         raise SingularMatrix(f"|det| = {det_abs:.3e} at matrix scale {scale:.3e}")
     if math.frexp(abs(det))[1] + e < -1022:  # |inverse| < 2^(0.5-e)/|det| may pass 2^1024
         raise SingularMatrix(f"inverse outside the float range, entries below 2^{e}")
-    return _ldexp(np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det, -e)
+    g = f / det  # the inverse of the unscaled matrix is adj(m * 2**-e) * 2**-e / det
+    return np.array([[s * g, -q * g], [-r * g, p * g]])

@@ -12,12 +12,13 @@ analysis exhaustive.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DependentGenerators, DimensionMismatch, NonFinite, ToleranceBreakdown, ZeroVector
-from .numerics import DEFAULT_POLICY, TolerancePolicy, det2, numerical_rank, svd
+from .numerics import DEFAULT_POLICY, TolerancePolicy, det2, numerical_rank
 
 _EPS = 1e-13
 
@@ -149,41 +150,49 @@ def pencil_quadratic(W1, W2) -> tuple[complex, complex, complex]:
     return a, b, c
 
 
-def product_roots(W1, W2, pol: TolerancePolicy = DEFAULT_POLICY) -> RootReport:
+def product_roots(
+    W1, W2, pol: TolerancePolicy = DEFAULT_POLICY, zero_tol: float | None = None
+) -> RootReport:
     """Classify the product directions of span{w1, w2} from the slice pencil.
 
-    An identically vanishing pencil (all three quadratic coefficients below
-    tolerance at the spans' scale) means every vector of the span is a
-    product vector.
+    An identically vanishing pencil (all three quadratic coefficients at most
+    ``zero_tol``, by default ``rank_rel_tol`` at the spans' scale) means every
+    vector of the span is a product vector. A caller whose ranks already rule
+    that out passes ``zero_tol=0``, so the pencil is read on its own scale.
     """
     W1 = np.asarray(W1, dtype=complex)
     W2 = np.asarray(W2, dtype=complex)
     _check_independent(unslice(W1), unslice(W2), pol)
     a, b, c = pencil_quadratic(W1, W2)
-    scale = (np.linalg.norm(W1) + np.linalg.norm(W2)) ** 2
-    kind, roots = projective_quadratic_roots(
-        a, b, c, zero_tol=pol.rank_rel_tol * scale, deg_tol=pol.deg_tol
-    )
+    if zero_tol is None:
+        zero_tol = pol.rank_rel_tol * (np.linalg.norm(W1) + np.linalg.norm(W2)) ** 2
+    kind, roots = projective_quadratic_roots(a, b, c, zero_tol=zero_tol, deg_tol=pol.deg_tol)
     return RootReport(kind=kind, roots=roots, coeffs=(a, b, c))
 
 
-def product_factors(w, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
-    """Split a (near-)product 4-vector as a (x) b with a of unit norm."""
-    S = slice_matrix(w)
-    res = svd(S)
-    b = res.sigma[0] * res.V[:, 0]
-    a = res.W[:, 0].conj()
-    return a, b
+def product_factors(w) -> tuple[np.ndarray, np.ndarray]:
+    """Split a (near-)product 4-vector as a (x) b with a of unit norm.
+
+    The 2x2 matrix m = a b^T of a product vector has rank 1, so a is its
+    largest column over that column's norm and b = a^dagger m.
+    """
+    p, q, r, s = np.asarray(w, dtype=complex).reshape(-1).tolist()
+    n0, n1 = math.hypot(abs(p), abs(r)), math.hypot(abs(q), abs(s))  # column norms of m
+    x, y, n = (p, r, n0) if n0 >= n1 else (q, s, n1)
+    if n == 0.0:
+        raise ZeroVector("the zero vector has no product factors")
+    x, y = x / n, y / n
+    b = [x.conjugate() * p + y.conjugate() * r, x.conjugate() * q + y.conjugate() * s]
+    return np.array([x, y]), np.array(b)
 
 
 def orthogonal_complement(v) -> np.ndarray:
     """Unit vector orthogonal to a nonzero 2-vector."""
-    v = np.asarray(v, dtype=complex)
-    out = np.array([-np.conj(v[1]), np.conj(v[0])])
-    n = np.linalg.norm(out)
+    v0, v1 = np.asarray(v, dtype=complex).reshape(-1).tolist()
+    n = math.hypot(abs(v0), abs(v1))
     if n == 0.0:
         raise ZeroVector("cannot complement the zero vector")
-    return out / n
+    return np.array([-v1.conjugate() / n, v0.conjugate() / n])
 
 
 def _overlap(x, y) -> float:
@@ -228,7 +237,7 @@ def span_structure(
     """
     if report.kind is RootKind.INFINITELY_MANY:
         samples = (v1, v2, v1 + v2)
-        factors = [product_factors(s, pol) for s in samples]
+        factors = [product_factors(s) for s in samples]
         lefts = [f[0] for f in factors]
         rights = [f[1] for f in factors]
         left_common = min(_overlap(lefts[0], lefts[1]), _overlap(lefts[0], lefts[2]))
@@ -267,9 +276,7 @@ class AdaptedSpanBasis:
     leak: float
 
 
-def one_product_span_basis(
-    w1, w2, witness, pol: TolerancePolicy = DEFAULT_POLICY
-) -> AdaptedSpanBasis:
+def one_product_span_basis(w1, w2, witness) -> AdaptedSpanBasis:
     """Adapted basis of a OneProductPlusEntangled span around its witness.
 
     Projects the span's complement of the witness onto the product basis
@@ -281,25 +288,23 @@ def one_product_span_basis(
     v1 = np.asarray(w1, dtype=complex).reshape(-1)
     v2 = np.asarray(w2, dtype=complex).reshape(-1)
     g = np.asarray(witness, dtype=complex).reshape(-1)
-    ng = np.linalg.norm(g)
-    if ng == 0.0:
-        raise ZeroVector("witness must be nonzero")
-    ghat = g / ng
-    a, b = product_factors(g, pol)
+    a, b = product_factors(g)  # raises ZeroVector for a zero witness
+    ghat = g / np.linalg.norm(g)
     b = b / np.linalg.norm(b)
     a_perp = orthogonal_complement(a)
     b_perp = orthogonal_complement(b)
 
     h1 = v1 - np.vdot(ghat, v1) * ghat
     h2 = v2 - np.vdot(ghat, v2) * ghat
-    h = h1 if np.linalg.norm(h1) >= np.linalg.norm(h2) else h2
+    h = h1 if np.vdot(h1, h1).real >= np.vdot(h2, h2).real else h2
     nh = np.linalg.norm(h)
     if nh == 0.0:
         raise DependentGenerators("span collapses onto the witness")
 
-    # coordinates of h on the product vectors a (x) b_perp, a_perp (x) b, a_perp (x) b_perp
-    pairs = ((a, b_perp), (a_perp, b), (a_perp, b_perp))
-    b01, b10, b11 = (complex(np.vdot(np.outer(x, y).ravel(), h)) for x, y in pairs)
+    # coordinates x^dagger H conj(y) of h on the product vectors x (x) y over x in
+    # {a, a_perp} and y in {b, b_perp}, with H the 2x2 matrix of h
+    coords = np.array([a, a_perp]).conj() @ h.reshape(2, 2) @ np.array([b, b_perp]).T.conj()
+    (_, b01), (b10, b11) = coords.tolist()
     leak = abs(b11) / nh
     if abs(b01) <= _EPS * nh or abs(b10) <= _EPS * nh:
         raise ToleranceBreakdown(

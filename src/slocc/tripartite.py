@@ -11,9 +11,15 @@ det(alpha*W1 + beta*W2), which is the same predicate evaluated without the
 square-root noise amplification of an explicit eigenvalue gap (see the
 module tests for the fixture table).
 
-The reduction constructs one invertible operator per qubit sending the span
-witnesses to computational basis vectors; the pivot operator is the inverse
-of the generator-mixing matrix composed with diag(1/sigma_k) V^dagger.
+The reduction builds one invertible operator per qubit from the numbers the
+decision holds, with no least-squares solve and no further SVD. A factored
+qubit's operator sends its rank-1 pivot's factor to e1. Otherwise F2 and F3
+send targets t1, t2 to computational basis vectors, and with u_k = conj(w_k) =
+M[k, 0] t1 + M[k, 1] t2 the pivot operator is F1 = M^-1 diag(1/sigma) V^dagger.
+For GHZ the targets are the conjugated witnesses, so M^-1 = R^T and
+F1 = R^T diag(1/sigma) V^dagger with R = conj([[alpha_1, alpha_2],
+[beta_1, beta_2]]) over the pencil roots. For 0_2, 0_3 and W the targets are
+orthogonal, so M^T = diag(1/|t_j|^2) [t1 t2]^dagger [u1 u2].
 """
 
 from __future__ import annotations
@@ -46,14 +52,11 @@ from .subspaces import (
     StructureTag,
     SubspaceStructure,
     one_product_span_basis,
-    orthogonal_complement,
     product_factors,
     product_roots,
     slice_matrix,
     span_structure,
 )
-
-_DET_GUARD = 1e-12
 
 
 class TripartiteClass(enum.Enum):
@@ -161,9 +164,10 @@ def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationRe
             f"ranks {ranks}: exactly two pivots read rank 1, impossible for a valid state"
         )
     else:
-        # the slice pencil decides GHZ (two roots) against W (one double root)
+        # the slice pencil decides GHZ (two roots) against W (one double root); the ranks
+        # already rule out a factor, so only an exactly vanishing pencil reads as one
         W1, W2 = slice_matrix(w1), slice_matrix(w2)
-        roots = product_roots(W1, W2, pol)
+        roots = product_roots(W1, W2, pol, zero_tol=0.0)
         if roots.kind is RootKind.INFINITELY_MANY:
             raise ToleranceBreakdown(
                 "pencil determinant vanishes identically although all pivots read rank 2"
@@ -208,60 +212,54 @@ def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
     return SpectrumInfo(product, tuple(sorted(lams, key=abs, reverse=True)))
 
 
-def _onto_e1(v, pol: TolerancePolicy) -> np.ndarray:
-    """Invertible 2x2 operator sending v to the first basis vector."""
-    return inv2(np.column_stack((v, orthogonal_complement(v))), pol)
+def _onto_e1(v) -> np.ndarray:
+    """Unitary [[conj v0, conj v1], [-v1, v0]] sending the unit vector v = (v0, v1) to e1."""
+    v0, v1 = v.tolist()
+    return np.array([[v0.conjugate(), v1.conjugate()], [-v1, v0]])
 
 
 def _reducing_operators(report: ClassificationReport, svds, pol: TolerancePolicy):
     """F1, F2, F3 sending the state to the canonical vector of its class.
 
     ``svds`` are the three pivot SVDs. A factored qubit p is a rank-1 pivot,
-    and F_p sends its factor ``svds[p-1].V[:, 0]`` to e1; otherwise F2 and
-    F3 send the span witnesses to computational basis vectors. With
-    u_k = M[k, 0] t1 + M[k, 1] t2 over the target product vectors t_j, the
-    pivot operator is F1 = M^-1 diag(1/sigma) V^dagger: only the mixing
-    matrix M is inverted, and M does not carry the scale of the state.
+    and F_p sends its factor ``svds[p-1].V[:, 0]`` to e1. Otherwise F2 and F3
+    send the targets t_j to computational basis vectors, and F1 is read from
+    the pencil roots (GHZ, F1 = R^T diag(1/sigma) V^dagger) or from orthogonal
+    targets (0_2, 0_3, W): there F1 = (V diag(sigma) M)^-1 with
+    V diag(sigma) M = C conj(T) diag(1/|t_j|^2), the pivot matrix C in the
+    coordinates of T = [t1 t2]. See the module docstring for R and M.
     """
     tag = report.tag
     res = svds[0]
     U = res.W[:, :2].conj()  # columns u1, u2
-    u1, u2 = U.T
     if tag is TripartiteClass.C000:
-        f2, f3 = (_onto_e1(pivot.V[:, 0], pol) for pivot in svds[1:])
+        f2, f3 = (_onto_e1(pivot.V[:, 0]) for pivot in svds[1:])
     elif tag is TripartiteClass.C01_PSI23:
-        part = svd(u1.reshape(2, 2))
-        if part.sigma[1] <= _DET_GUARD * part.sigma[0]:
-            raise ReductionFailed("pair part of the state is numerically a product")
-        f2 = np.diag(1.0 / part.sigma[:2]) @ part.V.conj().T
-        f3 = part.W.T.copy()
+        # the pair part u1 = vec(P) reaches e1 (x) e1 + e2 (x) e2 under P^-1 (x) 1
+        f2, f3 = inv2(U[:, 0].reshape(2, 2), pol), np.eye(2, dtype=complex)
     if report.ranks[0] == 1:  # 000 or 0_1: V^dagger / sigma_1 scales both directions alike
         return res.V.conj().T / res.sigma[0], f2, f3
 
-    if tag is TripartiteClass.C02_PSI13:
-        a = svds[1].V[:, 0]
-        t1, t2 = np.outer(a, [1, 0]).ravel(), np.outer(a, [0, 1]).ravel()
-        f2, f3 = _onto_e1(a, pol), np.eye(2, dtype=complex)
-    elif tag is TripartiteClass.C03_PSI12:
-        b = svds[2].V[:, 0]
-        t1, t2 = np.outer([1, 0], b).ravel(), np.outer([0, 1], b).ravel()
-        f2, f3 = np.eye(2, dtype=complex), _onto_e1(b, pol)
-    elif tag is TripartiteClass.GHZ:
+    if tag is TripartiteClass.GHZ:
         # the witnesses span {w1, w2}; conjugation carries them to span {u1, u2}
-        t1, t2 = (w.conj() for w in report.structure.witnesses)
-        a1, b1 = product_factors(t1, pol)
-        a2, b2 = product_factors(t2, pol)
+        (a1, b1), (a2, b2) = (product_factors(w.conj()) for w in report.structure.witnesses)
         f2 = inv2(np.column_stack((a1, a2)), pol)
         f3 = inv2(np.column_stack((b1, b2)), pol)
-    else:  # W class
-        basis = one_product_span_basis(u1, u2, report.structure.witnesses[0].conj(), pol)
-        t1 = basis.entangled
-        t2 = np.outer(basis.left, basis.right).ravel()
-        f2 = inv2(np.column_stack((basis.left, basis.left_comp)), pol)
-        f3 = inv2(np.column_stack((basis.right, basis.right_comp)), pol)
-    M = np.linalg.lstsq(np.column_stack((t1, t2)), U, rcond=None)[0].T
-    f1 = (inv2(M, pol) / res.sigma[:2]) @ res.V.conj().T
-    return f1, f2, f3
+        RT = np.array(report.pencil[0].roots).conj()  # row j: conj(alpha_j, beta_j)
+        return (RT / res.sigma[:2]) @ res.V.conj().T, f2, f3
+    C = res.matrix
+    if tag is TripartiteClass.C02_PSI13:  # t_j = a (x) e_j with |a| = 1
+        a = svds[1].V[:, 0]
+        return inv2(a.conj() @ C.reshape(2, 2, 2), pol), _onto_e1(a), np.eye(2, dtype=complex)
+    if tag is TripartiteClass.C03_PSI12:  # t_j = e_j (x) b with |b| = 1
+        b = svds[2].V[:, 0]
+        return inv2(C.reshape(2, 2, 2) @ b.conj(), pol), np.eye(2, dtype=complex), _onto_e1(b)
+    # W class: t1 = a (x) b' + a' (x) b and t2 = a (x) b
+    basis = one_product_span_basis(U[:, 0], U[:, 1], report.structure.witnesses[0].conj())
+    f2 = inv2(np.column_stack((basis.left, basis.left_comp)), pol)
+    f3 = inv2(np.column_stack((basis.right, basis.right_comp)), pol)
+    T = np.column_stack((basis.entangled, np.outer(basis.left, basis.right).ravel())).conj()
+    return inv2((C @ T) / (T.real**2 + T.imag**2).sum(axis=0), pol), f2, f3
 
 
 def reduce_to_canonical(

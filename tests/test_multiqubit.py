@@ -26,12 +26,16 @@ from slocc.multiqubit import (
     hyperdeterminant,
     same_broad_class,
 )
+from slocc.numerics import TolerancePolicy
 from slocc.states import apply_local_operators, coefficient_matrix, make_state
 from slocc.tripartite import TripartiteClass, canonical_vector, classify3
 
 GHZ4 = ghz_state(4)
 CLUSTER = cluster_state_4()
 CENSUS_TABLE = json.loads((Path(__file__).with_name("data") / "census4.json").read_text())
+BREAKDOWN_CASES = json.loads(
+    (Path(__file__).with_name("data") / "tolerance_breakdown4.json").read_text()
+)
 
 
 def four_qubit_orbit(state, src, cond_cap=1e3):
@@ -477,3 +481,18 @@ class TestExceptionalPointOrder:
     @pytest.mark.parametrize("state", [GHZ4, CLUSTER], ids=["GHZ4", "cluster"])
     def test_basis_points(self, state):
         assert descriptor(state).exceptional_points == ((0, 1), (1, 0))
+
+
+class TestLooseToleranceAtFullRank:
+    """At ranks (2, 2, 2) a line point's slice pencil vanishes only when it is
+    exactly zero: the ranks already ruled out a factor. Under the command
+    line's --tol 1e-5 policy these 4-qubit orbit states once raised
+    ToleranceBreakdown at a line point."""
+
+    @pytest.mark.parametrize("case", BREAKDOWN_CASES, ids=[c["case"] for c in BREAKDOWN_CASES])
+    def test_descriptor_keeps_its_signature(self, case):
+        amps = [complex(re, im) for re, im in case["amps"]]
+        state = make_state((2,) * 4, amps)
+        assert descriptor(state).signature() == case["signature"]
+        loose = TolerancePolicy(rank_rel_tol=1e-5, deg_tol=1e-4)
+        assert descriptor(state, loose).signature() == case["signature"]

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slocc.numerics
-from _kit import RandomSource, eig2, is_degenerate
+from _kit import RandomSource, eig2, is_degenerate, random_ilo
+from conftest import random_complex
 from slocc.errors import EmptySpectrum, NonFinite, SingularMatrix
 from slocc.numerics import (
     SvdResult,
@@ -410,6 +411,25 @@ class TestInv2:
             warnings.simplefilter("error")
             with pytest.raises(SingularMatrix):
                 inv2(scale * np.array([[1, 2], [2, 4 + 1e-12]]))
+
+    def test_agrees_with_numpy_inverse(self):
+        # random ILOs (condition number <= 1e3) and matrices of every condition number up
+        # to 1e3, at 2^k for k in {-1000, -500, 0, 500, 1000}; both inverses carry an error
+        # of order eps * cond, which passes 1e-14 from cond ~ 45 up
+        g = RandomSource(91).generator()
+        mats = [random_ilo(2, RandomSource(90).split(t), 1e3) for t in range(200)]
+        for _ in range(200):
+            q1, q2 = (np.linalg.qr(random_complex(g, 4).reshape(2, 2))[0] for _ in range(2))
+            mats.append(q1 @ np.diag([1.0, 10.0 ** -g.uniform(0.0, 3.0)]) @ q2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in mats:
+                s = np.linalg.svd(m, compute_uv=False)
+                bound = max(1e-14, np.finfo(float).eps * s[0] / s[1])
+                for k in (-1000, -500, 0, 500, 1000):
+                    mk = np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k)
+                    ref = np.linalg.inv(mk)
+                    assert np.abs(inv2(mk) - ref).max() <= bound * np.abs(ref).max(), k
 
     def test_inverse_outside_float_range_raises(self):
         with warnings.catch_warnings():

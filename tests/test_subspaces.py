@@ -171,3 +171,16 @@ class TestOneProductBasis:
             fa, fb = product_factors(w)
             assert np.linalg.norm(np.kron(fa, fb) - w) <= 1e-10 * np.linalg.norm(w)
             assert abs(np.linalg.norm(fa) - 1.0) <= 1e-12
+
+    def test_product_factors_split_near_products(self):
+        # relative noise of 1e-12 on a (x) b moves the split by about as much
+        g = RandomSource(36).generator()
+        for _ in range(200):
+            w = np.kron(random_complex(g, 2), random_complex(g, 2))
+            noise = random_complex(g, 4)
+            w = w + 1e-12 * np.linalg.norm(w) * noise / np.linalg.norm(noise)
+            fa, fb = product_factors(w)
+            assert np.linalg.norm(np.kron(fa, fb) - w) <= 1e-10 * np.linalg.norm(w)
+            assert abs(np.linalg.norm(fa) - 1.0) <= 1e-12
+        with pytest.raises(ZeroVector):
+            product_factors(np.zeros(4))

@@ -356,6 +356,23 @@ class TestScale:
                     with pytest.raises(ReductionFailed):
                         reduce_to_canonical(make_state([2, 2, 2], amps * 10.0**k))
 
+    @pytest.mark.parametrize("tag", [t for t, r in RANKS.items() if r[0] == 2])
+    def test_rank2_orbit_states_reduce_at_every_scale(self, tag):
+        # the scale enters only F1, as 1/sigma, so orbit states with two pivot-1 singular
+        # values reduce at every scale the operator dets can carry
+        states = [orbit_state(tag, RandomSource(4300 + trial))[0].amps for trial in range(20)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-140, 141, 20):
+                for amps in states:
+                    report, ilos = reduce_to_canonical(make_state([2, 2, 2], amps * 10.0**k))
+                    assert report.tag is tag, k
+                    assert ilos.residual <= 1e-8, k
+            for k in (-200, 200):  # |det F1| = 1/(sigma_1 sigma_2) up to a scale-free factor
+                for amps in states:
+                    with pytest.raises(ReductionFailed):
+                        reduce_to_canonical(make_state([2, 2, 2], amps * 10.0**k))
+
     def test_nan_residual_is_a_reduction_failure(self, monkeypatch):
         def nan_out(state, ops):
             return PureState(state.dims, np.full(8, np.nan, dtype=complex))
@@ -411,6 +428,28 @@ class TestBoundaryBehavior:
         state = make_state([2, 2, 2], amps)
         with pytest.raises(InconsistentRanks):
             classify3(state, TolerancePolicy(rank_rel_tol=0.501))
+
+    def test_full_rank_pencil_read_on_its_own_scale(self):
+        # 0_2 and 0_3 orbit states plus noise at 3x and 10x rank_rel_tol read ranks
+        # (2, 2, 2) under a loose policy; their pencil is small but nonzero, so they are GHZ
+        # and never a ToleranceBreakdown, which would re-read the rank distinction
+        full_rank = 0
+        for tol in (1e-6, 1e-5):
+            pol = TolerancePolicy(rank_rel_tol=tol, deg_tol=10 * tol)
+            for index, tag in enumerate((TripartiteClass.C02_PSI13, TripartiteClass.C03_PSI12)):
+                for trial in range(60):
+                    src = RandomSource(4400).split(index).split(trial)
+                    state, _ = orbit_state(tag, src)
+                    noise = random_complex(src.split(9).generator(), 8)
+                    size = (3.0, 10.0)[trial % 2] * tol * state.norm()
+                    amps = state.amps + size * noise / np.linalg.norm(noise)
+                    report = classify3(make_state([2, 2, 2], amps), pol)
+                    if report.ranks == (2, 2, 2):
+                        full_rank += 1
+                        assert report.tag is TripartiteClass.GHZ, (tol, tag, trial)
+                    else:
+                        assert report.tag is tag, (tol, tag, trial)
+        assert full_rank >= 200
 
     def test_reduction_failed_at_squeezed_tolerance(self):
         state = near_w_state(1e-9)
@@ -572,6 +611,34 @@ class TestMatchesReferenceFrontEnd:
                 assert report_fields(*unpack(report)) == expected
                 seen.add(report.tag)
         assert seen == set(TripartiteClass)
+
+
+class TestReductionFromDecisionNumbers:
+    """The reduction builds its operators from the SVDs and the pencil the
+    decision already computed: no further SVD and no least-squares solve."""
+
+    @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
+    def test_three_pivot_svds_and_no_lstsq(self, tag, monkeypatch):
+        calls, lstsq_calls, lstsq = [], [], np.linalg.lstsq
+
+        def counting(matrix):
+            calls.append(np.shape(matrix))
+            return svd(matrix)
+
+        def counting_lstsq(*args, **kwargs):
+            lstsq_calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        for module in (slocc.tripartite, slocc.subspaces):
+            monkeypatch.setattr(module, "svd", counting, raising=False)
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        for trial in range(20):
+            state, _ = orbit_state(tag, RandomSource(5500 + trial))
+            calls.clear()
+            report, ilos = reduce_to_canonical(state)
+            assert report.tag is tag and ilos.residual <= 1e-8
+            assert calls == [(2, 4)] * 3
+        assert lstsq_calls == []
 
 
 class TestSpectrumOnFirstAccess:
