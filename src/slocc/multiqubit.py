@@ -16,21 +16,23 @@ quadratic that zero all of its minors, and (for N = 4) the genuinely
 tripartite GHZ/W boundary is the root set of the degree-4 hyperdeterminant
 along the line. Rank-drop loci have measure zero, so sampling alone would
 miss them. Every other point of the line carries the generic class, which
-is read at one fixed probe point farthest from all candidates.
+is read at one fixed probe point farthest from all candidates. For N = 4
+the probe point and the merged candidates (or a one-dimensional line's
+generator) are decided in one batched :func:`classify3_tags` call.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
-from .numerics import DEFAULT_POLICY, TolerancePolicy, numerical_rank, svd
-from .states import PureState, coefficient_matrix, make_state, pivot_index
+from .numerics import DEFAULT_POLICY, TolerancePolicy, minor_ratios, numerical_rank, svd
+from .states import PureState, coefficient_matrix, make_state, minor_index
 from .subspaces import projective_quadratic_roots
-from .tripartite import classify3
+from .tripartite import classify3_tags
 
 # chordal distances of machine-identical points already read ~sqrt(eps)
 _MERGE_DISTANCE = 1e-6
@@ -115,31 +117,19 @@ def hyperdeterminant(amps) -> complex:
     return complex(d1 - 2.0 * d2 + 4.0 * d3)
 
 
-def _point_class(vec, n_sub: int, pol: TolerancePolicy, max_qubits: int) -> str:
-    v = np.asarray(vec, dtype=complex)
-    v = v / np.linalg.norm(v)
-    point = make_state((2,) * n_sub, v)
+def _point_classes(vecs, n_sub: int, pol: TolerancePolicy, max_qubits: int) -> list[str]:
+    """Class names of the (N-1)-qubit states in the rows of ``vecs``, scaled to unit norm
+    (np.linalg.norm's sums); for N = 4 in one :func:`classify3_tags` call."""
+    norms = [math.sqrt(x @ x + y @ y) for x, y in zip(vecs.real, vecs.imag)]
+    vecs = vecs / np.array(norms)[:, None]
     if n_sub == 3:
-        return classify3(point, pol).tag.value
-    return descriptor(point, pol, max_qubits=max_qubits).signature()
+        return [tag.value for tag in classify3_tags(vecs, pol)]
+    return [descriptor(make_state((2,) * n_sub, v), pol, max_qubits).signature() for v in vecs]
 
 
 def _unit_point(point):
     v = np.array(point, dtype=complex)
     return tuple(v / np.linalg.norm(v))
-
-
-@functools.lru_cache(maxsize=None)
-def _minor_index(n_sub: int) -> np.ndarray:
-    """Flat indices (4, n_sub, n_minors) of A[0,p], A[1,q], A[0,q], A[1,p].
-
-    A is each pivot's coefficient matrix, its column pairs p < q in triu_indices order.
-    """
-    mats = np.stack([pivot_index((2,) * n_sub, k) for k in range(1, n_sub + 1)])
-    p, q = np.triu_indices(mats.shape[2], 1)
-    index = np.stack([mats[:, 0, p], mats[:, 1, q], mats[:, 0, q], mats[:, 1, p]])
-    index.flags.writeable = False
-    return index
 
 
 def _rank_drop_candidates(w1, w2, n_sub: int, pol: TolerancePolicy):
@@ -148,9 +138,9 @@ def _rank_drop_candidates(w1, w2, n_sub: int, pol: TolerancePolicy):
     Such a point zeroes every 2x2 minor of the pivot, so it is one of the
     roots of the pivot's largest minor quadratic that all its minors share.
     """
-    index = _minor_index(n_sub)
-    a0p, a1q, a0q, a1p = w1[index]
-    b0p, b1q, b0q, b1p = w2[index]
+    index = minor_index(n_sub)
+    (a0p, a0q), (a1p, a1q) = w1[index].reshape(n_sub, 2, 2, -1).transpose(1, 2, 0, 3)
+    (b0p, b0q), (b1p, b1q) = w2[index].reshape(n_sub, 2, 2, -1).transpose(1, 2, 0, 3)
     a = a0p * a1q - a0q * a1p
     c = b0p * b1q - b0q * b1p
     b = a0p * b1q + b0p * a1q - a0q * b1p - b0q * a1p
@@ -226,7 +216,7 @@ def descriptor(
     dim_w = numerical_rank(res.sigma, pol)
 
     if dim_w == 1:
-        line = _point_class(res.W[:, 0], n_sub, pol, max_qubits)
+        line = _point_classes(res.W[:, :1].T, n_sub, pol, max_qubits)[0]
         return StructureDescriptor(
             n_qubits=n,
             dim_w=1,
@@ -243,9 +233,9 @@ def descriptor(
         candidates.extend(_tangle_candidates(w1, w2))
 
     merged = _merge(candidates)
-    generic, *classes = (
-        _point_class(point[0] * w1 + point[1] * w2, n_sub, pol, max_qubits)
-        for point in (_generic_point(merged), *merged)
+    points = np.concatenate((_generic_point(merged)[None], merged))
+    generic, *classes = _point_classes(
+        points[:, :1] * w1 + points[:, 1:] * w2, n_sub, pol, max_qubits
     )
     keys = np.round(merged, 9).view(float).tolist()
     exceptional = sorted(
@@ -278,8 +268,9 @@ def factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
     """Detect a single-qubit tensor factor at a non-pivot position.
 
     Qubit p >= 2 factors out exactly when its coefficient matrix
-    ``coefficient_matrix(state, p)`` has numerical rank 1; the factor is
-    that matrix's first left singular vector. Returns
+    ``coefficient_matrix(state, p)`` has numerical rank 1, read from the
+    matrix's 2x2 minors; the factor is that matrix's first left singular
+    vector, so only a rank-1 pivot takes an SVD. Returns
     ``(p, factor, reduced_state)`` for the first such p whose factor
     rebuilds the state within ``residual_tol``, else ``None``. A
     pivot-qubit factor shows up as dim_w = 1 in :func:`descriptor`
@@ -288,11 +279,11 @@ def factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
     _require_qubits(state, 3)
     n = state.n_subsystems
     t = state.tensor()
-    for p in range(2, n + 1):
-        res = svd(coefficient_matrix(state, p).entries)
-        if numerical_rank(res.sigma, pol) != 1:
+    ratios = minor_ratios(state.amps, minor_index(n)[1:]).tolist()
+    for p, ratio in enumerate(ratios, start=2):
+        if ratio > pol.rank_rel_tol:
             continue
-        factor = res.V[:, 0]
+        factor = svd(coefficient_matrix(state, p).entries).V[:, 0]
         reduced = np.tensordot(factor.conj(), t, axes=(0, p - 1))
         rebuilt = np.moveaxis(np.tensordot(factor, reduced, axes=0), 0, p - 1)
         if np.linalg.norm(rebuilt - t) > pol.residual_tol * np.linalg.norm(t):

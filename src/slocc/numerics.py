@@ -79,13 +79,16 @@ def _lead_phase(col) -> complex:
     return 1.0
 
 
+def _phases(cols, null_rows) -> list:
+    """Phases of U's columns, then of W's null columns (rows of Vh are conjugated
+    columns of W)."""
+    return [*map(_lead_phase, cols), *(_lead_phase(row).conjugate() for row in null_rows)]
+
+
 def _svd_nonconvergence(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
-@np.errstate(
-    call=_svd_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
-)
 def svd(matrix) -> SvdResult:
     """SVD with a pinned phase convention so results are deterministic.
 
@@ -100,18 +103,34 @@ def svd(matrix) -> SvdResult:
     finite complex 2-d array here; on matrices this small numpy's per-call
     conversions and checks would add about half of LAPACK's own time.
     """
+    return _pinned_svd(matrix, 2)
+
+
+def svd_stack(matrices) -> SvdResult:
+    """:func:`svd` of a stack (B, m, n) in one LAPACK call: field row i is byte for byte
+    ``svd(matrices[i])``'s (``residual`` reads a single matrix only)."""
+    return _pinned_svd(matrices, 3)
+
+
+@np.errstate(
+    call=_svd_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+def _pinned_svd(matrix, ndim: int) -> SvdResult:
     a = np.array(matrix, dtype=complex)
-    if a.ndim != 2 or a.size == 0:
-        raise NonFinite(f"expected a nonempty 2-d matrix, got shape {a.shape}")
+    if a.ndim != ndim or a.size == 0:
+        raise NonFinite(f"expected a nonempty {ndim}-d array, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFinite("matrix contains non-finite entries")
 
     U, s, Vh = _lapack_svd(a, signature="D->DdD")
-    # phases of U's columns, then of W's null columns (rows of Vh are conjugated columns of W)
-    phases = [_lead_phase(col) for col in U.T.tolist()]
-    phases = np.array(phases + [_lead_phase(row).conjugate() for row in Vh[s.size :].tolist()])
-    V = U / phases[: len(U)]
-    W = Vh.conj().T / phases[: len(Vh)]
+    (m, n), k = a.shape[-2:], s.shape[-1]
+    if ndim == 2:
+        phases = np.array(_phases(U.T.tolist(), Vh[k:].tolist()))
+    else:  # one row of phases per matrix, broadcast over its rows
+        mats = zip(U.swapaxes(1, 2).tolist(), Vh[:, k:].tolist())
+        phases = np.array([_phases(cols, null) for cols, null in mats])[:, None]
+    V = U / phases[..., :m]
+    W = Vh.conj().swapaxes(-1, -2) / phases[..., :n]
     for arr in (a, V, W, s):
         arr.setflags(write=False)
     return SvdResult(V=V, sigma=s, W=W, matrix=a)
@@ -130,6 +149,29 @@ def numerical_rank(sigma, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
 def det2(m) -> complex:
     """Determinant of a 2x2 matrix."""
     return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
+def minor_ratios(amps, index) -> np.ndarray:
+    """sigma_2 / sigma_1 of the 2 x c pivot matrices A of each row of ``amps`` (..., 2c)
+    from their 2x2 minors, (..., P) for the P pivots of :func:`~slocc.states.minor_index`.
+
+    r = ||m|| / sigma_1^2 with sigma_1 sigma_2 = ||m|| over the minors m (Cauchy-Binet)
+    and sigma_1^2 = (tr G + sqrt((g11 - g22)^2 + 4 |g12|^2)) / 2 from G = A A^dagger,
+    which the gathered pairs hold c - 1 times: no cancellation, so the error is a few
+    eps, as an SVD's. Each row (finite, nonzero) is first scaled exactly by the power
+    of two that puts its largest modulus in [0.5, 1), so nothing under- or overflows.
+    """
+    a = np.asarray(amps, dtype=complex)
+    top = np.abs(a).max(axis=-1, keepdims=True)
+    # the mantissa of top over top is 2^-e, exactly; the floor keeps it finite
+    x = (a * (np.frexp(np.maximum(top, 2.0**-1022))[0] / top))[..., index]
+    half = index.shape[-1] // 2
+    m = x[..., 0, :half] * x[..., 1, half:] - x[..., 0, half:] * x[..., 1, :half]
+    g = np.vecdot(x, x).real
+    g11, g22 = g[..., 0], g[..., 1]
+    g12 = np.abs(np.vecdot(x[..., 1, :], x[..., 0, :]))
+    norm = np.sqrt(np.vecdot(m, m).real)
+    return (a.shape[-1] - 2) * norm / (g11 + g22 + np.hypot(g11 - g22, 2.0 * g12))
 
 
 def _exponent(parts) -> int:

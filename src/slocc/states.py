@@ -146,6 +146,18 @@ def pivot_index(dims: tuple[int, ...], pivot: int) -> np.ndarray:
     return index
 
 
+@functools.lru_cache(maxsize=None)
+def minor_index(n: int) -> np.ndarray:
+    """Read-only flat offsets (n, 2, 2M): [k - 1, r] is row r of the pivot-k matrix A at
+    the columns p, then q, of its M column pairs p < q, so A[0, p] A[1, q] - A[0, q] A[1, p]
+    are its 2x2 minors."""
+    mats = np.stack([pivot_index((2,) * n, k) for k in range(1, n + 1)])
+    p, q = np.triu_indices(mats.shape[2], 1)
+    index = np.concatenate((mats[:, :, p], mats[:, :, q]), axis=2)
+    index.flags.writeable = False
+    return index
+
+
 def coefficient_matrix(state: PureState, pivot: int) -> CoeffMatrix:
     """Matrix of the state for the partition pivot | rest (pivot is 1-based)."""
     n = state.n_subsystems

@@ -186,15 +186,6 @@ def product_factors(w) -> tuple[np.ndarray, np.ndarray]:
     return np.array([x, y]), np.array(b)
 
 
-def orthogonal_complement(v) -> np.ndarray:
-    """Unit vector orthogonal to a nonzero 2-vector."""
-    v0, v1 = np.asarray(v, dtype=complex).reshape(-1).tolist()
-    n = math.hypot(abs(v0), abs(v1))
-    if n == 0.0:
-        raise ZeroVector("cannot complement the zero vector")
-    return np.array([-v1.conjugate() / n, v0.conjugate() / n])
-
-
 def _overlap(x, y) -> float:
     nx = np.linalg.norm(x)
     ny = np.linalg.norm(y)
@@ -276,42 +267,43 @@ class AdaptedSpanBasis:
     leak: float
 
 
+def onto_e1(v) -> np.ndarray:
+    """Unitary [[conj v0, conj v1], [-v1, v0]] sending the unit vector v = (v0, v1) to e1."""
+    v0, v1 = v.tolist()
+    return np.array([[v0.conjugate(), v1.conjugate()], [-v1, v0]])
+
+
 def one_product_span_basis(w1, w2, witness) -> AdaptedSpanBasis:
-    """Adapted basis of a OneProductPlusEntangled span around its witness.
+    """Adapted basis of a OneProductPlusEntangled span around its witness a (x) b.
 
-    Projects the span's complement of the witness onto the product basis
-    built from the witness factors and their orthogonal complements; the
-    component on (left_comp (x) right_comp) must vanish, and the remaining
-    two cross coordinates are folded into the complements so the entangled
-    generator takes the symmetric form a (x) b' + a' (x) b.
+    With X = onto_e1(a) and Y = onto_e1(b) (a, b of unit norm; their rows are
+    a^dagger, a_perp^dagger and b^dagger, b_perp^dagger), X H Y^T holds a
+    generator's coordinates on the product basis {a, a_perp} (x) {b, b_perp}, H
+    its 2x2 matrix. The witness is coordinate (0, 0); of the generator farther
+    from it, coordinate (1, 1) must vanish (``leak``) and the cross ones fold
+    into the complements, so the entangled generator reads a (x) b' + a' (x) b.
     """
-    v1 = np.asarray(w1, dtype=complex).reshape(-1)
-    v2 = np.asarray(w2, dtype=complex).reshape(-1)
-    g = np.asarray(witness, dtype=complex).reshape(-1)
-    a, b = product_factors(g)  # raises ZeroVector for a zero witness
-    ghat = g / np.linalg.norm(g)
+    a, b = product_factors(witness)  # raises ZeroVector for a zero witness
     b = b / np.linalg.norm(b)
-    a_perp = orthogonal_complement(a)
-    b_perp = orthogonal_complement(b)
-
-    h1 = v1 - np.vdot(ghat, v1) * ghat
-    h2 = v2 - np.vdot(ghat, v2) * ghat
-    h = h1 if np.vdot(h1, h1).real >= np.vdot(h2, h2).real else h2
-    nh = np.linalg.norm(h)
-    if nh == 0.0:
+    (x0, x1), (x2, x3) = onto_e1(a).tolist()
+    (y0, y1), (y2, y3) = onto_e1(b).tolist()
+    best = -1.0
+    for w in (w1, w2):
+        p, q, r, s = np.asarray(w, dtype=complex).reshape(-1).tolist()
+        # X H Y^T for H = [[p, q], [r, s]], coordinates (0, 1), (1, 0) and (1, 1)
+        h00, h01, h10, h11 = p * y0 + q * y1, p * y2 + q * y3, r * y0 + s * y1, r * y2 + s * y3
+        c = (x0 * h01 + x1 * h11, x2 * h00 + x3 * h10, x2 * h01 + x3 * h11)
+        size = math.hypot(*map(abs, c))
+        if size > best:
+            best, (b01, b10, b11) = size, c
+    if best == 0.0:
         raise DependentGenerators("span collapses onto the witness")
-
-    # coordinates x^dagger H conj(y) of h on the product vectors x (x) y over x in
-    # {a, a_perp} and y in {b, b_perp}, with H the 2x2 matrix of h
-    coords = np.array([a, a_perp]).conj() @ h.reshape(2, 2) @ np.array([b, b_perp]).T.conj()
-    (_, b01), (b10, b11) = coords.tolist()
-    leak = abs(b11) / nh
-    if abs(b01) <= _EPS * nh or abs(b10) <= _EPS * nh:
+    if abs(b01) <= _EPS * best or abs(b10) <= _EPS * best:
         raise ToleranceBreakdown(
             "complement of the witness has no cross component; span is not of one-product type"
         )
-    right_comp = b01 * b_perp
-    left_comp = b10 * a_perp
+    right_comp = b01 * np.array([y2, y3]).conj()  # b01 b_perp
+    left_comp = b10 * np.array([x2, x3]).conj()  # b10 a_perp
     entangled = np.outer(a, right_comp).ravel() + np.outer(left_comp, b).ravel()
     return AdaptedSpanBasis(
         left=a,
@@ -319,5 +311,5 @@ def one_product_span_basis(w1, w2, witness) -> AdaptedSpanBasis:
         left_comp=left_comp,
         right_comp=right_comp,
         entangled=entangled,
-        leak=float(leak),
+        leak=abs(b11) / best,
     )

@@ -11,6 +11,12 @@ det(alpha*W1 + beta*W2), which is the same predicate evaluated without the
 square-root noise amplification of an explicit eigenvalue gap (see the
 module tests for the fixture table).
 
+Pivot 1's rank comes from its SVD, one stacked LAPACK call for a batch of
+states (:func:`classify3_tags`; :func:`classify3` is the batch of one).
+Pivots 2 and 3 read sigma_2 / sigma_1 from their 2x2 minors, taken in pivot
+1's singular basis; a pivot 2 or 3 takes an SVD only where it reads rank 1
+and its factor is wanted.
+
 The reduction builds one invertible operator per qubit from the numbers the
 decision holds, with no least-squares solve and no further SVD. A factored
 qubit's operator sends its rank-1 pivot's factor to e1. Otherwise F2 and F3
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +45,7 @@ from .errors import (
     ToleranceBreakdown,
     WrongArity,
 )
-from .numerics import DEFAULT_POLICY, TolerancePolicy, inv2, numerical_rank, svd
+from .numerics import DEFAULT_POLICY, SvdResult, TolerancePolicy, inv2, svd, svd_stack
 from .states import (
     LocalOperatorSet,
     PureState,
@@ -52,9 +59,9 @@ from .subspaces import (
     StructureTag,
     SubspaceStructure,
     one_product_span_basis,
+    onto_e1,
     product_factors,
     product_roots,
-    slice_matrix,
     span_structure,
 )
 
@@ -140,16 +147,91 @@ def classify3(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> Classi
     return _classify3(state, pol)[0]
 
 
-def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationReport, list]:
-    """:func:`classify3`, also returning the pivot-1, 2 and 3 SVDs for the reduction."""
+def classify3_tags(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[TripartiteClass]:
+    """Classes of the 3-qubit states in the rows of ``amps`` (B, 8), decided in one
+    batched call as :func:`classify3` decides each; the first row that fails raises
+    the error that :func:`make_state` or :func:`classify3` gives it alone."""
+    amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
+    valid = np.isfinite(amps).all(axis=1) & (amps != 0).any(axis=1)
+    n = len(amps) if valid.all() else int(valid.argmin())
+    tags = [reading[0] for reading in _decide(amps[:n], pol)[1]] if n else []
+    if n < len(amps):
+        make_state((2, 2, 2), amps[n])  # raises the row's NonFinite or ZeroState
+    return tags
+
+
+def _pivot_ratios(s1: float, s2: float, w1: list, w2: list) -> list[float]:
+    """sigma_2 / sigma_1 of the pivot-2 and pivot-3 matrices, read from pivot 1's SVD.
+
+    The state is sum_l s_l v_l (x) conj(w_l), so up to a unitary change of columns,
+    which keeps singular values, the pivot-2 matrix is conj([W1 | rho W2]) and the
+    pivot-3 matrix conj([W1^T | rho W2^T]), W_l = w_l.reshape(2, 2), rho = s2 / s1.
+    Each ratio is ||m|| / sigma_1^2 over the six 2x2 minors m (Cauchy-Binet), with
+    sigma_1^2 = (tr G + sqrt((g11 - g22)^2 + 4 |g12|^2)) / 2 from the Gram matrix G:
+    no cancellation, and no under- or overflow among unit-vector components.
+    """
+    rho = s2 / s1
+    v = [rho * z for z in w2]
+    dets = abs(w1[0] * w1[3] - w1[1] * w1[2]) ** 2 + abs(v[0] * v[3] - v[1] * v[2]) ** 2
+    ratios = []
+    for (i, j), (k, l) in (((0, 1), (2, 3)), ((0, 2), (1, 3))):  # rows of W_l, then of W_l^T
+        x0, x1, x2, x3, y0, y1, y2, y3 = w1[i], w1[j], v[i], v[j], w1[k], w1[l], v[k], v[l]
+        minors = dets + abs(x0 * y2 - x2 * y0) ** 2 + abs(x0 * y3 - x3 * y0) ** 2
+        minors += abs(x1 * y2 - x2 * y1) ** 2 + abs(x1 * y3 - x3 * y1) ** 2
+        g11 = abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2 + abs(x3) ** 2
+        g22 = abs(y0) ** 2 + abs(y1) ** 2 + abs(y2) ** 2 + abs(y3) ** 2
+        g12 = x0 * y0.conjugate() + x1 * y1.conjugate() + x2 * y2.conjugate()
+        g12 = abs(g12 + x3 * y3.conjugate())
+        ratios.append(2.0 * math.sqrt(minors) / (g11 + g22 + math.hypot(g11 - g22, 2.0 * g12)))
+    return ratios
+
+
+def _decide(amps, pol: TolerancePolicy):
+    """The stacked pivot-1 SVD of the finite, nonzero rows of ``amps`` (B, 8), and each
+    row's (tag, ranks, pencil) in order; the first failing row raises. Pivot 1's rank
+    comes from its SVD, pivots 2 and 3 from :func:`_pivot_ratios`; only ranks (2, 2, 2)
+    solve the slice pencil, ``pencil = (roots, W1, W2, pol)``."""
+    res = svd_stack(amps[:, _PIVOT_INDEX[0]])
+    tol = pol.rank_rel_tol
+    gens = res.W[:, :, :2].swapaxes(1, 2)  # w1, w2 of each row; slice_matrix(w) = w.reshape(2, 2).T
+    slices = np.ascontiguousarray(gens.reshape(-1, 2, 2, 2).swapaxes(2, 3))
+    readings = []
+    for (s1, s2), (w1, w2), (W1, W2) in zip(res.sigma.tolist(), gens.tolist(), slices):
+        r2, r3 = _pivot_ratios(s1, s2, w1, w2)
+        ranks = (1 + (s2 > tol * s1), 1 + (r2 > tol), 1 + (r3 > tol))
+        tag, pencil = _RANK_CLASS.get(ranks), None
+        if tag is None and ranks != (2, 2, 2):
+            raise InconsistentRanks(
+                f"ranks {ranks}: exactly two pivots read rank 1, impossible for a valid state"
+            )
+        if tag is None:
+            # the slice pencil decides GHZ (two roots) against W (one double root); the
+            # ranks already rule out a factor, so only an exactly vanishing pencil reads as one
+            roots = product_roots(W1, W2, pol, zero_tol=0.0)
+            if roots.kind is RootKind.INFINITELY_MANY:
+                raise ToleranceBreakdown(
+                    "pencil determinant vanishes identically although all pivots read rank 2"
+                )
+            tag = TripartiteClass.GHZ if roots.kind is RootKind.TWO_DISTINCT else TripartiteClass.W
+            pencil = (roots, W1, W2, pol)
+        readings.append((tag, ranks, pencil))
+    return res, readings
+
+
+def _classify3(
+    state: PureState, pol: TolerancePolicy, reduce: bool = False
+) -> tuple[ClassificationReport, list]:
+    """:func:`classify3`, also returning the pivot SVDs: pivot 1's, then pivot 2's and 3's
+    where the report (0_2, 0_3) or, with ``reduce``, the reduction reads their factor."""
     _require_three_qubits(state)
-    svds = [svd(state.amps[index]) for index in _PIVOT_INDEX]
-    ranks = tuple(numerical_rank(res.sigma, pol) for res in svds)
-    sigma = tuple(svds[0].sigma.tolist())
+    res, [(tag, ranks, pencil)] = _decide(state.amps[None], pol)
+    svds = [SvdResult(res.V[0], res.sigma[0], res.W[0], res.matrix[0])]
+    factored = reduce or tag is not TripartiteClass.C000  # 000 reads no factor until reduced
+    svds += [svd(state.amps[_PIVOT_INDEX[p]]) if factored and ranks[p] == 1 else None
+             for p in (1, 2)]
     w1, w2 = svds[0].W[:, 0], svds[0].W[:, 1]
 
-    pencil, near = None, False
-    tag = _RANK_CLASS.get(ranks)
+    near = False
     # a factored qubit is a rank-1 pivot; the conjugate of its factor lies in span{w1, w2}
     if tag is TripartiteClass.C000:
         structure = SubspaceStructure(tag=StructureTag.PRODUCT_LINE, witnesses=(w1.copy(),))
@@ -159,31 +241,17 @@ def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationRe
         structure = SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=svds[1].V[:, 0].conj())
     elif tag is TripartiteClass.C03_PSI12:
         structure = SubspaceStructure(tag=StructureTag.RIGHT_FACTOR, factor=svds[2].V[:, 0].conj())
-    elif ranks != (2, 2, 2):
-        raise InconsistentRanks(
-            f"ranks {ranks}: exactly two pivots read rank 1, impossible for a valid state"
-        )
     else:
-        # the slice pencil decides GHZ (two roots) against W (one double root); the ranks
-        # already rule out a factor, so only an exactly vanishing pencil reads as one
-        W1, W2 = slice_matrix(w1), slice_matrix(w2)
-        roots = product_roots(W1, W2, pol, zero_tol=0.0)
-        if roots.kind is RootKind.INFINITELY_MANY:
-            raise ToleranceBreakdown(
-                "pencil determinant vanishes identically although all pivots read rank 2"
-            )
-        tag = TripartiteClass.GHZ if roots.kind is RootKind.TWO_DISTINCT else TripartiteClass.W
-        a, b, c = roots.coeffs
+        a, b, c = pencil[0].coeffs
         s = max(abs(a), abs(b), abs(c))
         threshold = pol.deg_tol * s * s
         near = threshold / 100.0 < abs(b * b - 4.0 * a * c) <= threshold * 100.0
-        pencil = (roots, W1, W2, pol)
-        structure = span_structure(w1, w2, roots, pol)
+        structure = span_structure(w1, w2, pencil[0], pol)
 
     report = ClassificationReport(
         tag=tag,
         ranks=ranks,
-        sigma=sigma,
+        sigma=tuple(svds[0].sigma.tolist()),
         structure=structure,
         near_boundary=near,
         pencil=pencil,
@@ -212,12 +280,6 @@ def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
     return SpectrumInfo(product, tuple(sorted(lams, key=abs, reverse=True)))
 
 
-def _onto_e1(v) -> np.ndarray:
-    """Unitary [[conj v0, conj v1], [-v1, v0]] sending the unit vector v = (v0, v1) to e1."""
-    v0, v1 = v.tolist()
-    return np.array([[v0.conjugate(), v1.conjugate()], [-v1, v0]])
-
-
 def _reducing_operators(report: ClassificationReport, svds, pol: TolerancePolicy):
     """F1, F2, F3 sending the state to the canonical vector of its class.
 
@@ -233,7 +295,7 @@ def _reducing_operators(report: ClassificationReport, svds, pol: TolerancePolicy
     res = svds[0]
     U = res.W[:, :2].conj()  # columns u1, u2
     if tag is TripartiteClass.C000:
-        f2, f3 = (_onto_e1(pivot.V[:, 0]) for pivot in svds[1:])
+        f2, f3 = (onto_e1(pivot.V[:, 0]) for pivot in svds[1:])
     elif tag is TripartiteClass.C01_PSI23:
         # the pair part u1 = vec(P) reaches e1 (x) e1 + e2 (x) e2 under P^-1 (x) 1
         f2, f3 = inv2(U[:, 0].reshape(2, 2), pol), np.eye(2, dtype=complex)
@@ -250,10 +312,10 @@ def _reducing_operators(report: ClassificationReport, svds, pol: TolerancePolicy
     C = res.matrix
     if tag is TripartiteClass.C02_PSI13:  # t_j = a (x) e_j with |a| = 1
         a = svds[1].V[:, 0]
-        return inv2(a.conj() @ C.reshape(2, 2, 2), pol), _onto_e1(a), np.eye(2, dtype=complex)
+        return inv2(a.conj() @ C.reshape(2, 2, 2), pol), onto_e1(a), np.eye(2, dtype=complex)
     if tag is TripartiteClass.C03_PSI12:  # t_j = e_j (x) b with |b| = 1
         b = svds[2].V[:, 0]
-        return inv2(C.reshape(2, 2, 2) @ b.conj(), pol), np.eye(2, dtype=complex), _onto_e1(b)
+        return inv2(C.reshape(2, 2, 2) @ b.conj(), pol), np.eye(2, dtype=complex), onto_e1(b)
     # W class: t1 = a (x) b' + a' (x) b and t2 = a (x) b
     basis = one_product_span_basis(U[:, 0], U[:, 1], report.structure.witnesses[0].conj())
     f2 = inv2(np.column_stack((basis.left, basis.left_comp)), pol)
@@ -273,7 +335,7 @@ def reduce_to_canonical(
     operator whose |det| leaves the float range (amplitudes beyond about
     1e+-150), raises :class:`ReductionFailed`.
     """
-    report, svds = _classify3(state, pol)
+    report, svds = _classify3(state, pol, reduce=True)
     try:
         ops = LocalOperatorSet(_reducing_operators(report, svds, pol))
     except (SingularMatrix, SingularOperator) as exc:

@@ -4,7 +4,8 @@ None of this is part of the ``slocc`` package: the package computes the
 decisions, and these helpers draw inputs for it or re-derive its readings by
 independent routes (eigenvalues of a 2x2 matrix, a Schmidt-form rebuild, the
 chordal distance of projective points, a brute-force count of product
-directions).
+directions, a descriptor that classifies its line points one at a time, a
+factor search with one SVD per pivot).
 
 The random source is counter-based (Philox keyed through SeedSequence), so a
 given seed produces the same draws on every platform. Sources are values:
@@ -17,10 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from slocc import multiqubit
 from slocc.bipartite import SchmidtForm
-from slocc.errors import DependentGenerators
-from slocc.numerics import DEFAULT_POLICY, TolerancePolicy, det2
-from slocc.states import PureState, make_state
+from slocc.errors import DependentGenerators, UnsupportedDepth
+from slocc.multiqubit import StructureDescriptor
+from slocc.numerics import DEFAULT_POLICY, TolerancePolicy, det2, numerical_rank, svd
+from slocc.states import PureState, coefficient_matrix, make_state
+from slocc.tripartite import classify3
 
 MANY = "many"
 
@@ -242,3 +246,84 @@ def brute_product_count(w1, w2, grid_n: int = 10_000, depth: int = 20):
     if count > 2:
         return MANY
     return count
+
+
+def _point_class(vec, n_sub: int, pol: TolerancePolicy, max_qubits: int) -> str:
+    v = np.asarray(vec, dtype=complex)
+    v = v / np.linalg.norm(v)
+    point = make_state((2,) * n_sub, v)
+    if n_sub == 3:
+        return classify3(point, pol).tag.value
+    return reference_descriptor(point, pol, max_qubits=max_qubits).signature()
+
+
+def reference_descriptor(
+    state: PureState, pol: TolerancePolicy = DEFAULT_POLICY, max_qubits: int = 4
+) -> StructureDescriptor:
+    """The descriptor with its line points classified one at a time: each point
+    becomes a state of its own and goes through :func:`classify3` (or, deeper,
+    through this function), in the order probe point, then merged candidates."""
+    multiqubit._require_qubits(state, 4)
+    n = state.n_subsystems
+    if n > max_qubits:
+        raise UnsupportedDepth(
+            f"{n} qubits exceeds the configured recursion depth {max_qubits}"
+        )
+    n_sub = n - 1
+    res = svd(coefficient_matrix(state, 1).entries)
+    dim_w = numerical_rank(res.sigma, pol)
+
+    if dim_w == 1:
+        line = _point_class(res.W[:, 0], n_sub, pol, max_qubits)
+        return StructureDescriptor(
+            n_qubits=n,
+            dim_w=1,
+            line_class=line,
+            generic_class=None,
+            exceptional_classes=(),
+            exceptional_points=(),
+        )
+
+    w1 = res.W[:, 0]
+    w2 = res.W[:, 1]
+    candidates = multiqubit._rank_drop_candidates(w1, w2, n_sub, pol)
+    if n == 4:
+        candidates.extend(multiqubit._tangle_candidates(w1, w2))
+
+    merged = multiqubit._merge(candidates)
+    generic, *classes = (
+        _point_class(point[0] * w1 + point[1] * w2, n_sub, pol, max_qubits)
+        for point in (multiqubit._generic_point(merged), *merged)
+    )
+    keys = np.round(merged, 9).view(float).tolist()
+    exceptional = sorted(
+        (cls, *key, i) for i, (cls, key) in enumerate(zip(classes, keys)) if cls != generic
+    )
+
+    return StructureDescriptor(
+        n_qubits=n,
+        dim_w=2,
+        line_class=None,
+        generic_class=generic,
+        exceptional_classes=tuple(item[0] for item in exceptional),
+        exceptional_points=tuple(tuple(merged[item[-1]]) for item in exceptional),
+    )
+
+
+def reference_factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
+    """Factor search with one SVD per non-pivot qubit, each rank read from its sigma."""
+    multiqubit._require_qubits(state, 3)
+    n = state.n_subsystems
+    t = state.tensor()
+    for p in range(2, n + 1):
+        res = svd(coefficient_matrix(state, p).entries)
+        if numerical_rank(res.sigma, pol) != 1:
+            continue
+        factor = res.V[:, 0]
+        reduced = np.tensordot(factor.conj(), t, axes=(0, p - 1))
+        rebuilt = np.moveaxis(np.tensordot(factor, reduced, axes=0), 0, p - 1)
+        if np.linalg.norm(rebuilt - t) > pol.residual_tol * np.linalg.norm(t):
+            continue
+        reduced_state = make_state((2,) * (n - 1), reduced.reshape(-1))
+        return p, factor, reduced_state
+    return None

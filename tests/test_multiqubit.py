@@ -7,12 +7,14 @@ import pytest
 
 import slocc.multiqubit
 import slocc.numerics
-from _kit import RandomSource, random_ilo
+from _kit import RandomSource, random_ilo, reference_descriptor, reference_factor_support
 from conftest import random_complex
 from slocc.errors import (
     ArityMismatch,
     DegenerateParameter,
+    InconsistentRanks,
     SingularMatrix,
+    SloccError,
     UnsupportedDepth,
     WrongArity,
 )
@@ -28,7 +30,7 @@ from slocc.multiqubit import (
 )
 from slocc.numerics import TolerancePolicy
 from slocc.states import apply_local_operators, coefficient_matrix, make_state
-from slocc.tripartite import TripartiteClass, canonical_vector, classify3
+from slocc.tripartite import TripartiteClass, canonical_vector, classify3, classify3_tags
 
 GHZ4 = ghz_state(4)
 CLUSTER = cluster_state_4()
@@ -122,22 +124,22 @@ class TestDescriptor:
 class TestGenericProbe:
     @pytest.mark.parametrize("state", [GHZ4, CLUSTER], ids=["GHZ4", "cluster"])
     def test_generic_class_read_once(self, state, monkeypatch):
-        # two exceptional candidates plus one probe point
+        # two exceptional candidates plus one probe point, decided in one batched call
         calls = []
 
-        def counting(point, *args, **kwargs):
-            calls.append(point)
-            return classify3(point, *args, **kwargs)
+        def counting(points, *args, **kwargs):
+            calls.append(points)
+            return classify3_tags(points, *args, **kwargs)
 
-        monkeypatch.setattr(slocc.multiqubit, "classify3", counting)
+        monkeypatch.setattr(slocc.multiqubit, "classify3_tags", counting)
         descriptor(state)
-        assert len(calls) == 3
+        assert len(calls) == 1 and len(calls[0]) == 3
 
     def test_probe_error_propagates(self, monkeypatch):
-        def failing(point, *args, **kwargs):
+        def failing(points, *args, **kwargs):
             raise SingularMatrix("probe")
 
-        monkeypatch.setattr(slocc.multiqubit, "classify3", failing)
+        monkeypatch.setattr(slocc.multiqubit, "classify3_tags", failing)
         with pytest.raises(SingularMatrix):
             descriptor(GHZ4)
 
@@ -257,9 +259,10 @@ class TestFactorSupportReadsPivots:
         monkeypatch.setattr(slocc.multiqubit, "svd", recording)
         support = factor_support(state)
         assert (support is None) == (name != "factored")
-        assert len(calls) == 3
-        for p, matrix in zip((2, 3, 4), calls):
-            assert np.array_equal(matrix, coefficient_matrix(state, p).entries)
+        # ranks come from the minors; only the rank-1 pivot 4 of the factored state takes an SVD
+        assert len(calls) == (1 if name == "factored" else 0)
+        for matrix in calls:
+            assert np.array_equal(matrix, coefficient_matrix(state, 4).entries)
 
     def test_factor_on_last_qubit(self):
         state, phi = self.factored_state()
@@ -496,3 +499,109 @@ class TestLooseToleranceAtFullRank:
         assert descriptor(state).signature() == case["signature"]
         loose = TolerancePolicy(rank_rel_tol=1e-5, deg_tol=1e-4)
         assert descriptor(state, loose).signature() == case["signature"]
+
+
+INCONSISTENT_CASES = json.loads(
+    (Path(__file__).with_name("data") / "inconsistent_ranks4.json").read_text()
+)
+POLICIES = {
+    "default": TolerancePolicy(),
+    "1e-6": TolerancePolicy(rank_rel_tol=1e-6, deg_tol=1e-5),
+    "1e-4": TolerancePolicy(rank_rel_tol=1e-4, deg_tol=1e-3),
+}
+
+
+def quad_representatives():
+    """The ten 4-qubit representatives the quad-mix benchmark draws its orbits from."""
+    e0 = np.array([1.0, 0.0])
+    w3 = canonical_vector(TripartiteClass.W).amps
+    ghz3 = canonical_vector(TripartiteClass.GHZ).amps
+    epr = np.array([1.0, 0.0, 0.0, 1.0])
+    w4 = np.zeros(16)
+    w4[[1, 2, 4, 8]] = 1.0
+    g = RandomSource(640).generator()
+    four = (2,) * 4
+    return {
+        "GHZ4": GHZ4,
+        "Phi4": CLUSTER,
+        "canonical4": example_4partite_canonical(random_complex(g, 2)),
+        "W(x)0": make_state(four, np.kron(w3, e0)),
+        "0(x)W": make_state(four, np.kron(e0, w3)),
+        "GHZ3(x)0": make_state(four, np.kron(ghz3, e0)),
+        "EPR(x)EPR": make_state(four, np.kron(epr, epr)),
+        "W4": make_state(four, w4),
+        "generic": make_state(four, random_complex(g, 16)),
+        "product": make_state(four, np.eye(16)[0]),
+    }
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SloccError as exc:
+        return type(exc), str(exc)
+
+
+def descriptor_fields(d):
+    return d.signature(), np.array(d.exceptional_points, dtype=complex).tobytes()
+
+
+def support_fields(support):
+    if support is None:
+        return None
+    position, factor, reduced = support
+    return position, factor.tobytes(), reduced.dims, reduced.amps.tobytes()
+
+
+class TestBatchedMatchesReference:
+    """The batched line decision and the minor-table factor search give what the
+    per-point descriptor and the per-pivot-SVD factor search give, byte for byte."""
+
+    @pytest.mark.parametrize("pol", POLICIES.values(), ids=POLICIES.keys())
+    @pytest.mark.parametrize("name", quad_representatives().keys())
+    def test_orbit_images(self, name, pol):
+        rep = quad_representatives()[name]
+        for trial in range(6):
+            state = four_qubit_orbit(rep, RandomSource(650 + trial))
+            got = outcome(lambda s: descriptor_fields(descriptor(s, pol)), state)
+            assert got == outcome(lambda s: descriptor_fields(reference_descriptor(s, pol)), state)
+            got = outcome(lambda s: support_fields(factor_support(s, pol)), state)
+            assert got == outcome(lambda s: support_fields(reference_factor_support(s, pol)), state)
+
+    @pytest.mark.parametrize("pol", POLICIES.values(), ids=POLICIES.keys())
+    def test_factor_near_the_rank_cut(self, pol):
+        # a factor at qubit 2, 3 or 4 plus noise of 0.3 to 10 rank_rel_tol puts that pivot's
+        # sigma ratio on either side of the cut; the rebuild test is loosened to match
+        pol = TolerancePolicy(pol.rank_rel_tol, pol.deg_tol, residual_tol=100 * pol.rank_rel_tol)
+        g = RandomSource(670).generator()
+        ghz3 = canonical_vector(TripartiteClass.GHZ).amps.reshape(2, 2, 2)
+        found = set()
+        for trial in range(120):
+            position = 2 + trial % 3
+            tensor = np.moveaxis(np.multiply.outer(ghz3, random_complex(g, 2)), 3, position - 1)
+            state = four_qubit_orbit(make_state((2,) * 4, tensor.ravel()), RandomSource(680 + trial))
+            noise = random_complex(g, 16)
+            size = (0.3, 1.0, 3.0, 10.0)[trial % 4] * pol.rank_rel_tol * state.norm()
+            state = make_state(state.dims, state.amps + size * noise / np.linalg.norm(noise))
+            got = support_fields(factor_support(state, pol))
+            assert got == support_fields(reference_factor_support(state, pol))
+            found.add(None if got is None else got[0])
+        assert found == {None, 2, 3, 4}
+
+    @pytest.mark.parametrize("case", INCONSISTENT_CASES, ids=lambda case: case["case"])
+    def test_inconsistent_ranks_raise_alike(self, case):
+        state = make_state((2,) * 4, [complex(re, im) for re, im in case["amps"]])
+        pol = TolerancePolicy(rank_rel_tol=case["rank_rel_tol"], deg_tol=case["deg_tol"])
+        expected = (InconsistentRanks, case["message"])
+        assert outcome(descriptor, state, pol) == expected
+        assert outcome(reference_descriptor, state, pol) == expected
+
+    def test_five_qubits(self):
+        g = RandomSource(660).generator()
+        states = [ghz_state(5)] + [make_state((2,) * 5, random_complex(g, 32)) for _ in range(3)]
+        for state in states:
+            for pol in POLICIES.values():
+                got = outcome(lambda s: descriptor_fields(descriptor(s, pol, 5)), state)
+                assert got == outcome(
+                    lambda s: descriptor_fields(reference_descriptor(s, pol, 5)), state
+                )

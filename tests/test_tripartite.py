@@ -10,13 +10,15 @@ from conftest import orbit_state, random_complex, up_to_scale
 from slocc.errors import (
     EmptySpectrum,
     InconsistentRanks,
+    NonFinite,
     ReductionFailed,
     SloccError,
     ToleranceBreakdown,
     WrongArity,
+    ZeroState,
 )
 from slocc.multiqubit import hyperdeterminant
-from slocc.numerics import TolerancePolicy, inv2, svd
+from slocc.numerics import TolerancePolicy, inv2, svd, svd_stack
 from slocc.states import (
     PureState,
     apply_local_operators,
@@ -37,6 +39,7 @@ from slocc.tripartite import (
     TripartiteClass,
     canonical_vector,
     classify3,
+    classify3_tags,
     reduce_to_canonical,
 )
 
@@ -147,17 +150,21 @@ class TestComputedOnce:
     def test_three_svds_per_call(self, tag, monkeypatch):
         calls = []
 
-        def counting(matrix):
-            calls.append(np.shape(matrix))
-            return svd(matrix)
+        def counting(fn):
+            def wrapper(matrix):
+                calls.append(np.shape(matrix))
+                return fn(matrix)
 
-        monkeypatch.setattr(slocc.tripartite, "svd", counting)
+            return wrapper
+
+        monkeypatch.setattr(slocc.tripartite, "svd", counting(svd))
+        monkeypatch.setattr(slocc.tripartite, "svd_stack", counting(svd_stack))
         for trial in range(20):
             state, _ = orbit_state(tag, RandomSource(2500 + trial))
             for fn in (classify3, reduce_to_canonical):
                 calls.clear()
                 fn(state)
-                assert calls == [(2, 4)] * 3
+                assert calls == [(1, 2, 4)]  # the stacked pivot-1 SVD; pivots 2, 3 read minors
 
     @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
     def test_pencil_solved_once_per_call(self, tag, monkeypatch):
@@ -261,18 +268,23 @@ class TestFactoredClassesReadFromRanks:
     def test_reduction_takes_factors_from_the_pivots(self, tag, monkeypatch):
         calls = []
 
-        def counting(matrix):
-            calls.append(np.shape(matrix))
-            return svd(matrix)
+        def counting(fn):
+            def wrapper(matrix):
+                calls.append(np.shape(matrix))
+                return fn(matrix)
 
-        monkeypatch.setattr(slocc.tripartite, "svd", counting)
+            return wrapper
+
+        monkeypatch.setattr(slocc.tripartite, "svd", counting(svd))
+        monkeypatch.setattr(slocc.tripartite, "svd_stack", counting(svd_stack))
         counts = count_calls(monkeypatch, ("product_factors",))
         for trial in range(20):
             state, _ = orbit_state(tag, RandomSource(2900 + trial))
             calls.clear()
             report, ilos = reduce_to_canonical(state)
             assert report.tag is tag and ilos.residual <= 1e-8
-            assert calls == [(2, 4)] * 3
+            # the stacked pivot-1 SVD, then one SVD per rank-1 pivot among 2 and 3
+            assert calls == [(1, 2, 4)] + [(2, 4)] * (2 if tag is FACTORED[0] else 1)
         assert counts == {}
 
     @pytest.mark.parametrize("tag", [FACTORED[2], FACTORED[3]])
@@ -621,23 +633,27 @@ class TestReductionFromDecisionNumbers:
     def test_three_pivot_svds_and_no_lstsq(self, tag, monkeypatch):
         calls, lstsq_calls, lstsq = [], [], np.linalg.lstsq
 
-        def counting(matrix):
-            calls.append(np.shape(matrix))
-            return svd(matrix)
+        def counting(fn):
+            def wrapper(matrix):
+                calls.append(np.shape(matrix))
+                return fn(matrix)
+
+            return wrapper
 
         def counting_lstsq(*args, **kwargs):
             lstsq_calls.append(args)
             return lstsq(*args, **kwargs)
 
         for module in (slocc.tripartite, slocc.subspaces):
-            monkeypatch.setattr(module, "svd", counting, raising=False)
+            monkeypatch.setattr(module, "svd", counting(svd), raising=False)
+            monkeypatch.setattr(module, "svd_stack", counting(svd_stack), raising=False)
         monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
         for trial in range(20):
             state, _ = orbit_state(tag, RandomSource(5500 + trial))
             calls.clear()
             report, ilos = reduce_to_canonical(state)
             assert report.tag is tag and ilos.residual <= 1e-8
-            assert calls == [(2, 4)] * 3
+            assert calls == [(1, 2, 4)]
         assert lstsq_calls == []
 
 
@@ -719,3 +735,53 @@ class TestReportEquality:
         assert factor == SubspaceStructure(StructureTag.LEFT_FACTOR, factor=w[:2].copy())
         assert factor != SubspaceStructure(StructureTag.LEFT_FACTOR, factor=w[1::-1])
         assert factor != SubspaceStructure(StructureTag.RIGHT_FACTOR, factor=w[:2])
+
+
+class TestBatchedDecision:
+    """classify3_tags decides a stack of states as classify3 decides each one."""
+
+    def test_tags_match_classify3(self):
+        for pol in (TolerancePolicy(), TolerancePolicy(rank_rel_tol=1e-4, deg_tol=1e-3)):
+            states = [
+                orbit_state(tag, RandomSource(5600 + trial))[0]
+                for trial in range(10)
+                for tag in TripartiteClass
+            ]
+            tags = classify3_tags(np.array([s.amps for s in states]), pol)
+            assert tags == [classify3(s, pol).tag for s in states]
+
+    def test_first_failing_row_raises(self):
+        ghz = canonical_vector(TripartiteClass.GHZ).amps
+        inconsistent = np.zeros(8, dtype=complex)
+        inconsistent[[0, 3, 5]] = 1.0, 0.5, 0.05
+        loose = TolerancePolicy(rank_rel_tol=0.501)
+        for bad, error in ((np.zeros(8), ZeroState), (np.full(8, np.nan), NonFinite)):
+            with pytest.raises(error) as alone:
+                make_state((2, 2, 2), bad)
+            with pytest.raises(error) as batched:
+                classify3_tags(np.array([ghz, bad, inconsistent]), loose)
+            assert str(batched.value) == str(alone.value)
+            with pytest.raises(InconsistentRanks) as first:
+                classify3_tags(np.array([ghz, inconsistent, bad]), loose)
+            with pytest.raises(InconsistentRanks) as single:
+                classify3(make_state((2, 2, 2), inconsistent), loose)
+            assert str(first.value) == str(single.value)
+
+    def test_pivot_ratios_match_the_pivot_svds(self):
+        # near-rank-1 pivots 2 and 3: a 0_2 or 0_3 orbit state plus noise of relative size r
+        g = RandomSource(5700).generator()
+        worst = 0.0
+        for trial in range(2000):
+            tag = (TripartiteClass.C02_PSI13, TripartiteClass.C03_PSI12)[trial % 2]
+            state, _ = orbit_state(tag, RandomSource(5800 + trial))
+            noise = random_complex(g, 8)
+            size = 10.0 ** g.uniform(-16, 0) * state.norm()
+            amps = state.amps + size * noise / np.linalg.norm(noise)
+            amps *= 2.0 ** (500 * (trial % 3 - 1))
+            res = svd(amps[slocc.tripartite._PIVOT_INDEX[0]])
+            w1, w2 = res.W[:, 0].tolist(), res.W[:, 1].tolist()
+            ratios = slocc.tripartite._pivot_ratios(*res.sigma.tolist(), w1, w2)
+            for p, ratio in zip((2, 3), ratios):
+                sigma = svd(amps[slocc.tripartite._PIVOT_INDEX[p - 1]]).sigma
+                worst = max(worst, abs(ratio - sigma[1] / sigma[0]))
+        assert worst <= 4e-15
