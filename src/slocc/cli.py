@@ -30,6 +30,7 @@ import numpy as np
 from .bipartite import BipartiteClass, schmidt
 from .errors import ReductionFailed, SloccError, StateFileError
 from .multiqubit import (
+    class_count_bound,
     cluster_state_4,
     descriptor,
     factor_support,
@@ -191,7 +192,7 @@ def _named_4qubit_descriptors(pol) -> tuple:
 def _classify_4qubit(state, pol, report):
     desc = descriptor(state, pol)
     label = desc.signature()
-    if desc.dim_w == 2:  # same_broad_class needs equal dim_w
+    if desc.dim_w == 2:  # the named references have dim_w 2; a dim_w 1 state skips building them
         for name, ref in _named_4qubit_descriptors(pol):
             if same_broad_class(desc, ref):
                 label = name
@@ -337,8 +338,6 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    from .multiqubit import class_count_bound
-
     try:
         result = class_count_bound(args.m, args.n)
     except ValueError as exc:

@@ -299,10 +299,12 @@ def class_count_bound(m_n: int, n: int) -> ClassCountBound:
     The genuine part counts unordered generator-class pairs, the degenerate
     part the (n+1) possible factor positions times the n-qubit classes.
     Python integers are arbitrary precision, so no overflow handling is
-    needed.
+    needed. Non-integral inputs are refused, not truncated.
     """
-    m_n = int(m_n)
-    n = int(n)
+    raw = (m_n, n)
+    m_n, n = int(m_n), int(n)
+    if (m_n, n) != raw:
+        raise ValueError(f"m_n and n must be integers, got {raw}")
     if m_n < 1:
         raise ValueError("m_n must be at least 1")
     if n < 2:

@@ -174,6 +174,33 @@ def minor_ratios(amps, index) -> np.ndarray:
     return (a.shape[-1] - 2) * norm / (g11 + g22 + np.hypot(g11 - g22, 2.0 * g12))
 
 
+def _pivot_ratios(s1: float, s2: float, w1: list, w2: list) -> list[float]:
+    """sigma_2 / sigma_1 of a 3-qubit state's pivot-2 and pivot-3 matrices, read from
+    pivot 1's SVD, in Python scalars: the one-state form of :func:`minor_ratios`.
+
+    The state is sum_l s_l v_l (x) conj(w_l), so up to a unitary change of columns,
+    which keeps singular values, the pivot-2 matrix is conj([W1 | rho W2]) and the
+    pivot-3 matrix conj([W1^T | rho W2^T]), W_l = w_l.reshape(2, 2), rho = s2 / s1.
+    Each ratio is ||m|| / sigma_1^2 over the six 2x2 minors m (Cauchy-Binet), with
+    sigma_1^2 = (tr G + sqrt((g11 - g22)^2 + 4 |g12|^2)) / 2 from the Gram matrix G:
+    no cancellation, and no under- or overflow among unit-vector components.
+    """
+    rho = s2 / s1
+    v = [rho * z for z in w2]
+    dets = abs(w1[0] * w1[3] - w1[1] * w1[2]) ** 2 + abs(v[0] * v[3] - v[1] * v[2]) ** 2
+    ratios = []
+    for (i, j), (k, l) in (((0, 1), (2, 3)), ((0, 2), (1, 3))):  # rows of W_l, then of W_l^T
+        x0, x1, x2, x3, y0, y1, y2, y3 = w1[i], w1[j], v[i], v[j], w1[k], w1[l], v[k], v[l]
+        minors = dets + abs(x0 * y2 - x2 * y0) ** 2 + abs(x0 * y3 - x3 * y0) ** 2
+        minors += abs(x1 * y2 - x2 * y1) ** 2 + abs(x1 * y3 - x3 * y1) ** 2
+        g11 = abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2 + abs(x3) ** 2
+        g22 = abs(y0) ** 2 + abs(y1) ** 2 + abs(y2) ** 2 + abs(y3) ** 2
+        g12 = x0 * y0.conjugate() + x1 * y1.conjugate() + x2 * y2.conjugate()
+        g12 = abs(g12 + x3 * y3.conjugate())
+        ratios.append(2.0 * math.sqrt(minors) / (g11 + g22 + math.hypot(g11 - g22, 2.0 * g12)))
+    return ratios
+
+
 def _exponent(parts) -> int:
     """Binary exponent e with every real and imaginary part below 2**e in size, at
     least -1023 so that 2**-e is finite: scaling by 2**-e is exact in every part

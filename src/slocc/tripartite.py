@@ -17,10 +17,11 @@ Pivots 2 and 3 read sigma_2 / sigma_1 from their 2x2 minors, taken in pivot
 1's singular basis; a pivot 2 or 3 takes an SVD only where it reads rank 1
 and its factor is wanted.
 
-The reduction builds one invertible operator per qubit from the numbers the
-decision holds, with no least-squares solve and no further SVD. A factored
-qubit's operator sends its rank-1 pivot's factor to e1. Otherwise F2 and F3
-send targets t1, t2 to computational basis vectors, and with u_k = conj(w_k) =
+The reduction builds one invertible operator per qubit from the report and
+pivot 1's SVD, with no least-squares solve. A factored qubit's operator sends
+its rank-1 pivot's first left singular vector to e1 (0_2 and 0_3 read it from
+the report's factor; 000 takes the pivot-2 and pivot-3 SVDs). Otherwise F2 and
+F3 send targets t1, t2 to computational basis vectors, and with u_k = conj(w_k) =
 M[k, 0] t1 + M[k, 1] t2 the pivot operator is F1 = M^-1 diag(1/sigma) V^dagger.
 For GHZ the targets are the conjugated witnesses, so M^-1 = R^T and
 F1 = R^T diag(1/sigma) V^dagger with R = conj([[alpha_1, alpha_2],
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +46,7 @@ from .errors import (
     WrongArity,
 )
 from .numerics import DEFAULT_POLICY, SvdResult, TolerancePolicy, inv2, svd, svd_stack
+from .numerics import _pivot_ratios
 from .states import (
     LocalOperatorSet,
     PureState,
@@ -160,32 +161,6 @@ def classify3_tags(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[Triparti
     return tags
 
 
-def _pivot_ratios(s1: float, s2: float, w1: list, w2: list) -> list[float]:
-    """sigma_2 / sigma_1 of the pivot-2 and pivot-3 matrices, read from pivot 1's SVD.
-
-    The state is sum_l s_l v_l (x) conj(w_l), so up to a unitary change of columns,
-    which keeps singular values, the pivot-2 matrix is conj([W1 | rho W2]) and the
-    pivot-3 matrix conj([W1^T | rho W2^T]), W_l = w_l.reshape(2, 2), rho = s2 / s1.
-    Each ratio is ||m|| / sigma_1^2 over the six 2x2 minors m (Cauchy-Binet), with
-    sigma_1^2 = (tr G + sqrt((g11 - g22)^2 + 4 |g12|^2)) / 2 from the Gram matrix G:
-    no cancellation, and no under- or overflow among unit-vector components.
-    """
-    rho = s2 / s1
-    v = [rho * z for z in w2]
-    dets = abs(w1[0] * w1[3] - w1[1] * w1[2]) ** 2 + abs(v[0] * v[3] - v[1] * v[2]) ** 2
-    ratios = []
-    for (i, j), (k, l) in (((0, 1), (2, 3)), ((0, 2), (1, 3))):  # rows of W_l, then of W_l^T
-        x0, x1, x2, x3, y0, y1, y2, y3 = w1[i], w1[j], v[i], v[j], w1[k], w1[l], v[k], v[l]
-        minors = dets + abs(x0 * y2 - x2 * y0) ** 2 + abs(x0 * y3 - x3 * y0) ** 2
-        minors += abs(x1 * y2 - x2 * y1) ** 2 + abs(x1 * y3 - x3 * y1) ** 2
-        g11 = abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2 + abs(x3) ** 2
-        g22 = abs(y0) ** 2 + abs(y1) ** 2 + abs(y2) ** 2 + abs(y3) ** 2
-        g12 = x0 * y0.conjugate() + x1 * y1.conjugate() + x2 * y2.conjugate()
-        g12 = abs(g12 + x3 * y3.conjugate())
-        ratios.append(2.0 * math.sqrt(minors) / (g11 + g22 + math.hypot(g11 - g22, 2.0 * g12)))
-    return ratios
-
-
 def _decide(amps, pol: TolerancePolicy):
     """The stacked pivot-1 SVD of the finite, nonzero rows of ``amps`` (B, 8), and each
     row's (tag, ranks, pencil) in order; the first failing row raises. Pivot 1's rank
@@ -218,18 +193,12 @@ def _decide(amps, pol: TolerancePolicy):
     return res, readings
 
 
-def _classify3(
-    state: PureState, pol: TolerancePolicy, reduce: bool = False
-) -> tuple[ClassificationReport, list]:
-    """:func:`classify3`, also returning the pivot SVDs: pivot 1's, then pivot 2's and 3's
-    where the report (0_2, 0_3) or, with ``reduce``, the reduction reads their factor."""
+def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationReport, SvdResult]:
+    """:func:`classify3`, also returning pivot 1's SVD."""
     _require_three_qubits(state)
-    res, [(tag, ranks, pencil)] = _decide(state.amps[None], pol)
-    svds = [SvdResult(res.V[0], res.sigma[0], res.W[0], res.matrix[0])]
-    factored = reduce or tag is not TripartiteClass.C000  # 000 reads no factor until reduced
-    svds += [svd(state.amps[_PIVOT_INDEX[p]]) if factored and ranks[p] == 1 else None
-             for p in (1, 2)]
-    w1, w2 = svds[0].W[:, 0], svds[0].W[:, 1]
+    stack, [(tag, ranks, pencil)] = _decide(state.amps[None], pol)
+    res = SvdResult(stack.V[0], stack.sigma[0], stack.W[0], stack.matrix[0])
+    w1, w2 = res.W[:, 0], res.W[:, 1]
 
     near = False
     # a factored qubit is a rank-1 pivot; the conjugate of its factor lies in span{w1, w2}
@@ -238,9 +207,11 @@ def _classify3(
     elif tag is TripartiteClass.C01_PSI23:
         structure = SubspaceStructure(tag=StructureTag.ENTANGLED_LINE)
     elif tag is TripartiteClass.C02_PSI13:
-        structure = SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=svds[1].V[:, 0].conj())
+        factor = svd(state.amps[_PIVOT_INDEX[1]]).V[:, 0].conj()
+        structure = SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=factor)
     elif tag is TripartiteClass.C03_PSI12:
-        structure = SubspaceStructure(tag=StructureTag.RIGHT_FACTOR, factor=svds[2].V[:, 0].conj())
+        factor = svd(state.amps[_PIVOT_INDEX[2]]).V[:, 0].conj()
+        structure = SubspaceStructure(tag=StructureTag.RIGHT_FACTOR, factor=factor)
     else:
         a, b, c = pencil[0].coeffs
         s = max(abs(a), abs(b), abs(c))
@@ -251,12 +222,12 @@ def _classify3(
     report = ClassificationReport(
         tag=tag,
         ranks=ranks,
-        sigma=tuple(svds[0].sigma.tolist()),
+        sigma=tuple(res.sigma.tolist()),
         structure=structure,
         near_boundary=near,
         pencil=pencil,
     )
-    return report, svds
+    return report, res
 
 
 def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
@@ -280,22 +251,22 @@ def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
     return SpectrumInfo(product, tuple(sorted(lams, key=abs, reverse=True)))
 
 
-def _reducing_operators(report: ClassificationReport, svds, pol: TolerancePolicy):
-    """F1, F2, F3 sending the state to the canonical vector of its class.
+def _reducing_operators(report: ClassificationReport, res: SvdResult, amps, pol: TolerancePolicy):
+    """F1, F2, F3 sending the state ``amps`` to the canonical vector of its class.
 
-    ``svds`` are the three pivot SVDs. A factored qubit p is a rank-1 pivot,
-    and F_p sends its factor ``svds[p-1].V[:, 0]`` to e1. Otherwise F2 and F3
-    send the targets t_j to computational basis vectors, and F1 is read from
-    the pencil roots (GHZ, F1 = R^T diag(1/sigma) V^dagger) or from orthogonal
-    targets (0_2, 0_3, W): there F1 = (V diag(sigma) M)^-1 with
+    ``res`` is pivot 1's SVD. A factored qubit is a rank-1 pivot, and its operator
+    sends the pivot's first left singular vector a to e1: a = conj(factor) from the
+    report for 0_2 and 0_3, from the pivot-2 and pivot-3 SVDs taken here for 000.
+    Otherwise F2 and F3 send the targets t_j to computational basis vectors, and
+    F1 is read from the pencil roots (GHZ, F1 = R^T diag(1/sigma) V^dagger) or
+    from orthogonal targets (0_2, 0_3, W): there F1 = (V diag(sigma) M)^-1 with
     V diag(sigma) M = C conj(T) diag(1/|t_j|^2), the pivot matrix C in the
     coordinates of T = [t1 t2]. See the module docstring for R and M.
     """
     tag = report.tag
-    res = svds[0]
     U = res.W[:, :2].conj()  # columns u1, u2
     if tag is TripartiteClass.C000:
-        f2, f3 = (onto_e1(pivot.V[:, 0]) for pivot in svds[1:])
+        f2, f3 = (onto_e1(svd(amps[_PIVOT_INDEX[p]]).V[:, 0]) for p in (1, 2))
     elif tag is TripartiteClass.C01_PSI23:
         # the pair part u1 = vec(P) reaches e1 (x) e1 + e2 (x) e2 under P^-1 (x) 1
         f2, f3 = inv2(U[:, 0].reshape(2, 2), pol), np.eye(2, dtype=complex)
@@ -309,13 +280,13 @@ def _reducing_operators(report: ClassificationReport, svds, pol: TolerancePolicy
         f3 = inv2(np.column_stack((b1, b2)), pol)
         RT = np.array(report.pencil[0].roots).conj()  # row j: conj(alpha_j, beta_j)
         return (RT / res.sigma[:2]) @ res.V.conj().T, f2, f3
-    C = res.matrix
-    if tag is TripartiteClass.C02_PSI13:  # t_j = a (x) e_j with |a| = 1
-        a = svds[1].V[:, 0]
-        return inv2(a.conj() @ C.reshape(2, 2, 2), pol), onto_e1(a), np.eye(2, dtype=complex)
-    if tag is TripartiteClass.C03_PSI12:  # t_j = e_j (x) b with |b| = 1
-        b = svds[2].V[:, 0]
-        return inv2(C.reshape(2, 2, 2) @ b.conj(), pol), np.eye(2, dtype=complex), onto_e1(b)
+    C, factor = res.matrix, report.structure.factor
+    if tag is TripartiteClass.C02_PSI13:  # t_j = a (x) e_j with a = conj(factor), |a| = 1
+        f1 = inv2(factor @ C.reshape(2, 2, 2), pol)
+        return f1, onto_e1(factor.conj()), np.eye(2, dtype=complex)
+    if tag is TripartiteClass.C03_PSI12:  # t_j = e_j (x) b with b = conj(factor), |b| = 1
+        f1 = inv2(C.reshape(2, 2, 2) @ factor, pol)
+        return f1, np.eye(2, dtype=complex), onto_e1(factor.conj())
     # W class: t1 = a (x) b' + a' (x) b and t2 = a (x) b
     basis = one_product_span_basis(U[:, 0], U[:, 1], report.structure.witnesses[0].conj())
     f2 = inv2(np.column_stack((basis.left, basis.left_comp)), pol)
@@ -335,9 +306,9 @@ def reduce_to_canonical(
     operator whose |det| leaves the float range (amplitudes beyond about
     1e+-150), raises :class:`ReductionFailed`.
     """
-    report, svds = _classify3(state, pol, reduce=True)
+    report, res = _classify3(state, pol)
     try:
-        ops = LocalOperatorSet(_reducing_operators(report, svds, pol))
+        ops = LocalOperatorSet(_reducing_operators(report, res, state.amps, pol))
     except (SingularMatrix, SingularOperator) as exc:
         raise ReductionFailed(f"reducing operators are numerically singular: {exc}") from exc
 

@@ -295,6 +295,16 @@ class TestClassCountBound:
         with pytest.raises(ValueError):
             class_count_bound(3, 1)
 
+    @pytest.mark.parametrize(
+        "m_n, n", [(6.7, 3), (6, 3.9), (6.5, 3.5), ("6", 3), (float("nan"), 3)]
+    )
+    def test_non_integral_inputs_refused(self, m_n, n):
+        with pytest.raises(ValueError):
+            class_count_bound(m_n, n)
+
+    def test_integral_values_of_other_types_accepted(self):
+        assert class_count_bound(6.0, np.int64(3)) == class_count_bound(6, 3)
+
 
 class TestContinuousFamily:
     def test_three_term_structure(self):

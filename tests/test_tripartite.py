@@ -737,6 +737,25 @@ class TestReportEquality:
         assert factor != SubspaceStructure(StructureTag.RIGHT_FACTOR, factor=w[:2])
 
 
+class TestReductionReadsTheReport:
+    """reduce_to_canonical is classify3 plus operators: its report is classify3's."""
+
+    @pytest.mark.parametrize("pol", [
+        TolerancePolicy(),
+        TolerancePolicy(rank_rel_tol=1e-6, deg_tol=1e-5),
+        TolerancePolicy(rank_rel_tol=1e-4, deg_tol=1e-3),
+    ])
+    def test_reduction_report_is_the_classification(self, pol):
+        for tag in TripartiteClass:
+            states = [canonical_vector(tag)]
+            states += [orbit_state(tag, RandomSource(5900 + trial))[0] for trial in range(20)]
+            for state in states:
+                report, ilos = reduce_to_canonical(state, pol)
+                expected = classify3(state, pol)
+                assert report.tag is tag and ilos.residual <= pol.residual_tol
+                assert report == expected and hash(report) == hash(expected)
+
+
 class TestBatchedDecision:
     """classify3_tags decides a stack of states as classify3 decides each one."""
 
