@@ -299,11 +299,11 @@ def class_count_bound(m_n: int, n: int) -> ClassCountBound:
     The genuine part counts unordered generator-class pairs, the degenerate
     part the (n+1) possible factor positions times the n-qubit classes.
     Python integers are arbitrary precision, so no overflow handling is
-    needed. Non-integral inputs are refused, not truncated.
+    needed. Non-integral inputs, infinities and bools are refused, not truncated.
     """
     raw = (m_n, n)
-    m_n, n = int(m_n), int(n)
-    if (m_n, n) != raw:
+    m_n, n = (None if x in (math.inf, -math.inf) else int(x) for x in raw)  # int(nan) raises
+    if (m_n, n) != raw or any(isinstance(x, (bool, np.bool_)) for x in raw):
         raise ValueError(f"m_n and n must be integers, got {raw}")
     if m_n < 1:
         raise ValueError("m_n must be at least 1")

@@ -175,12 +175,13 @@ def minor_ratios(amps, index) -> np.ndarray:
 
 
 def _pivot_ratios(s1: float, s2: float, w1: list, w2: list) -> list[float]:
-    """sigma_2 / sigma_1 of a 3-qubit state's pivot-2 and pivot-3 matrices, read from
-    pivot 1's SVD, in Python scalars: the one-state form of :func:`minor_ratios`.
+    """sigma_2 / sigma_1 of [W1 | rho W2] and [W1^T | rho W2^T], W_l = w_l.reshape(2, 2)
+    and rho = s2 / s1, in Python scalars: the one-state form of :func:`minor_ratios`.
 
-    The state is sum_l s_l v_l (x) conj(w_l), so up to a unitary change of columns,
-    which keeps singular values, the pivot-2 matrix is conj([W1 | rho W2]) and the
-    pivot-3 matrix conj([W1^T | rho W2^T]), W_l = w_l.reshape(2, 2), rho = s2 / s1.
+    For a 3-qubit state with pivot-1 SVD sum_l s_l v_l (x) conj(w_l) these are, up to
+    conjugation and a unitary change of columns, which keep singular values, its
+    pivot-2 and pivot-3 matrices. For the unit generators of a span and s1 = s2 = 1
+    they read its common left and right factor (``subspaces.classify_span``).
     Each ratio is ||m|| / sigma_1^2 over the six 2x2 minors m (Cauchy-Binet), with
     sigma_1^2 = (tr G + sqrt((g11 - g22)^2 + 4 |g12|^2)) / 2 from the Gram matrix G:
     no cancellation, and no under- or overflow among unit-vector components.

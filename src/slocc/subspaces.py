@@ -2,11 +2,13 @@
 
 A vector w in C^2 (x) C^2 written as w = e1 (x) w_1 + e2 (x) w_2 maps to the
 2x2 slice matrix [w_1 w_2]; w is a product vector exactly when the slice has
-rank 1. For a two-dimensional span the projective roots of
-``q(a, b) = det(a*W1 + b*W2)`` locate the product directions, and their count
-(two, one double, or a continuum) names the span structure. A span always
-contains at least one product direction, which is what makes the structure
-analysis exhaustive.
+rank 1. A two-dimensional span holds a continuum of product directions
+exactly when its generators share a one-qubit factor, which is read from
+ranks as ``classify3`` reads a factored qubit: [V1 | V2] has rank 1 for a
+left factor and [V1^T | V2^T] for a right one (V = v.reshape(2, 2)). Any
+other span has one or two product directions, the projective roots of
+``q(a, b) = det(a*W1 + b*W2)``. A span always contains at least one product
+direction, which is what makes the structure analysis exhaustive.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DependentGenerators, DimensionMismatch, NonFinite, ToleranceBreakdown, ZeroVector
-from .numerics import DEFAULT_POLICY, TolerancePolicy, det2, numerical_rank
+from .numerics import DEFAULT_POLICY, TolerancePolicy, _pivot_ratios, det2, numerical_rank
 
 _EPS = 1e-13
 
@@ -150,23 +152,19 @@ def pencil_quadratic(W1, W2) -> tuple[complex, complex, complex]:
     return a, b, c
 
 
-def product_roots(
-    W1, W2, pol: TolerancePolicy = DEFAULT_POLICY, zero_tol: float | None = None
-) -> RootReport:
+def product_roots(W1, W2, pol: TolerancePolicy = DEFAULT_POLICY) -> RootReport:
     """Classify the product directions of span{w1, w2} from the slice pencil.
 
-    An identically vanishing pencil (all three quadratic coefficients at most
-    ``zero_tol``, by default ``rank_rel_tol`` at the spans' scale) means every
-    vector of the span is a product vector. A caller whose ranks already rule
-    that out passes ``zero_tol=0``, so the pencil is read on its own scale.
+    The pencil is read on its own scale: the roots and the discriminant test
+    scale with its coefficients, and it counts as vanishing only when all
+    three are exactly zero. A span of product vectors only, one with a common
+    factor, is named from ranks (:func:`classify_span`), not from its pencil.
     """
     W1 = np.asarray(W1, dtype=complex)
     W2 = np.asarray(W2, dtype=complex)
     _check_independent(unslice(W1), unslice(W2), pol)
     a, b, c = pencil_quadratic(W1, W2)
-    if zero_tol is None:
-        zero_tol = pol.rank_rel_tol * (np.linalg.norm(W1) + np.linalg.norm(W2)) ** 2
-    kind, roots = projective_quadratic_roots(a, b, c, zero_tol=zero_tol, deg_tol=pol.deg_tol)
+    kind, roots = projective_quadratic_roots(a, b, c, zero_tol=0.0, deg_tol=pol.deg_tol)
     return RootReport(kind=kind, roots=roots, coeffs=(a, b, c))
 
 
@@ -186,14 +184,6 @@ def product_factors(w) -> tuple[np.ndarray, np.ndarray]:
     return np.array([x, y]), np.array(b)
 
 
-def _overlap(x, y) -> float:
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    return float(abs(np.vdot(x, y)) / (nx * ny))
-
-
 def classify_line(w, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStructure:
     """Name a one-dimensional subspace: product line or entangled line."""
     v = np.asarray(w, dtype=complex).reshape(-1)
@@ -210,38 +200,44 @@ def classify_line(w, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStructure
 
 
 def classify_span(w1, w2, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStructure:
-    """Name the structure of span{w1, w2} and return its witnesses."""
+    """Name the structure of span{w1, w2} and return its witnesses or factor.
+
+    With V = v.reshape(2, 2), the span has a common left factor exactly when
+    [V1 | V2] has rank 1, and a common right factor when [V1^T | V2^T] does:
+    the rank-1 pivot reading of ``classify3``. Both sigma_2 / sigma_1 come
+    from :func:`_pivot_ratios` on the unit generators (scaling a generator
+    keeps the ranks); the smaller one at most ``rank_rel_tol`` names the
+    factor side, left on a tie. Any other span is read from its slice pencil
+    (:func:`span_structure`).
+    """
     v1 = np.asarray(w1, dtype=complex).reshape(-1)
     v2 = np.asarray(w2, dtype=complex).reshape(-1)
-    return span_structure(v1, v2, product_roots(slice_matrix(v1), slice_matrix(v2), pol), pol)
+    W1, W2 = slice_matrix(v1), slice_matrix(v2)
+    if not (np.isfinite(v1).all() and np.isfinite(v2).all()):
+        raise NonFinite("generators contain non-finite entries")
+    _check_independent(v1, v2, pol)  # zero generators are refused before the division
+    left, right = _pivot_ratios(1.0, 1.0, *((v / np.linalg.norm(v)).tolist() for v in (v1, v2)))
+    if left <= pol.rank_rel_tol and left <= right:
+        return SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=product_factors(v1)[0])
+    if right <= pol.rank_rel_tol:
+        b = product_factors(v1)[1]
+        return SubspaceStructure(tag=StructureTag.RIGHT_FACTOR, factor=b / np.linalg.norm(b))
+    return span_structure(v1, v2, product_roots(W1, W2, pol), pol)
 
 
 def span_structure(
     v1, v2, report: RootReport, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> SubspaceStructure:
-    """Structure of span{v1, v2} read from the roots of its slice pencil.
+    """Structure of a span{v1, v2} without a common factor, from its pencil roots.
 
     ``report`` must come from :func:`product_roots` on the slices of the flat
-    4-vectors v1, v2. When the pencil vanishes identically the span is a
-    full factor space; the side of the common factor is read off by
-    comparing the factors of three sample product vectors (v1, v2, v1 + v2).
+    4-vectors v1, v2; each root (alpha, beta) gives the product witness
+    alpha v1 + beta v2. ``pol`` is not read: the report already holds the
+    policy's decisions. A factor span is named from ranks before its pencil
+    is read, so a vanishing pencil here raises :class:`ToleranceBreakdown`.
     """
     if report.kind is RootKind.INFINITELY_MANY:
-        samples = (v1, v2, v1 + v2)
-        factors = [product_factors(s) for s in samples]
-        lefts = [f[0] for f in factors]
-        rights = [f[1] for f in factors]
-        left_common = min(_overlap(lefts[0], lefts[1]), _overlap(lefts[0], lefts[2]))
-        right_common = min(_overlap(rights[0], rights[1]), _overlap(rights[0], rights[2]))
-        if left_common >= 1.0 - pol.deg_tol and left_common >= right_common:
-            return SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=lefts[0].copy())
-        if right_common >= 1.0 - pol.deg_tol:
-            common = rights[0] / np.linalg.norm(rights[0])
-            return SubspaceStructure(tag=StructureTag.RIGHT_FACTOR, factor=common)
-        raise ToleranceBreakdown(
-            "pencil vanishes identically but neither factor is shared"
-        )
-
+        raise ToleranceBreakdown("slice pencil vanishes identically, but no factor was read")
     witnesses = tuple(alpha * v1 + beta * v2 for alpha, beta in report.roots)
     if report.kind is RootKind.TWO_DISTINCT:
         return SubspaceStructure(tag=StructureTag.TWO_PRODUCTS, witnesses=witnesses)

@@ -182,7 +182,7 @@ def _decide(amps, pol: TolerancePolicy):
         if tag is None:
             # the slice pencil decides GHZ (two roots) against W (one double root); the
             # ranks already rule out a factor, so only an exactly vanishing pencil reads as one
-            roots = product_roots(W1, W2, pol, zero_tol=0.0)
+            roots = product_roots(W1, W2, pol)
             if roots.kind is RootKind.INFINITELY_MANY:
                 raise ToleranceBreakdown(
                     "pencil determinant vanishes identically although all pivots read rank 2"

@@ -296,7 +296,17 @@ class TestClassCountBound:
             class_count_bound(3, 1)
 
     @pytest.mark.parametrize(
-        "m_n, n", [(6.7, 3), (6, 3.9), (6.5, 3.5), ("6", 3), (float("nan"), 3)]
+        "m_n, n",
+        [
+            (6.7, 3),
+            (6, 3.9),
+            (6.5, 3.5),
+            ("6", 3),
+            (float("nan"), 3),
+            (float("inf"), 3),
+            (6, float("-inf")),
+            (True, 3),
+        ],
     )
     def test_non_integral_inputs_refused(self, m_n, n):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ import pytest
 from _kit import RandomSource
 from conftest import orbit_state, random_complex
 from slocc.errors import DependentGenerators, NonFinite, ZeroVector
-from slocc.numerics import svd
-from slocc.states import coefficient_matrix
+from slocc.numerics import TolerancePolicy, svd
+from slocc.states import coefficient_matrix, make_state
 from slocc.subspaces import (
     RootKind,
     StructureTag,
@@ -17,10 +17,11 @@ from slocc.subspaces import (
     slice_matrix,
     unslice,
 )
-from slocc.tripartite import TripartiteClass
+from slocc.tripartite import TripartiteClass, classify3
 
 E11 = np.array([1, 0, 0, 0], dtype=complex)  # e1 (x) e1
 E12 = np.array([0, 1, 0, 0], dtype=complex)
+E21 = np.array([0, 0, 1, 0], dtype=complex)
 E22 = np.array([0, 0, 0, 1], dtype=complex)
 PSI = np.array([0, 1, 1, 0], dtype=complex)  # e1 (x) e2 + e2 (x) e1
 
@@ -122,6 +123,74 @@ class TestClassifySpan:
             v1 = mix[0, 0] * w1 + mix[0, 1] * w2
             v2 = mix[1, 0] * w1 + mix[1, 1] * w2
             assert classify_span(v1, v2).tag is tag
+
+
+class TestFactorSpanReadFromRanks:
+    """A span's common factor is a rank-1 [V1 | V2] (left) or [V1^T | V2^T] (right),
+    read as classify3 reads a rank-1 pivot 2 or 3, not from a pencil tolerance."""
+
+    POLICIES = [
+        TolerancePolicy(),
+        TolerancePolicy(rank_rel_tol=1e-6, deg_tol=1e-5),
+        TolerancePolicy(rank_rel_tol=1e-5, deg_tol=1e-4),
+        TolerancePolicy(rank_rel_tol=1e-4, deg_tol=1e-3),
+    ]
+    # span{a, b + delta e}: a factor span at delta = 0, left for the first and third
+    # and right for the second; away from it, two product directions for the first two
+    # and one for the third
+    BANDS = [(E11, E12, E22), (E11, E21, E22), (E11, E12, E21)]
+    DELTAS = np.logspace(-16, -1, 121)
+
+    def test_near_factor_band_agrees_with_classify3(self):
+        tags = set()
+        for pol in self.POLICIES:
+            for a, b, e in self.BANDS:
+                for delta in self.DELTAS:
+                    v1, v2 = a, b + delta * e
+                    span = classify_span(v1, v2, pol)
+                    # pivot-1 rows conj(v1), conj(v2): its right singular span is span{v1, v2}
+                    state = make_state([2, 2, 2], np.concatenate([v1.conj(), v2.conj()]))
+                    assert span.tag is classify3(state, pol).structure.tag, (pol, delta)
+                    tags.add(span.tag)
+                    if span.tag is StructureTag.LEFT_FACTOR:
+                        assert np.array_equal(span.factor, product_factors(v1)[0])
+                    elif span.tag is StructureTag.RIGHT_FACTOR:
+                        right = product_factors(v1)[1]
+                        assert np.array_equal(span.factor, right / np.linalg.norm(right))
+        assert tags == {
+            StructureTag.LEFT_FACTOR,
+            StructureTag.RIGHT_FACTOR,
+            StructureTag.TWO_PRODUCTS,
+            StructureTag.ONE_PRODUCT_PLUS_ENTANGLED,
+        }
+
+    def test_factor_of_random_factor_spans(self):
+        g = RandomSource(37).generator()
+        for _ in range(100):
+            a, b1, b2 = (random_complex(g, 2) for _ in range(3))
+            left = classify_span(np.kron(a, b1), np.kron(a, b2))
+            assert left.tag is StructureTag.LEFT_FACTOR
+            assert np.array_equal(left.factor, product_factors(np.kron(a, b1))[0])
+            right = classify_span(np.kron(b1, a), np.kron(b2, a))
+            assert right.tag is StructureTag.RIGHT_FACTOR
+            expected = product_factors(np.kron(b1, a))[1]
+            assert np.array_equal(right.factor, expected / np.linalg.norm(expected))
+
+    def test_pencil_read_on_its_own_scale(self):
+        report = product_roots(slice_matrix(E11), slice_matrix(E12 + 1e-12 * E22))
+        assert report.kind is not RootKind.INFINITELY_MANY
+
+    @pytest.mark.parametrize("w1, w2", [(E11, 0 * E11), (0 * E11, E12), (E11, 3j * E11)])
+    def test_zero_or_parallel_generators_refused(self, w1, w2):
+        with pytest.raises(DependentGenerators):
+            classify_span(w1, w2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_generators_refused(self, bad):
+        with pytest.raises(NonFinite):
+            classify_span(E11, [0, 1, bad, 0])
+        with pytest.raises(NonFinite):
+            classify_span([bad, 0, 0, 1], E12)
 
 
 class TestClassifyLine:
