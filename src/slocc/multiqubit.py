@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
-from .numerics import DEFAULT_POLICY, TolerancePolicy, minor_ratios, numerical_rank, svd
-from .states import PureState, coefficient_matrix, make_state, minor_index
+from .numerics import DEFAULT_POLICY, TolerancePolicy, _exponent, numerical_rank, svd
+from .states import PureState, coefficient_matrix, make_state, minor_index, pivot_index
 from .subspaces import projective_quadratic_roots
 from .tripartite import classify3_tags
 
@@ -151,9 +151,7 @@ def _rank_drop_candidates(w1, w2, n_sub: int, pol: TolerancePolicy):
     for k, m in enumerate(size.argmax(axis=1)):
         if scale[k] <= floor:
             continue  # pivot is rank-deficient on the whole line
-        _, found = projective_quadratic_roots(
-            a[k, m], b[k, m], c[k, m], zero_tol=0.0, deg_tol=pol.deg_tol
-        )
+        _, found = projective_quadratic_roots(a[k, m], b[k, m], c[k, m], pol.deg_tol)
         roots.extend(found)
         owner.extend([k] * len(found))
     units = np.array(roots, dtype=complex).reshape(-1, 2)
@@ -268,9 +266,10 @@ def factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
     """Detect a single-qubit tensor factor at a non-pivot position.
 
     Qubit p >= 2 factors out exactly when its coefficient matrix
-    ``coefficient_matrix(state, p)`` has numerical rank 1, read from the
-    matrix's 2x2 minors; the factor is that matrix's first left singular
-    vector, so only a rank-1 pivot takes an SVD. Returns
+    ``coefficient_matrix(state, p)`` has numerical rank 1, read as
+    ``sigma_2 <= rank_rel_tol * sigma_1`` from the singular values of pivots
+    2..N, stacked into one LAPACK call; the factor is that matrix's first left
+    singular vector, so only a rank-1 pivot takes a full SVD. Returns
     ``(p, factor, reduced_state)`` for the first such p whose factor
     rebuilds the state within ``residual_tol``, else ``None``. A
     pivot-qubit factor shows up as dim_w = 1 in :func:`descriptor`
@@ -279,14 +278,16 @@ def factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
     _require_qubits(state, 3)
     n = state.n_subsystems
     t = state.tensor()
-    ratios = minor_ratios(state.amps, minor_index(n)[1:]).tolist()
-    for p, ratio in enumerate(ratios, start=2):
-        if ratio > pol.rank_rel_tol:
+    pivots = state.amps[np.stack([pivot_index(state.dims, p) for p in range(2, n + 1)])]
+    sigma = np.linalg.svd(pivots, compute_uv=False).tolist()
+    for p, (s1, s2) in enumerate(sigma, start=2):
+        if s2 > pol.rank_rel_tol * s1:
             continue
-        factor = svd(coefficient_matrix(state, p).entries).V[:, 0]
+        factor = svd(pivots[p - 2]).V[:, 0]
         reduced = np.tensordot(factor.conj(), t, axes=(0, p - 1))
         rebuilt = np.moveaxis(np.tensordot(factor, reduced, axes=0), 0, p - 1)
-        if np.linalg.norm(rebuilt - t) > pol.residual_tol * np.linalg.norm(t):
+        f = math.ldexp(1.0, -_exponent(state.amps.tolist()))  # exact: no norm under- or overflows
+        if np.linalg.norm((rebuilt - t) * f) > pol.residual_tol * np.linalg.norm(t * f):
             continue
         reduced_state = make_state((2,) * (n - 1), reduced.reshape(-1))
         return p, factor, reduced_state

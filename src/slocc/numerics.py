@@ -151,32 +151,9 @@ def det2(m) -> complex:
     return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
-def minor_ratios(amps, index) -> np.ndarray:
-    """sigma_2 / sigma_1 of the 2 x c pivot matrices A of each row of ``amps`` (..., 2c)
-    from their 2x2 minors, (..., P) for the P pivots of :func:`~slocc.states.minor_index`.
-
-    r = ||m|| / sigma_1^2 with sigma_1 sigma_2 = ||m|| over the minors m (Cauchy-Binet)
-    and sigma_1^2 = (tr G + sqrt((g11 - g22)^2 + 4 |g12|^2)) / 2 from G = A A^dagger,
-    which the gathered pairs hold c - 1 times: no cancellation, so the error is a few
-    eps, as an SVD's. Each row (finite, nonzero) is first scaled exactly by the power
-    of two that puts its largest modulus in [0.5, 1), so nothing under- or overflows.
-    """
-    a = np.asarray(amps, dtype=complex)
-    top = np.abs(a).max(axis=-1, keepdims=True)
-    # the mantissa of top over top is 2^-e, exactly; the floor keeps it finite
-    x = (a * (np.frexp(np.maximum(top, 2.0**-1022))[0] / top))[..., index]
-    half = index.shape[-1] // 2
-    m = x[..., 0, :half] * x[..., 1, half:] - x[..., 0, half:] * x[..., 1, :half]
-    g = np.vecdot(x, x).real
-    g11, g22 = g[..., 0], g[..., 1]
-    g12 = np.abs(np.vecdot(x[..., 1, :], x[..., 0, :]))
-    norm = np.sqrt(np.vecdot(m, m).real)
-    return (a.shape[-1] - 2) * norm / (g11 + g22 + np.hypot(g11 - g22, 2.0 * g12))
-
-
 def _pivot_ratios(s1: float, s2: float, w1: list, w2: list) -> list[float]:
     """sigma_2 / sigma_1 of [W1 | rho W2] and [W1^T | rho W2^T], W_l = w_l.reshape(2, 2)
-    and rho = s2 / s1, in Python scalars: the one-state form of :func:`minor_ratios`.
+    and rho = s2 / s1, in Python scalars.
 
     For a 3-qubit state with pivot-1 SVD sum_l s_l v_l (x) conj(w_l) these are, up to
     conjugation and a unitary change of columns, which keep singular values, its

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DependentGenerators, DimensionMismatch, NonFinite, ToleranceBreakdown, ZeroVector
-from .numerics import DEFAULT_POLICY, TolerancePolicy, _pivot_ratios, det2, numerical_rank
+from .numerics import DEFAULT_POLICY, TolerancePolicy, _exponent, _pivot_ratios, det2, numerical_rank
 
 _EPS = 1e-13
 
@@ -104,17 +104,21 @@ def _normalize_root(alpha: complex, beta: complex) -> tuple[complex, complex]:
     return complex(alpha / beta), complex(1.0)
 
 
-def projective_quadratic_roots(a, b, c, zero_tol: float, deg_tol: float):
+def projective_quadratic_roots(a, b, c, deg_tol: float):
     """Roots of ``a*x^2 + b*x*y + c*y^2`` on the projective line.
 
-    Returns ``(RootKind, roots)``. The double root comes from the stable
-    vertex formula, so its position is first-order accurate even though the
-    two split roots would each carry sqrt-of-noise error.
+    Returns ``(RootKind, roots)``, read on the coefficients scaled by the power of
+    two that puts the largest modulus in [0.5, 1): exact, so b^2 neither under- nor
+    overflows. The double root comes from the stable vertex formula, so its
+    position is first-order accurate even though the two split roots would each
+    carry sqrt-of-noise error.
     """
     a, b, c = complex(a), complex(b), complex(c)
     s = max(abs(a), abs(b), abs(c))
-    if s <= zero_tol:
+    if s == 0.0:
         return RootKind.INFINITELY_MANY, ()
+    f = math.ldexp(1.0, -max(math.frexp(s)[1], -1022))
+    a, b, c, s = a * f, b * f, c * f, s * f
     disc = b * b - 4.0 * a * c
     if abs(disc) <= deg_tol * s * s:
         if abs(a) >= abs(c):
@@ -135,9 +139,17 @@ def projective_quadratic_roots(a, b, c, zero_tol: float, deg_tol: float):
     )
 
 
+def _scaled(v) -> np.ndarray:
+    """v times the power of two that puts its largest part in [0.5, 1): exact, so a
+    ratio of its norms or Gram entries reads as at scale 1, with no under- or overflow."""
+    return v * math.ldexp(1.0, -_exponent(v.tolist()))
+
+
 def _check_independent(w1, w2, pol):
-    g11 = float(np.vdot(w1, w1).real)
-    g22 = float(np.vdot(w2, w2).real)
+    g11, g22 = float(np.vdot(w1, w1).real), float(np.vdot(w2, w2).real)
+    if not (2.0**-500 < g11 < 2.0**500 and 2.0**-500 < g22 < 2.0**500):
+        w1, w2 = _scaled(w1), _scaled(w2)  # the test under- or overflows unscaled
+        g11, g22 = float(np.vdot(w1, w1).real), float(np.vdot(w2, w2).real)
     g12 = complex(np.vdot(w1, w2))
     gram = g11 * g22 - abs(g12) ** 2
     if g11 == 0.0 or g22 == 0.0 or gram <= pol.rank_rel_tol * g11 * g22:
@@ -159,12 +171,16 @@ def product_roots(W1, W2, pol: TolerancePolicy = DEFAULT_POLICY) -> RootReport:
     scale with its coefficients, and it counts as vanishing only when all
     three are exactly zero. A span of product vectors only, one with a common
     factor, is named from ranks (:func:`classify_span`), not from its pencil.
+    Coefficients beyond the float range are refused with :class:`NonFinite`
+    (after numpy's overflow warning), not read as NaN roots.
     """
     W1 = np.asarray(W1, dtype=complex)
     W2 = np.asarray(W2, dtype=complex)
     _check_independent(unslice(W1), unslice(W2), pol)
     a, b, c = pencil_quadratic(W1, W2)
-    kind, roots = projective_quadratic_roots(a, b, c, zero_tol=0.0, deg_tol=pol.deg_tol)
+    if not math.isfinite(abs(a) + abs(b) + abs(c)):
+        raise NonFinite("slice pencil coefficients leave the float range")
+    kind, roots = projective_quadratic_roots(a, b, c, pol.deg_tol)
     return RootReport(kind=kind, roots=roots, coeffs=(a, b, c))
 
 
@@ -216,25 +232,26 @@ def classify_span(w1, w2, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStru
     if not (np.isfinite(v1).all() and np.isfinite(v2).all()):
         raise NonFinite("generators contain non-finite entries")
     _check_independent(v1, v2, pol)  # zero generators are refused before the division
-    left, right = _pivot_ratios(1.0, 1.0, *((v / np.linalg.norm(v)).tolist() for v in (v1, v2)))
+    units = ((v / np.linalg.norm(v)).tolist() for v in map(_scaled, (v1, v2)))
+    left, right = _pivot_ratios(1.0, 1.0, *units)
     if left <= pol.rank_rel_tol and left <= right:
         return SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=product_factors(v1)[0])
     if right <= pol.rank_rel_tol:
-        b = product_factors(v1)[1]
+        b = _scaled(product_factors(v1)[1])
         return SubspaceStructure(tag=StructureTag.RIGHT_FACTOR, factor=b / np.linalg.norm(b))
-    return span_structure(v1, v2, product_roots(W1, W2, pol), pol)
+    # one exact power of two for both slices keeps the pencil in range and its roots
+    f = math.ldexp(1.0, -_exponent([*v1.tolist(), *v2.tolist()]))
+    return span_structure(v1, v2, product_roots(W1 * f, W2 * f, pol))
 
 
-def span_structure(
-    v1, v2, report: RootReport, pol: TolerancePolicy = DEFAULT_POLICY
-) -> SubspaceStructure:
+def span_structure(v1, v2, report: RootReport) -> SubspaceStructure:
     """Structure of a span{v1, v2} without a common factor, from its pencil roots.
 
     ``report`` must come from :func:`product_roots` on the slices of the flat
     4-vectors v1, v2; each root (alpha, beta) gives the product witness
-    alpha v1 + beta v2. ``pol`` is not read: the report already holds the
-    policy's decisions. A factor span is named from ranks before its pencil
-    is read, so a vanishing pencil here raises :class:`ToleranceBreakdown`.
+    alpha v1 + beta v2; the report already holds the policy's decisions. A factor
+    span is named from ranks before its pencil is read, so a vanishing pencil here
+    raises :class:`ToleranceBreakdown`.
     """
     if report.kind is RootKind.INFINITELY_MANY:
         raise ToleranceBreakdown("slice pencil vanishes identically, but no factor was read")

@@ -217,7 +217,7 @@ def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationRe
         s = max(abs(a), abs(b), abs(c))
         threshold = pol.deg_tol * s * s
         near = threshold / 100.0 < abs(b * b - 4.0 * a * c) <= threshold * 100.0
-        structure = span_structure(w1, w2, pencil[0], pol)
+        structure = span_structure(w1, w2, pencil[0])
 
     report = ClassificationReport(
         tag=tag,

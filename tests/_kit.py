@@ -311,7 +311,8 @@ def reference_descriptor(
 
 
 def reference_factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
-    """Factor search with one SVD per non-pivot qubit, each rank read from its sigma."""
+    """Factor search with one SVD per non-pivot qubit, each rank read from its sigma; the
+    rebuild test reads the state scaled by the power of two of its largest part."""
     multiqubit._require_qubits(state, 3)
     n = state.n_subsystems
     t = state.tensor()
@@ -322,7 +323,9 @@ def reference_factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_PO
         factor = res.V[:, 0]
         reduced = np.tensordot(factor.conj(), t, axes=(0, p - 1))
         rebuilt = np.moveaxis(np.tensordot(factor, reduced, axes=0), 0, p - 1)
-        if np.linalg.norm(rebuilt - t) > pol.residual_tol * np.linalg.norm(t):
+        top = max(np.abs(t.real).max(), np.abs(t.imag).max())
+        f = 2.0 ** -max(int(np.frexp(top)[1]), -1023)
+        if np.linalg.norm((rebuilt - t) * f) > pol.residual_tol * np.linalg.norm(t * f):
             continue
         reduced_state = make_state((2,) * (n - 1), reduced.reshape(-1))
         return p, factor, reduced_state

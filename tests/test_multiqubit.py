@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 
 import slocc.multiqubit
 import slocc.numerics
+import slocc.states
 from _kit import RandomSource, random_ilo, reference_descriptor, reference_factor_support
 from conftest import random_complex
 from slocc.errors import (
@@ -29,7 +32,7 @@ from slocc.multiqubit import (
     same_broad_class,
 )
 from slocc.numerics import TolerancePolicy
-from slocc.states import apply_local_operators, coefficient_matrix, make_state
+from slocc.states import apply_local_operators, coefficient_matrix, make_state, pivot_index
 from slocc.tripartite import TripartiteClass, canonical_vector, classify3, classify3_tags
 
 GHZ4 = ghz_state(4)
@@ -380,7 +383,7 @@ def _reference_rank_drop_candidates(w1, w2, n_sub, pol):
         for coeffs in quads:
             if max(abs(x) for x in coeffs) <= 1e-12 * scale:
                 continue
-            kind, roots = projective_quadratic_roots(*coeffs, zero_tol=0.0, deg_tol=pol.deg_tol)
+            kind, roots = projective_quadratic_roots(*coeffs, deg_tol=pol.deg_tol)
             if kind is not RootKind.INFINITELY_MANY:
                 pivot_roots.extend(roots)
         for root in pivot_roots:
@@ -625,3 +628,63 @@ class TestBatchedMatchesReference:
                 assert got == outcome(
                     lambda s: descriptor_fields(reference_descriptor(s, pol, 5)), state
                 )
+
+
+class TestFactorSupportRanksFromSingularValues:
+    """Pivot ranks read from one stacked singular-value call decide as the per-pivot
+    SVDs of the reference do, at every scale, with no table of 2x2 minors."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_near_rank_one_pivot_at_every_scale(self, n):
+        g = RandomSource(700 + n).generator()
+        cols = 2 ** (n - 1)
+        count = 2000
+        ratio = 10.0 ** g.uniform(-16, 0, count)  # r from 1e-16 to 1
+        scale = 2.0 ** g.choice([-1000, -500, 0, 500, 1000], count)
+        tols = (1e-12, 1e-9, 1e-6, 1e-4)
+        found = set()
+        for i, (r, k) in enumerate(zip(ratio, scale)):
+            tol = tols[i % 4]
+            # ratios within 1e-14 of a tolerance may read either side of it
+            if abs(r - tol) <= 1e-14:
+                continue
+            pol = TolerancePolicy(rank_rel_tol=tol)
+            u = np.linalg.qr(random_complex(g, 4).reshape(2, 2))[0]
+            v = np.linalg.qr(random_complex(g, 2 * cols).reshape(cols, 2))[0]
+            p = 2 + i % (n - 1)
+            amps = np.zeros(2 * cols, dtype=complex)
+            amps[pivot_index((2,) * n, p)] = ((u * [1.0, r]) @ v.conj().T) * k
+            state = make_state((2,) * n, amps)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = support_fields(factor_support(state, pol))
+                assert got == support_fields(reference_factor_support(state, pol))
+            found.add(None if got is None else got[0])
+        assert found == {None, *range(2, n + 1)}
+
+    def test_ten_qubits_in_bounded_memory(self):
+        g = RandomSource(730).generator()
+        generic = make_state((2,) * 10, random_complex(g, 2**10))
+        tracemalloc.start()
+        try:
+            support = factor_support(generic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert support is None
+        assert peak < 8e6
+        factored = make_state((2,) * 10, np.kron(random_complex(g, 2**9), random_complex(g, 2)))
+        got = support_fields(factor_support(factored))
+        assert got is not None and got[0] == 10
+        assert got == support_fields(reference_factor_support(factored))
+
+    def test_no_minor_table(self, monkeypatch):
+        def refused(n):
+            raise AssertionError("factor_support gathered the 2x2-minor table")
+
+        monkeypatch.setattr(slocc.multiqubit, "minor_index", refused)
+        monkeypatch.setattr(slocc.states, "minor_index", refused)
+        state, _ = TestFactorSupportReadsPivots.factored_state()
+        assert factor_support(state)[0] == 4
+        assert factor_support(GHZ4) is None
+        assert factor_support(ghz_state(6)) is None

@@ -13,12 +13,10 @@ from slocc.numerics import (
     SvdResult,
     TolerancePolicy,
     inv2,
-    minor_ratios,
     numerical_rank,
     svd,
     svd_stack,
 )
-from slocc.states import minor_index, pivot_index
 
 finite_complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
@@ -447,46 +445,6 @@ class TestTolerancePolicy:
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
             TolerancePolicy(**{field: value})
-
-
-class TestMinorRatios:
-    """sigma_2 / sigma_1 read from 2x2 minors agrees with the SVD's to a few eps."""
-
-    @pytest.mark.parametrize("n", [3, 4], ids=["2x4", "2x8"])
-    def test_near_rank_one_at_every_scale(self, n):
-        g = RandomSource(700 + n).generator()
-        cols = 2 ** (n - 1)
-        count = 10_000
-        ratio = 10.0 ** g.uniform(-16, 0, count)  # r from 1e-16 to 1
-        scale = 2.0 ** g.choice([-1000, -500, 0, 500, 1000], count)
-        matrices = []
-        for r, k in zip(ratio, scale):
-            u = np.linalg.qr(random_complex(g, 4).reshape(2, 2))[0]
-            v = np.linalg.qr(random_complex(g, 2 * cols).reshape(cols, 2))[0]
-            matrices.append(((u * [1.0, r]) @ v.conj().T) * k)
-        amps = np.zeros((count, 2 * cols), dtype=complex)
-        amps[:, pivot_index((2,) * n, 1)] = matrices
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = minor_ratios(amps, minor_index(n)[:1])[:, 0]
-        sigma = svd_stack(np.array(matrices)).sigma
-        expected = sigma[:, 1] / sigma[:, 0]
-        assert np.abs(got - expected).max() <= 4e-15
-        # ratios within 1e-14 of a tolerance may read either side of it, so they are left out
-        for tol in (1e-12, 1e-9, 1e-6, 1e-4):
-            pol = TolerancePolicy(rank_rel_tol=tol)
-            for r, s in zip(got, sigma):
-                if abs(s[1] / s[0] - tol) > 1e-14:
-                    assert 1 + (r > tol) == numerical_rank(s, pol)
-
-    def test_every_pivot_of_a_state(self):
-        g = RandomSource(710).generator()
-        for n in (3, 4, 5):
-            amps = random_complex(g, 2**n)
-            got = minor_ratios(amps, minor_index(n))
-            for p in range(1, n + 1):
-                sigma = svd(amps[pivot_index((2,) * n, p)]).sigma
-                assert abs(got[p - 1] - sigma[1] / sigma[0]) <= 4e-15
 
 
 class TestSvdStack:

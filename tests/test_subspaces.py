@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from slocc.subspaces import (
     classify_line,
     classify_span,
     one_product_span_basis,
+    projective_quadratic_roots,
     product_factors,
     product_roots,
     slice_matrix,
@@ -191,6 +194,76 @@ class TestFactorSpanReadFromRanks:
             classify_span(E11, [0, 1, bad, 0])
         with pytest.raises(NonFinite):
             classify_span([bad, 0, 0, 1], E12)
+
+
+class TestSpanScaleInvariance:
+    """Span readings hold at the ends of the float range: the Gram test, the unit
+    generators and the pencil roots are read on exactly prescaled numbers, so
+    nothing under- or overflows."""
+
+    SPANS = [(E11, E12), (E11, E22), (E11, E21)]  # LeftFactor, TwoProducts, RightFactor
+
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    @pytest.mark.parametrize("w1, w2", SPANS, ids=["left", "two", "right"])
+    def test_span_reads_its_scale_one_tag_and_factor(self, w1, w2, s):
+        expected = classify_span(w1, w2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = classify_span(w1, s * w2)
+        assert got.tag is expected.tag
+        if expected.factor is None:
+            assert got.factor is None
+        else:
+            assert got.factor.tobytes() == expected.factor.tobytes()
+
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    def test_product_roots_of_a_scaled_generator(self, s):
+        expected = product_roots(slice_matrix(E11), slice_matrix(E22))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = product_roots(slice_matrix(E11), slice_matrix(s * E22))
+        assert got.kind is expected.kind is RootKind.TWO_DISTINCT
+        assert got.roots == expected.roots
+        assert got.coeffs == (0.0, s, 0.0)
+
+    @pytest.mark.parametrize("k", [-900, -600, 600, 900])
+    def test_common_scale_keeps_every_reading(self, k):
+        # a power of two scales witnesses exactly, so their bytes can be compared
+        g = RandomSource(41).generator()
+        tags = set()
+        for trial in range(60):
+            w1, w2 = random_complex(g, 4), random_complex(g, 4)
+            if trial % 3 == 1:
+                w1 = np.kron(w1[:2], w1[2:])  # a product generator
+            elif trial % 3 == 2:
+                w1, w2 = np.kron(w1[:2], w2[2:]), np.kron(w2[:2], w2[2:])  # a right factor
+            expected = classify_span(w1, w2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = classify_span(2.0**k * w1, 2.0**k * w2)
+            tags.add(got.tag)
+            assert got.tag is expected.tag
+            assert [w.tobytes() for w in got.witnesses] == [
+                (2.0**k * w).tobytes() for w in expected.witnesses
+            ]
+            assert (got.factor is None) == (expected.factor is None)
+            if got.factor is not None:
+                assert got.factor.tobytes() == expected.factor.tobytes()
+        assert StructureTag.RIGHT_FACTOR in tags and StructureTag.TWO_PRODUCTS in tags
+
+    def test_pencil_beyond_the_float_range_refused(self):
+        W1, W2 = slice_matrix(E11 + E22), slice_matrix(1e200 * (E12 + E21))  # det(W2) = -1e400
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFinite, match="float range"):
+                product_roots(W1, W2)
+
+    @pytest.mark.parametrize("b", [1e-200, 1e160, 1e200])
+    def test_discriminant_read_on_the_coefficients_scale(self, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kind, roots = projective_quadratic_roots(0.0, b, 0.0, 1e-8)
+        assert kind is RootKind.TWO_DISTINCT
+        assert roots == ((1.0, 0.0), (0.0, 1.0))
 
 
 class TestClassifyLine:

@@ -554,7 +554,7 @@ def reference_classify3(state, pol):
         spectrum = slocc.tripartite._pencil_spectrum(
             roots, np.linalg.norm(W1), np.linalg.norm(W2), pol
         )
-        structure = span_structure(w1, w2, roots, pol)
+        structure = span_structure(w1, w2, roots)
     return tag, ranks, sigma, structure, spectrum, near
 
 
