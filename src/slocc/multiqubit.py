@@ -10,11 +10,17 @@ the same broad-sense class exactly when these summaries match; residual
 continuous freedom (the exceptional points' positions) is deliberately
 excluded from the comparison.
 
-Exceptional points are located algebraically: rank drops of a pivot's
-coefficient matrix along the line are the roots of its largest 2x2-minor
-quadratic that zero all of its minors, and (for N = 4) the genuinely
-tripartite GHZ/W boundary is the root set of the degree-4 hyperdeterminant
-along the line. Rank-drop loci have measure zero, so sampling alone would
+Exceptional points are located algebraically. Each 2x2 minor of a pivot's
+coefficient matrix along the line is a quadratic pencil (one kernel,
+``subspaces.minor_pencil``); rank drops are the roots of a pivot's largest
+minor quadratic that zero all of its minors. For N = 4 the GHZ/W boundary is
+the root set of the hyperdeterminant along the line, B^2 - 4AC over the
+pivot-2 minor quadratics A = m01, B = m03 - m12, C = m23 (the 3-tangle of
+Coffman, Kundu and Wootters). Product and biseparable points lie in its
+singular locus (Miyake), so a rank-drop point is a multiple root, which root
+finding spreads by ~eps^(1/m) for multiplicity m: a quartic root within
+``_SNAP_DISTANCE`` = 8 eps^(1/4) (chordal) of a rank-drop point is that point.
+Rank-drop loci have measure zero, so sampling alone would
 miss them. Every other point of the line carries the generic class, which
 is read at one fixed probe point farthest from all candidates. For N = 4
 the probe point and the merged candidates (or a one-dimensional line's
@@ -31,7 +37,7 @@ import numpy as np
 from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _exponent, numerical_rank, svd
 from .states import PureState, coefficient_matrix, make_state, minor_index, pivot_index
-from .subspaces import projective_quadratic_roots
+from .subspaces import minor_pencil, projective_quadratic_roots
 from .tripartite import classify3_tags
 
 # chordal distances of machine-identical points already read ~sqrt(eps)
@@ -44,9 +50,11 @@ _PROBE_PHI = (np.arange(16) + 0.5) * np.pi * (3.0 - np.sqrt(5.0))
 _PROBES = np.stack(
     [np.cos(_PROBE_THETA / 2), np.sin(_PROBE_THETA / 2) * np.exp(1j * _PROBE_PHI)], axis=1
 )
-# interpolation nodes of the hyperdeterminant quartic along the line
-_TANGLE_NODES = (-2.0, -1.0, 0.0, 1.0, 2.0)
-_TANGLE_VANDER = np.array([[t**k for k in range(5)] for t in _TANGLE_NODES])
+# chordal radius within which a tangle root is a rank-drop point: a multiple root moves ~eps^(1/4)
+_SNAP_DISTANCE = 8.0 * float(np.finfo(float).eps) ** 0.25
+# flat offsets (row, column p or q, minor) of the pivot-2 minors m01, m03, m12 and m23 of
+# a 3-qubit state, whose pivot-2 columns run over (qubit 1, qubit 3) = 00, 01, 10, 11
+_TANGLE_MINORS = pivot_index((2, 2, 2), 2)[:, [[0, 0, 1, 2], [1, 3, 2, 3]]]
 
 
 @dataclass(frozen=True)
@@ -61,10 +69,10 @@ class StructureDescriptor:
 
     n_qubits: int
     dim_w: int
-    line_class: str | None
-    generic_class: str | None
-    exceptional_classes: tuple[str, ...]
-    exceptional_points: tuple[tuple[complex, complex], ...]
+    line_class: str | None = None
+    generic_class: str | None = None
+    exceptional_classes: tuple[str, ...] = ()
+    exceptional_points: tuple[tuple[complex, complex], ...] = ()
 
     def signature(self) -> str:
         if self.dim_w == 1:
@@ -94,27 +102,11 @@ def _require_qubits(state: PureState, minimum: int):
 
 
 def hyperdeterminant(amps) -> complex:
-    """Cayley hyperdeterminant of a 2x2x2 amplitude tensor (vanishes off GHZ)."""
-    c = np.asarray(amps, dtype=complex).reshape(2, 2, 2)
-    d1 = (
-        (c[0, 0, 0] * c[1, 1, 1]) ** 2
-        + (c[0, 0, 1] * c[1, 1, 0]) ** 2
-        + (c[0, 1, 0] * c[1, 0, 1]) ** 2
-        + (c[1, 0, 0] * c[0, 1, 1]) ** 2
-    )
-    d2 = (
-        c[0, 0, 0] * c[1, 1, 1] * (
-            c[0, 1, 1] * c[1, 0, 0] + c[1, 0, 1] * c[0, 1, 0] + c[1, 1, 0] * c[0, 0, 1]
-        )
-        + c[0, 1, 1] * c[1, 0, 0] * c[1, 0, 1] * c[0, 1, 0]
-        + c[0, 1, 1] * c[1, 0, 0] * c[1, 1, 0] * c[0, 0, 1]
-        + c[1, 0, 1] * c[0, 1, 0] * c[1, 1, 0] * c[0, 0, 1]
-    )
-    d3 = (
-        c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
-        + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0]
-    )
-    return complex(d1 - 2.0 * d2 + 4.0 * d3)
+    """Cayley hyperdeterminant of a 2x2x2 amplitude tensor (vanishes off GHZ): b^2 - 4ac of
+    the pencil of the qubit-1 slices, (m03 - m12)^2 - 4 m01 m23 over the pivot-2 minors."""
+    t = np.asarray(amps, dtype=complex).reshape(2, 2, 2).tolist()
+    a, b, c = minor_pencil(t[0], t[1])
+    return complex(b * b - 4.0 * a * c)
 
 
 def _point_classes(vecs, n_sub: int, pol: TolerancePolicy, max_qubits: int) -> list[str]:
@@ -139,11 +131,7 @@ def _rank_drop_candidates(w1, w2, n_sub: int, pol: TolerancePolicy):
     roots of the pivot's largest minor quadratic that all its minors share.
     """
     index = minor_index(n_sub)
-    (a0p, a0q), (a1p, a1q) = w1[index].reshape(n_sub, 2, 2, -1).transpose(1, 2, 0, 3)
-    (b0p, b0q), (b1p, b1q) = w2[index].reshape(n_sub, 2, 2, -1).transpose(1, 2, 0, 3)
-    a = a0p * a1q - a0q * a1p
-    c = b0p * b1q - b0q * b1p
-    b = a0p * b1q + b0p * a1q - a0q * b1p - b0q * a1p
+    a, b, c = minor_pencil(w1[index], w2[index])  # each (n_sub, M): pivot k, column pair m
     size = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
     scale = size.max(axis=1)
     floor = 1e-13 * (np.linalg.norm(w1) + np.linalg.norm(w2)) ** 2
@@ -161,21 +149,34 @@ def _rank_drop_candidates(w1, w2, n_sub: int, pol: TolerancePolicy):
     return list(units[(residual <= pol.deg_tol * scale[owner, None]).all(axis=1)])
 
 
+def _tangle_quartic(w1, w2) -> np.ndarray:
+    """Coefficients, alpha^4 down to beta^4, of the hyperdeterminant of alpha*w1 + beta*w2
+    (N = 4): B^2 - 4AC over the pivot-2 minor quadratics A = m01, B = m03 - m12, C = m23."""
+    m01, m03, m12, m23 = np.array(minor_pencil(w1[_TANGLE_MINORS], w2[_TANGLE_MINORS])).T
+    return np.convolve(m03 - m12, m03 - m12) - 4.0 * np.convolve(m01, m23)
+
+
 def _tangle_candidates(w1, w2):
     """Roots of the hyperdeterminant quartic along the line (N = 4 only)."""
-    values = [hyperdeterminant(t * w1 + w2) for t in _TANGLE_NODES]
-    h = np.linalg.solve(_TANGLE_VANDER, np.array(values))
+    h = _tangle_quartic(w1, w2)[::-1]  # h[k] multiplies t^k on the points t*w1 + w2
     s = float(np.abs(h).max())
     if s <= 1e-12 * (np.linalg.norm(w1) + np.linalg.norm(w2)) ** 4:
         return []
     degree = max(k for k in range(5) if abs(h[k]) > 1e-9 * s)
-    candidates = []
-    if degree < 4:
-        candidates.append(_unit_point((1.0, 0.0)))
-    if degree >= 1:
-        for t in np.roots(h[degree::-1]):
-            candidates.append(_unit_point((complex(t), 1.0)))
-    return candidates
+    roots = [(1.0, 0.0)] * (degree < 4) + [(complex(t), 1.0) for t in np.roots(h[degree::-1])]
+    return [_unit_point(root) for root in roots]
+
+
+def _line_candidates(w1, w2, n_sub: int, pol: TolerancePolicy) -> np.ndarray:
+    """The line's merged candidates: rank drops, then (N = 4) the tangle roots; a root
+    within _SNAP_DISTANCE of a rank drop is that drop, a multiple root of the quartic."""
+    candidates = _rank_drop_candidates(w1, w2, n_sub, pol)
+    if n_sub == 3:
+        tangle = np.array(_tangle_candidates(w1, w2), dtype=complex).reshape(-1, 2)
+        overlap = np.abs(tangle.conj() @ np.array(candidates, dtype=complex).reshape(-1, 2).T)
+        far = (1.0 - overlap**2 > _SNAP_DISTANCE**2).all(axis=1)  # chordal distance
+        candidates += list(tangle[far])  # a snapped root is its rank drop, listed already
+    return _merge(candidates)
 
 
 def _merge(candidates) -> np.ndarray:
@@ -215,22 +216,11 @@ def descriptor(
 
     if dim_w == 1:
         line = _point_classes(res.W[:, :1].T, n_sub, pol, max_qubits)[0]
-        return StructureDescriptor(
-            n_qubits=n,
-            dim_w=1,
-            line_class=line,
-            generic_class=None,
-            exceptional_classes=(),
-            exceptional_points=(),
-        )
+        return StructureDescriptor(n_qubits=n, dim_w=1, line_class=line)
 
     w1 = res.W[:, 0]
     w2 = res.W[:, 1]
-    candidates = _rank_drop_candidates(w1, w2, n_sub, pol)
-    if n == 4:
-        candidates.extend(_tangle_candidates(w1, w2))
-
-    merged = _merge(candidates)
+    merged = _line_candidates(w1, w2, n_sub, pol)
     points = np.concatenate((_generic_point(merged)[None], merged))
     generic, *classes = _point_classes(
         points[:, :1] * w1 + points[:, 1:] * w2, n_sub, pol, max_qubits
@@ -243,7 +233,6 @@ def descriptor(
     return StructureDescriptor(
         n_qubits=n,
         dim_w=2,
-        line_class=None,
         generic_class=generic,
         exceptional_classes=tuple(item[0] for item in exceptional),
         exceptional_points=tuple(tuple(merged[item[-1]]) for item in exceptional),

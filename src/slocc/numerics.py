@@ -146,11 +146,6 @@ def numerical_rank(sigma, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
     return sum(x > pol.rank_rel_tol * s[0] for x in s)
 
 
-def det2(m) -> complex:
-    """Determinant of a 2x2 matrix."""
-    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
 def _pivot_ratios(s1: float, s2: float, w1: list, w2: list) -> list[float]:
     """sigma_2 / sigma_1 of [W1 | rho W2] and [W1^T | rho W2^T], W_l = w_l.reshape(2, 2)
     and rho = s2 / s1, in Python scalars.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DependentGenerators, DimensionMismatch, NonFinite, ToleranceBreakdown, ZeroVector
-from .numerics import DEFAULT_POLICY, TolerancePolicy, _exponent, _pivot_ratios, det2, numerical_rank
+from .numerics import DEFAULT_POLICY, TolerancePolicy, _exponent, _pivot_ratios, numerical_rank
 
 _EPS = 1e-13
 
@@ -156,12 +156,18 @@ def _check_independent(w1, w2, pol):
         raise DependentGenerators("the generators are numerically parallel")
 
 
+def minor_pencil(A, B):
+    """Coefficients (a, b, c) of ``det(alpha*A + beta*B)``, b polarized: A and B unpack as
+    ((A00, A01), (A10, A11)), nested lists of Python scalars for one 2x2 pencil or arrays
+    with row and column as their first two axes for one pencil per trailing index."""
+    (p1, q1), (r1, s1) = A
+    (p2, q2), (r2, s2) = B
+    return p1 * s1 - q1 * r1, p1 * s2 + p2 * s1 - q1 * r2 - q2 * r1, p2 * s2 - q2 * r2
+
+
 def pencil_quadratic(W1, W2) -> tuple[complex, complex, complex]:
-    """Coefficients (a, b, c) of ``det(alpha*W1 + beta*W2)``."""
-    a = det2(W1)
-    c = det2(W2)
-    b = det2(np.asarray(W1) + np.asarray(W2)) - a - c
-    return a, b, c
+    """Coefficients (a, b, c) of ``det(alpha*W1 + beta*W2)``: one :func:`minor_pencil`."""
+    return minor_pencil(*(np.asarray(W, dtype=complex).tolist() for W in (W1, W2)))
 
 
 def product_roots(W1, W2, pol: TolerancePolicy = DEFAULT_POLICY) -> RootReport:
@@ -223,25 +229,27 @@ def classify_span(w1, w2, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStru
     the rank-1 pivot reading of ``classify3``. Both sigma_2 / sigma_1 come
     from :func:`_pivot_ratios` on the unit generators (scaling a generator
     keeps the ranks); the smaller one at most ``rank_rel_tol`` names the
-    factor side, left on a tie. Any other span is read from its slice pencil
-    (:func:`span_structure`).
+    factor side, left on a tie. Any other span is read from the slice pencil of
+    its unit generators (:func:`span_structure`), so a generator's size does not
+    change the reading.
     """
     v1 = np.asarray(w1, dtype=complex).reshape(-1)
     v2 = np.asarray(w2, dtype=complex).reshape(-1)
-    W1, W2 = slice_matrix(v1), slice_matrix(v2)
     if not (np.isfinite(v1).all() and np.isfinite(v2).all()):
         raise NonFinite("generators contain non-finite entries")
     _check_independent(v1, v2, pol)  # zero generators are refused before the division
-    units = ((v / np.linalg.norm(v)).tolist() for v in map(_scaled, (v1, v2)))
-    left, right = _pivot_ratios(1.0, 1.0, *units)
+    u1, u2 = (v / np.linalg.norm(v) for v in map(_scaled, (v1, v2)))
+    left, right = _pivot_ratios(1.0, 1.0, u1.tolist(), u2.tolist())
     if left <= pol.rank_rel_tol and left <= right:
         return SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=product_factors(v1)[0])
     if right <= pol.rank_rel_tol:
         b = _scaled(product_factors(v1)[1])
         return SubspaceStructure(tag=StructureTag.RIGHT_FACTOR, factor=b / np.linalg.norm(b))
-    # one exact power of two for both slices keeps the pencil in range and its roots
-    f = math.ldexp(1.0, -_exponent([*v1.tolist(), *v2.tolist()]))
-    return span_structure(v1, v2, product_roots(W1 * f, W2 * f, pol))
+    # Witnesses are read on the unit generators too, times the power of two of the larger
+    # generator halved (a combination of unit vectors stays in range): a common power of
+    # two scales them exactly, and no coefficient on v1, v2 can underflow.
+    f = math.ldexp(1.0, _exponent([*v1.tolist(), *v2.tolist()]) - 1)
+    return span_structure(u1 * f, u2 * f, product_roots(slice_matrix(u1), slice_matrix(u2), pol))
 
 
 def span_structure(v1, v2, report: RootReport) -> SubspaceStructure:

@@ -5,7 +5,7 @@ decisions, and these helpers draw inputs for it or re-derive its readings by
 independent routes (eigenvalues of a 2x2 matrix, a Schmidt-form rebuild, the
 chordal distance of projective points, a brute-force count of product
 directions, a descriptor that classifies its line points one at a time, a
-factor search with one SVD per pivot).
+factor search with one SVD per pivot, Cayley's explicit hyperdeterminant).
 
 The random source is counter-based (Philox keyed through SeedSequence), so a
 given seed produces the same draws on every platform. Sources are values:
@@ -22,7 +22,7 @@ from slocc import multiqubit
 from slocc.bipartite import SchmidtForm
 from slocc.errors import DependentGenerators, UnsupportedDepth
 from slocc.multiqubit import StructureDescriptor
-from slocc.numerics import DEFAULT_POLICY, TolerancePolicy, det2, numerical_rank, svd
+from slocc.numerics import DEFAULT_POLICY, TolerancePolicy, numerical_rank, svd
 from slocc.states import PureState, coefficient_matrix, make_state
 from slocc.tripartite import classify3
 
@@ -75,7 +75,7 @@ def eig2(matrix) -> tuple[complex, complex]:
     """
     m = np.asarray(matrix, dtype=complex)
     tr = m[0, 0] + m[1, 1]
-    det = det2(m)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     disc = np.sqrt(complex(tr * tr - 4.0 * det))
     if abs(tr + disc) >= abs(tr - disc):
         lam1 = (tr + disc) / 2.0
@@ -248,6 +248,30 @@ def brute_product_count(w1, w2, grid_n: int = 10_000, depth: int = 20):
     return count
 
 
+def cayley_hyperdeterminant(amps) -> complex:
+    """Cayley's hyperdeterminant of a 2x2x2 amplitude tensor, expanded term by term."""
+    c = np.asarray(amps, dtype=complex).reshape(2, 2, 2)
+    d1 = (
+        (c[0, 0, 0] * c[1, 1, 1]) ** 2
+        + (c[0, 0, 1] * c[1, 1, 0]) ** 2
+        + (c[0, 1, 0] * c[1, 0, 1]) ** 2
+        + (c[1, 0, 0] * c[0, 1, 1]) ** 2
+    )
+    d2 = (
+        c[0, 0, 0] * c[1, 1, 1] * (
+            c[0, 1, 1] * c[1, 0, 0] + c[1, 0, 1] * c[0, 1, 0] + c[1, 1, 0] * c[0, 0, 1]
+        )
+        + c[0, 1, 1] * c[1, 0, 0] * c[1, 0, 1] * c[0, 1, 0]
+        + c[0, 1, 1] * c[1, 0, 0] * c[1, 1, 0] * c[0, 0, 1]
+        + c[1, 0, 1] * c[0, 1, 0] * c[1, 1, 0] * c[0, 0, 1]
+    )
+    d3 = (
+        c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
+        + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0]
+    )
+    return complex(d1 - 2.0 * d2 + 4.0 * d3)
+
+
 def _point_class(vec, n_sub: int, pol: TolerancePolicy, max_qubits: int) -> str:
     v = np.asarray(vec, dtype=complex)
     v = v / np.linalg.norm(v)
@@ -262,7 +286,8 @@ def reference_descriptor(
 ) -> StructureDescriptor:
     """The descriptor with its line points classified one at a time: each point
     becomes a state of its own and goes through :func:`classify3` (or, deeper,
-    through this function), in the order probe point, then merged candidates."""
+    through this function), in the order probe point, then merged candidates.
+    The candidates come from the package's own snap-and-merge step."""
     multiqubit._require_qubits(state, 4)
     n = state.n_subsystems
     if n > max_qubits:
@@ -286,11 +311,7 @@ def reference_descriptor(
 
     w1 = res.W[:, 0]
     w2 = res.W[:, 1]
-    candidates = multiqubit._rank_drop_candidates(w1, w2, n_sub, pol)
-    if n == 4:
-        candidates.extend(multiqubit._tangle_candidates(w1, w2))
-
-    merged = multiqubit._merge(candidates)
+    merged = multiqubit._line_candidates(w1, w2, n_sub, pol)
     generic, *classes = (
         _point_class(point[0] * w1 + point[1] * w2, n_sub, pol, max_qubits)
         for point in (multiqubit._generic_point(merged), *merged)

@@ -266,6 +266,33 @@ class TestSpanScaleInvariance:
         assert roots == ((1.0, 0.0), (0.0, 1.0))
 
 
+class TestSpanPencilOnUnitGenerators:
+    """span{w1, s w2} is span{w1, w2}: its pencil is read on the unit generators, so
+    the reading does not depend on the generators' relative size."""
+
+    @pytest.mark.parametrize(
+        "s1, s2",
+        [*((1.0, s) for s in (1e-300, 1e-200, 1e-20, 1e-4, 1e4, 1e20, 1e200, 1e300)),
+         (1e-300, 1e300), (1e300, 1e-300)],
+    )
+    def test_two_product_span_at_every_relative_scale(self, s1, s2):
+        def direction(v):
+            v = v / np.abs(v).max()
+            return v / np.linalg.norm(v)
+
+        g = RandomSource(46).generator()
+        for _ in range(200):
+            w1, w2 = (np.kron(random_complex(g, 2), random_complex(g, 2)) for _ in range(2))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = classify_span(s1 * w1, s2 * w2)
+            assert got.tag is StructureTag.TWO_PRODUCTS
+            # the two product directions are the generators' own, one witness each
+            overlaps = np.abs([[np.vdot(direction(w), direction(x)) for x in got.witnesses]
+                               for w in (w1, w2)])
+            assert max(overlaps.trace(), np.fliplr(overlaps).trace()) >= 2.0 - 1e-12
+
+
 class TestClassifyLine:
     def test_product_line(self):
         assert classify_line(E11).tag is StructureTag.PRODUCT_LINE
