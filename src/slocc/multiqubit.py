@@ -11,20 +11,20 @@ continuous freedom (the exceptional points' positions) is deliberately
 excluded from the comparison.
 
 Exceptional points are located algebraically. Each 2x2 minor of a pivot's
-coefficient matrix along the line is a quadratic pencil (one kernel,
-``subspaces.minor_pencil``); rank drops are the roots of a pivot's largest
-minor quadratic that zero all of its minors. For N = 4 the GHZ/W boundary is
-the root set of the hyperdeterminant along the line, B^2 - 4AC over the
-pivot-2 minor quadratics A = m01, B = m03 - m12, C = m23 (the 3-tangle of
-Coffman, Kundu and Wootters). Product and biseparable points lie in its
-singular locus (Miyake), so a rank-drop point is a multiple root, which root
-finding spreads by ~eps^(1/m) for multiplicity m: a quartic root within
-``_SNAP_DISTANCE`` = 8 eps^(1/4) (chordal) of a rank-drop point is that point.
-Rank-drop loci have measure zero, so sampling alone would
-miss them. Every other point of the line carries the generic class, which
-is read at one fixed probe point farthest from all candidates. For N = 4
-the probe point and the merged candidates (or a one-dimensional line's
-generator) are decided in one batched :func:`classify3_tags` call.
+coefficient matrix along the line is a quadratic pencil, gathered once per line
+into one table (``subspaces.minor_pencil``); rank drops are the roots of a
+pivot's largest minor quadratic that zero all of its minors. For N = 4 the
+GHZ/W boundary is the root set of the hyperdeterminant along the line, B^2 - 4AC
+over the table's pivot-2 quadratics A = m01, B = m03 - m12, C = m23 (the 3-tangle
+of Coffman, Kundu and Wootters), solved as its companion matrix's eigenvalues.
+Product and biseparable points lie in its singular locus (Miyake), so a rank-drop
+point is a multiple root, which root finding spreads by ~eps^(1/m) for
+multiplicity m: a quartic root within ``_SNAP_DISTANCE`` = 8 eps^(1/4) (chordal)
+of a rank-drop point is that point. Rank-drop loci have measure zero, so sampling
+alone would miss them. Every other point of the line carries the generic class,
+read at one fixed probe point farthest from all candidates. For N = 4 the probe
+point and the merged candidates (or a one-dimensional line's generator) are
+decided in one batched :func:`classify3_tags` call, which reads pencil kinds only.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ _PROBES = np.stack(
 )
 # chordal radius within which a tangle root is a rank-drop point: a multiple root moves ~eps^(1/4)
 _SNAP_DISTANCE = 8.0 * float(np.finfo(float).eps) ** 0.25
-# flat offsets (row, column p or q, minor) of the pivot-2 minors m01, m03, m12 and m23 of
-# a 3-qubit state, whose pivot-2 columns run over (qubit 1, qubit 3) = 00, 01, 10, 11
-_TANGLE_MINORS = pivot_index((2, 2, 2), 2)[:, [[0, 0, 1, 2], [1, 3, 2, 3]]]
 
 
 @dataclass(frozen=True)
@@ -119,64 +116,69 @@ def _point_classes(vecs, n_sub: int, pol: TolerancePolicy, max_qubits: int) -> l
     return [descriptor(make_state((2,) * n_sub, v), pol, max_qubits).signature() for v in vecs]
 
 
-def _unit_point(point):
-    v = np.array(point, dtype=complex)
-    return tuple(v / np.linalg.norm(v))
+def _unit_point(point) -> tuple[complex, complex]:  # + 0.0 turns -0.0 into 0.0
+    p, q, r, s = point[0].real, point[0].imag, point[1].real, point[1].imag
+    norm = math.sqrt(p * p + q * q + r * r + s * s)
+    return complex(p / norm + 0.0, q / norm + 0.0), complex(r / norm + 0.0, s / norm + 0.0)
 
 
-def _rank_drop_candidates(w1, w2, n_sub: int, pol: TolerancePolicy):
-    """Unit points of the line where some pivot's coefficient matrix drops rank.
+def _minor_table(w1, w2, n_sub: int):
+    """``minor_pencil``'s (a, b, c) along the line, each (n_sub, M): pivot k's m-th minor."""
+    return minor_pencil(w1[minor_index(n_sub)], w2[minor_index(n_sub)])
 
-    Such a point zeroes every 2x2 minor of the pivot, so it is one of the
-    roots of the pivot's largest minor quadratic that all its minors share.
-    """
-    index = minor_index(n_sub)
-    a, b, c = minor_pencil(w1[index], w2[index])  # each (n_sub, M): pivot k, column pair m
-    size = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
-    scale = size.max(axis=1)
+
+def _rank_drop_candidates(w1, w2, n_sub: int, pol: TolerancePolicy, table=None):
+    """Unit points of the line where some pivot's matrix drops rank: the roots of its largest
+    minor quadratic that zero all its minors, read on the table's rows as Python scalars."""
+    a, b, c = table or _minor_table(w1, w2, n_sub)
     floor = 1e-13 * (np.linalg.norm(w1) + np.linalg.norm(w2)) ** 2
-    roots, owner = [], []
-    for k, m in enumerate(size.argmax(axis=1)):
-        if scale[k] <= floor:
+    drops = []
+    for ak, bk, ck in zip(a.tolist(), b.tolist(), c.tolist()):  # pivot k: one entry per minor
+        size = list(map(max, map(abs, ak), map(abs, bk), map(abs, ck)))
+        scale = max(size)
+        if scale <= floor:
             continue  # pivot is rank-deficient on the whole line
-        _, found = projective_quadratic_roots(a[k, m], b[k, m], c[k, m], pol.deg_tol)
-        roots.extend(found)
-        owner.extend([k] * len(found))
-    units = np.array(roots, dtype=complex).reshape(-1, 2)
-    units /= np.linalg.norm(units, axis=1, keepdims=True)
-    alpha, beta = units[:, :1], units[:, 1:]
-    residual = np.abs(a[owner] * alpha * alpha + b[owner] * alpha * beta + c[owner] * beta * beta)
-    return list(units[(residual <= pol.deg_tol * scale[owner, None]).all(axis=1)])
+        m = size.index(scale)
+        _, roots = projective_quadratic_roots(ak[m], bk[m], ck[m], pol.deg_tol)
+        for u, v in map(_unit_point, roots):
+            uu, uv, vv, tol = u * u, u * v, v * v, pol.deg_tol * scale
+            if all(abs(x * uu + y * uv + z * vv) <= tol for x, y, z in zip(ak, bk, ck)):
+                drops.append((u, v))
+    return drops
 
 
-def _tangle_quartic(w1, w2) -> np.ndarray:
+def _tangle_quartic(w1, w2, table=None) -> np.ndarray:
     """Coefficients, alpha^4 down to beta^4, of the hyperdeterminant of alpha*w1 + beta*w2
     (N = 4): B^2 - 4AC over the pivot-2 minor quadratics A = m01, B = m03 - m12, C = m23."""
-    m01, m03, m12, m23 = np.array(minor_pencil(w1[_TANGLE_MINORS], w2[_TANGLE_MINORS])).T
+    m01, m03, m12, m23 = np.array(table or _minor_table(w1, w2, 3))[:, 1, [0, 2, 3, 5]].T
     return np.convolve(m03 - m12, m03 - m12) - 4.0 * np.convolve(m01, m23)
 
 
-def _tangle_candidates(w1, w2):
-    """Roots of the hyperdeterminant quartic along the line (N = 4 only)."""
-    h = _tangle_quartic(w1, w2)[::-1]  # h[k] multiplies t^k on the points t*w1 + w2
-    s = float(np.abs(h).max())
+def _tangle_candidates(w1, w2, table=None) -> list:
+    """Unit roots of the tangle quartic (N = 4): (1, 0) if its degree in t (points t*w1 + w2)
+    is below 4, then (t, 1) for np.roots' t: its companion's eigenvalues, then trailing zeros."""
+    h = _tangle_quartic(w1, w2, table)[::-1].tolist()  # h[k] multiplies t^k
+    s = max(map(abs, h))
     if s <= 1e-12 * (np.linalg.norm(w1) + np.linalg.norm(w2)) ** 4:
         return []
     degree = max(k for k in range(5) if abs(h[k]) > 1e-9 * s)
-    roots = [(1.0, 0.0)] * (degree < 4) + [(complex(t), 1.0) for t in np.roots(h[degree::-1])]
-    return [_unit_point(root) for root in roots]
+    zeros = next(k for k in range(5) if h[k] != 0)
+    p = np.array(h[zeros : degree + 1][::-1])  # highest power first
+    companion = np.eye(len(p) - 1, k=-1, dtype=complex)
+    companion[:1] = -p[1:] / p[0]  # nothing to assign in a 0 x 0 companion
+    t = [*np.linalg.eigvals(companion).tolist(), *[0j] * zeros]
+    return list(map(_unit_point, [(1.0, 0.0)] * (degree < 4) + [(x, 1.0) for x in t]))
 
 
 def _line_candidates(w1, w2, n_sub: int, pol: TolerancePolicy) -> np.ndarray:
-    """The line's merged candidates: rank drops, then (N = 4) the tangle roots; a root
-    within _SNAP_DISTANCE of a rank drop is that drop, a multiple root of the quartic."""
-    candidates = _rank_drop_candidates(w1, w2, n_sub, pol)
-    if n_sub == 3:
-        tangle = np.array(_tangle_candidates(w1, w2), dtype=complex).reshape(-1, 2)
-        overlap = np.abs(tangle.conj() @ np.array(candidates, dtype=complex).reshape(-1, 2).T)
-        far = (1.0 - overlap**2 > _SNAP_DISTANCE**2).all(axis=1)  # chordal distance
-        candidates += list(tangle[far])  # a snapped root is its rank drop, listed already
-    return _merge(candidates)
+    """Merged rank drops, then (N = 4) tangle roots, from one :func:`_minor_table`; a root
+    within _SNAP_DISTANCE (chordal) of a drop is that drop, a multiple root of the quartic."""
+    table = _minor_table(w1, w2, n_sub)
+    drops = _rank_drop_candidates(w1, w2, n_sub, pol, table)
+    tangle = _tangle_candidates(w1, w2, table) if n_sub == 3 else []
+    overlaps = [[abs(a.conjugate() * x + b.conjugate() * y) for x, y in drops] for a, b in tangle]
+    far = [p for p, o in zip(tangle, overlaps) if all(1.0 - v * v > _SNAP_DISTANCE**2 for v in o)]
+    return _merge(drops + far)
 
 
 def _merge(candidates) -> np.ndarray:

@@ -150,9 +150,8 @@ def pivot_index(dims: tuple[int, ...], pivot: int) -> np.ndarray:
 def minor_index(n: int) -> np.ndarray:
     """Read-only flat offsets (2, 2, n, M): [r, 0, k - 1, m] and [r, 1, k - 1, m] are row r of
     the pivot-k matrix A at the columns p < q of its m-th column pair, so that
-    ``subspaces.minor_pencil`` reads A[0, p] A[1, q] - A[0, q] A[1, p], its 2x2 minors. Its
-    one caller, ``multiqubit._rank_drop_candidates``, needs the minors themselves as
-    root-finding pencils, at n below ``descriptor``'s ``max_qubits``."""
+    ``subspaces.minor_pencil`` reads A[0, p] A[1, q] - A[0, q] A[1, p], its 2x2 minors: the
+    one minor table of a ``descriptor`` line (``multiqubit._minor_table``)."""
     mats = np.stack([pivot_index((2,) * n, k) for k in range(1, n + 1)])
     p, q = np.triu_indices(mats.shape[2], 1)
     index = np.stack((mats[:, :, p], mats[:, :, q])).transpose(2, 0, 1, 3)

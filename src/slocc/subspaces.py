@@ -104,33 +104,42 @@ def _normalize_root(alpha: complex, beta: complex) -> tuple[complex, complex]:
     return complex(alpha / beta), complex(1.0)
 
 
-def projective_quadratic_roots(a, b, c, deg_tol: float):
-    """Roots of ``a*x^2 + b*x*y + c*y^2`` on the projective line.
-
-    Returns ``(RootKind, roots)``, read on the coefficients scaled by the power of
-    two that puts the largest modulus in [0.5, 1): exact, so b^2 neither under- nor
-    overflows. The double root comes from the stable vertex formula, so its
-    position is first-order accurate even though the two split roots would each
-    carry sqrt-of-noise error.
-    """
+def _root_kind(a, b, c, deg_tol: float):
+    """(kind, pole, (a, b, c, disc)) by the rule of :func:`projective_quadratic_roots`, on the
+    coefficients scaled by the power of two that puts the largest modulus in [0.5, 1): exact,
+    so b^2 neither under- nor overflows. ``pole``: |a| <= _EPS s put a root at (1, 0)."""
     a, b, c = complex(a), complex(b), complex(c)
     s = max(abs(a), abs(b), abs(c))
     if s == 0.0:
-        return RootKind.INFINITELY_MANY, ()
+        return RootKind.INFINITELY_MANY, False, (a, b, c, 0j)
     f = math.ldexp(1.0, -max(math.frexp(s)[1], -1022))
     a, b, c, s = a * f, b * f, c * f, s * f
     disc = b * b - 4.0 * a * c
     if abs(disc) <= deg_tol * s * s:
-        if abs(a) >= abs(c):
-            root = _normalize_root(-b, 2.0 * a)
-        else:
-            root = _normalize_root(2.0 * c, -b)
-        return RootKind.ONE_DOUBLE, (root,)
-    if abs(a) <= _EPS * s:
+        return RootKind.ONE_DOUBLE, False, (a, b, c, disc)
+    pole = abs(a) <= _EPS * s
+    kind = RootKind.ONE_DOUBLE if pole and abs(b) <= _EPS * s else RootKind.TWO_DISTINCT
+    return kind, pole, (a, b, c, disc)
+
+
+def projective_quadratic_roots(a, b, c, deg_tol: float):
+    """Roots of ``a*x^2 + b*x*y + c*y^2`` on the projective line.
+
+    Returns ``(RootKind, roots)``, the kind by :func:`_root_kind`, which tag-only callers
+    read alone. The double root comes from the stable vertex formula, so its
+    position is first-order accurate even though the two split roots would each
+    carry sqrt-of-noise error.
+    """
+    kind, pole, (a, b, c, disc) = _root_kind(a, b, c, deg_tol)
+    if kind is RootKind.INFINITELY_MANY:
+        return kind, ()
+    if pole:
         r1 = (complex(1.0), complex(0.0))
-        if abs(b) <= _EPS * s:
-            return RootKind.ONE_DOUBLE, (r1,)
-        return RootKind.TWO_DISTINCT, (r1, _normalize_root(-c, b))
+        return kind, ((r1,) if kind is RootKind.ONE_DOUBLE else (r1, _normalize_root(-c, b)))
+    if kind is RootKind.ONE_DOUBLE:
+        if abs(a) >= abs(c):
+            return kind, (_normalize_root(-b, 2.0 * a),)
+        return kind, (_normalize_root(2.0 * c, -b),)
     sd = np.sqrt(disc)
     t = -b - sd if abs(-b - sd) >= abs(-b + sd) else -b + sd
     return RootKind.TWO_DISTINCT, (

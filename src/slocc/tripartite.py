@@ -46,7 +46,7 @@ from .errors import (
     WrongArity,
 )
 from .numerics import DEFAULT_POLICY, SvdResult, TolerancePolicy, inv2, svd, svd_stack
-from .numerics import _pivot_ratios
+from .numerics import _exponent, _pivot_ratios
 from .states import (
     LocalOperatorSet,
     PureState,
@@ -59,6 +59,8 @@ from .subspaces import (
     RootReport,
     StructureTag,
     SubspaceStructure,
+    _root_kind,
+    minor_pencil,
     one_product_span_basis,
     onto_e1,
     product_factors,
@@ -149,23 +151,24 @@ def classify3(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> Classi
 
 
 def classify3_tags(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[TripartiteClass]:
-    """Classes of the 3-qubit states in the rows of ``amps`` (B, 8), decided in one
-    batched call as :func:`classify3` decides each; the first row that fails raises
-    the error that :func:`make_state` or :func:`classify3` gives it alone."""
+    """Classes of the 3-qubit states in the rows of ``amps`` (B, 8), decided in one batched
+    call as :func:`classify3` decides each, from a GHZ/W pencil's kind, not its roots; the
+    first failing row raises the error :func:`make_state` or :func:`classify3` gives it."""
     amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
     valid = np.isfinite(amps).all(axis=1) & (amps != 0).any(axis=1)
     n = len(amps) if valid.all() else int(valid.argmin())
-    tags = [reading[0] for reading in _decide(amps[:n], pol)[1]] if n else []
+    tags = [reading[0] for reading in _decide(amps[:n], pol, solve=False)[1]] if n else []
     if n < len(amps):
         make_state((2, 2, 2), amps[n])  # raises the row's NonFinite or ZeroState
     return tags
 
 
-def _decide(amps, pol: TolerancePolicy):
+def _decide(amps, pol: TolerancePolicy, solve: bool = True):
     """The stacked pivot-1 SVD of the finite, nonzero rows of ``amps`` (B, 8), and each
     row's (tag, ranks, pencil) in order; the first failing row raises. Pivot 1's rank
-    comes from its SVD, pivots 2 and 3 from :func:`_pivot_ratios`; only ranks (2, 2, 2)
-    solve the slice pencil, ``pencil = (roots, W1, W2, pol)``."""
+    comes from its SVD, pivots 2 and 3 from :func:`_pivot_ratios`. Ranks (2, 2, 2) solve the
+    slice pencil, ``pencil = (roots, W1, W2, pol)``, or with ``solve`` false read its kind
+    alone, ``_root_kind`` of the ``minor_pencil`` that product_roots would solve."""
     res = svd_stack(amps[:, _PIVOT_INDEX[0]])
     tol = pol.rank_rel_tol
     gens = res.W[:, :, :2].swapaxes(1, 2)  # w1, w2 of each row; slice_matrix(w) = w.reshape(2, 2).T
@@ -182,13 +185,16 @@ def _decide(amps, pol: TolerancePolicy):
         if tag is None:
             # the slice pencil decides GHZ (two roots) against W (one double root); the
             # ranks already rule out a factor, so only an exactly vanishing pencil reads as one
-            roots = product_roots(W1, W2, pol)
-            if roots.kind is RootKind.INFINITELY_MANY:
+            if solve:
+                roots = product_roots(W1, W2, pol)
+                kind, pencil = roots.kind, (roots, W1, W2, pol)
+            else:
+                kind = _root_kind(*minor_pencil(W1.tolist(), W2.tolist()), pol.deg_tol)[0]
+            if kind is RootKind.INFINITELY_MANY:
                 raise ToleranceBreakdown(
                     "pencil determinant vanishes identically although all pivots read rank 2"
                 )
-            tag = TripartiteClass.GHZ if roots.kind is RootKind.TWO_DISTINCT else TripartiteClass.W
-            pencil = (roots, W1, W2, pol)
+            tag = TripartiteClass.GHZ if kind is RootKind.TWO_DISTINCT else TripartiteClass.W
         readings.append((tag, ranks, pencil))
     return res, readings
 
@@ -302,11 +308,17 @@ def reduce_to_canonical(
 
     The construction works on the conjugated right singular vectors
     u_k = conj(w_k), because the state decomposes exactly as
-    sum_k sigma_k v_k (x) u_k. A singular 2x2 matrix on the way, or an
-    operator whose |det| leaves the float range (amplitudes beyond about
-    1e+-150), raises :class:`ReductionFailed`.
+    sum_k sigma_k v_k (x) u_k. Where |det F1| ~ 1 / (sigma_1 sigma_r) nears the float range's
+    end, the operators and the residual are read on the amplitudes times the exact power of
+    two 2^-e that brings their largest part near 1: the operators send the state to 2^e times
+    the canonical vector, up to scale. A singular 2x2 matrix raises :class:`ReductionFailed`.
     """
     report, res = _classify3(state, pol)
+    s1, s2 = res.sigma.tolist()  # |det F1| ~ 1 / (s1 s_r), s_r the last nonzero sigma
+    if not 2.0**-1010 < s1 * (s2 if report.ranks[0] == 2 else s1) < 2.0**1010:
+        f = 2.0 ** -_exponent(state.amps.tolist())
+        res = SvdResult(res.V, res.sigma * f, res.W, res.matrix * f)
+        state = make_state(state.dims, state.amps * f)  # the operators and residual read it
     try:
         ops = LocalOperatorSet(_reducing_operators(report, res, state.amps, pol))
     except (SingularMatrix, SingularOperator) as exc:

@@ -5,7 +5,9 @@ decisions, and these helpers draw inputs for it or re-derive its readings by
 independent routes (eigenvalues of a 2x2 matrix, a Schmidt-form rebuild, the
 chordal distance of projective points, a brute-force count of product
 directions, a descriptor that classifies its line points one at a time, a
-factor search with one SVD per pivot, Cayley's explicit hyperdeterminant).
+factor search with one SVD per pivot, Cayley's explicit hyperdeterminant, the
+tangle quartic read from pivot 2 alone and solved by ``np.roots``, and the
+GHZ/W kind rule of a quadratic in exact rational arithmetic).
 
 The random source is counter-based (Philox keyed through SeedSequence), so a
 given seed produces the same draws on every platform. Sources are values:
@@ -15,6 +17,7 @@ use ``split`` to derive independent child sources instead of sharing one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +26,8 @@ from slocc.bipartite import SchmidtForm
 from slocc.errors import DependentGenerators, UnsupportedDepth
 from slocc.multiqubit import StructureDescriptor
 from slocc.numerics import DEFAULT_POLICY, TolerancePolicy, numerical_rank, svd
-from slocc.states import PureState, coefficient_matrix, make_state
+from slocc.states import PureState, coefficient_matrix, make_state, pivot_index
+from slocc.subspaces import _EPS, RootKind, minor_pencil
 from slocc.tripartite import classify3
 
 MANY = "many"
@@ -270,6 +274,49 @@ def cayley_hyperdeterminant(amps) -> complex:
         + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0]
     )
     return complex(d1 - 2.0 * d2 + 4.0 * d3)
+
+
+def tangle_quartic(w1, w2) -> np.ndarray:
+    """The tangle quartic of the line alpha*w1 + beta*w2 (alpha^4 first), its pivot-2 minors
+    m01, m03, m12 and m23 gathered directly from the pivot-2 matrices of w1 and w2."""
+    index = pivot_index((2, 2, 2), 2)[:, [[0, 0, 1, 2], [1, 3, 2, 3]]]
+    m01, m03, m12, m23 = np.array(minor_pencil(w1[index], w2[index])).T
+    return np.convolve(m03 - m12, m03 - m12) - 4.0 * np.convolve(m01, m23)
+
+
+def tangle_roots(quartic, floor: float) -> list:
+    """Projective roots (alpha, beta) of a tangle quartic, unnormalized, by ``np.roots``:
+    none when no coefficient passes ``floor``, (1, 0) when its degree in t (the points
+    t*w1 + w2) is below 4, then (t, 1) for each of np.roots' t."""
+    h = np.asarray(quartic)[::-1]  # h[k] multiplies t^k
+    s = float(np.abs(h).max())
+    if s <= floor:
+        return []
+    degree = max(k for k in range(5) if abs(h[k]) > 1e-9 * s)
+    return [(1.0, 0.0)] * (degree < 4) + [(complex(t), 1.0) for t in np.roots(h[degree::-1])]
+
+
+def _modulus2(z) -> Fraction:
+    return z[0] ** 2 + z[1] ** 2
+
+
+def root_kind(a, b, c, deg_tol: float) -> RootKind:
+    """The kind rule of ``projective_quadratic_roots`` on exact rationals: all zero is
+    InfinitelyMany; |b^2 - 4ac| <= deg_tol s^2 (s the largest modulus) a double root; else
+    |a| <= _EPS s puts a root at (1, 0), double when |b| <= _EPS s too. Moduli are compared
+    squared, so no rounding enters; inputs must keep clear of each threshold."""
+    parts = [(Fraction(z.real), Fraction(z.imag)) for z in map(complex, (a, b, c))]
+    (ar, ai), (br, bi), (cr, ci) = parts
+    s2 = max(map(_modulus2, parts))
+    if s2 == 0:
+        return RootKind.INFINITELY_MANY
+    disc = (br * br - bi * bi - 4 * (ar * cr - ai * ci), 2 * br * bi - 4 * (ar * ci + ai * cr))
+    if _modulus2(disc) <= Fraction(deg_tol) ** 2 * s2 * s2:
+        return RootKind.ONE_DOUBLE
+    eps2 = Fraction(_EPS) ** 2 * s2
+    if _modulus2((ar, ai)) <= eps2:
+        return RootKind.ONE_DOUBLE if _modulus2((br, bi)) <= eps2 else RootKind.TWO_DISTINCT
+    return RootKind.TWO_DISTINCT
 
 
 def _point_class(vec, n_sub: int, pol: TolerancePolicy, max_qubits: int) -> str:

@@ -266,7 +266,7 @@ class TestClassifyCommand:
         assert code == 4
         assert "reduction failed" in err
 
-    @pytest.mark.parametrize("scale,expected", [(1e-8, 0), (1e200, 4)])
+    @pytest.mark.parametrize("scale,expected", [(1e-8, 0), (1e200, 0), (1e-300, 0)])
     def test_reduce_exit_code_at_scale(self, tmp_path, capsys, scale, expected):
         from slocc.tripartite import TripartiteClass, canonical_vector
 
@@ -277,7 +277,7 @@ class TestClassifyCommand:
         if expected == 0:
             assert json.loads(out)["class"] == "GHZ"
 
-    @pytest.mark.parametrize("scale,expected", [(1e7, 0), (1e-100, 0), (1e200, 4)])
+    @pytest.mark.parametrize("scale,expected", [(1e7, 0), (1e-100, 0), (1e200, 0), (1e300, 0)])
     def test_reduce_rank1_orbit_state_at_scale(self, tmp_path, capsys, scale, expected):
         from conftest import orbit_state
         from _kit import RandomSource

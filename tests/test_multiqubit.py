@@ -16,6 +16,8 @@ from _kit import (
     random_ilo,
     reference_descriptor,
     reference_factor_support,
+    tangle_quartic,
+    tangle_roots,
 )
 from conftest import random_complex
 from slocc.errors import (
@@ -504,6 +506,43 @@ class TestCandidateSearch:
             calls.clear()
             descriptor(state)
             assert len(calls) <= 3
+
+
+class TestTangleRootsFromTheCompanion:
+    """The tangle quartic read from the line's one minor table is the pivot-2 quartic, and
+    its roots, solved from the companion matrix, are np.roots' byte for byte before they
+    are normalized: t = 0 roots for trailing zeros, (1, 0) for a degree below 4."""
+
+    @staticmethod
+    def lines():
+        g = RandomSource(740).generator()
+        for _ in range(1000):
+            yield random_complex(g, 8), random_complex(g, 8)
+        for state in (GHZ4, CLUSTER, *_census_images(21)):
+            yield _line(state)
+        w, ghz = (canonical_vector(TripartiteClass(t)).amps for t in ("W", "GHZ"))
+        for _ in range(20):  # hyperdeterminant(w1) = 0: degree 3 or less in t
+            yield w, random_complex(g, 8)
+            yield random_complex(g, 8), w  # hyperdeterminant(w2) = 0: a t = 0 root
+            product = np.kron(random_complex(g, 2), np.kron(random_complex(g, 2), random_complex(g, 2)))
+            yield product, ghz
+        yield w, ghz
+        yield w, np.roll(w, 1)
+
+    def test_quartic_and_roots_match_np_roots(self, monkeypatch):
+        from slocc.multiqubit import _tangle_candidates, _tangle_quartic
+
+        monkeypatch.setattr(slocc.multiqubit, "_unit_point", lambda point: point)
+        shapes = set()
+        for w1, w2 in self.lines():
+            quartic = _tangle_quartic(w1, w2)
+            assert quartic.tobytes() == tangle_quartic(w1, w2).tobytes()
+            floor = 1e-12 * (np.linalg.norm(w1) + np.linalg.norm(w2)) ** 4
+            want = tangle_roots(quartic, floor)
+            got = _tangle_candidates(w1, w2)
+            assert np.array(got, dtype=complex).tobytes() == np.array(want, dtype=complex).tobytes()
+            shapes.add((len(want), (1.0, 0.0) in want, any(t == 0 for t, _ in want[1:])))
+        assert {(4, False, False), (4, True, False), (4, False, True), (3, True, True)} <= shapes
 
 
 def _census_images(count):

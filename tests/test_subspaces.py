@@ -3,13 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from _kit import RandomSource
+from _kit import RandomSource, root_kind
 from conftest import orbit_state, random_complex
 from slocc.errors import DependentGenerators, NonFinite, ZeroVector
 from slocc.numerics import TolerancePolicy, svd
 from slocc.states import coefficient_matrix, make_state
 from slocc.subspaces import (
+    _EPS,
     RootKind,
+    _root_kind,
     StructureTag,
     classify_line,
     classify_span,
@@ -264,6 +266,43 @@ class TestSpanScaleInvariance:
             kind, roots = projective_quadratic_roots(0.0, b, 0.0, 1e-8)
         assert kind is RootKind.TWO_DISTINCT
         assert roots == ((1.0, 0.0), (0.0, 1.0))
+
+
+class TestRootKindRule:
+    """The kind rule that tag-only readings share with projective_quadratic_roots gives
+    its kind, and the exact-rational kind, at every scale and on both sides of each
+    threshold, with no warning."""
+
+    @staticmethod
+    def cases():
+        g = RandomSource(45).generator()
+        for trial in range(1500):
+            a, b, c = random_complex(g, 3)
+            zeroed = [(a, b, c), (0.0, b, c), (a, 0.0, c), (a, b, 0.0), (0.0, b, 0.0)][trial % 5]
+            yield zeroed, (1e-8, 1e-3, 1e-14)[trial % 3]
+        yield (0.0, 0.0, 0.0), 1e-8
+        for side in (1.0 - 1e-6, 1.0 + 1e-6):
+            for phase in (1.0, 1j, np.exp(0.7j)):
+                # |a| at _EPS s, the discriminant far from zero
+                yield (side * _EPS * phase, 0.7j, 1.0), 1e-8
+                # |b| at _EPS s with |a| below it, deg_tol under |disc| ~ 2 _EPS s^2
+                yield (0.5 * _EPS, side * _EPS * phase, phase), 1e-14
+                # |disc| = |4 - 4c| at deg_tol s^2 = 4 deg_tol, exact in floats
+                for tol in (1e-8, 1e-4):
+                    yield tuple(z * phase for z in (1.0, 2.0, 1.0 - side * tol)), tol
+
+    def test_matches_the_roots_and_the_exact_rule(self):
+        seen = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for coeffs, tol in self.cases():
+                for k in (-1000, 0, 1000):
+                    scaled = [z * 2.0**k for z in coeffs]
+                    kind = _root_kind(*scaled, tol)[0]
+                    assert kind is projective_quadratic_roots(*scaled, tol)[0], (coeffs, k)
+                    assert kind is root_kind(*scaled, tol), (coeffs, tol, k)
+                    seen.add(kind)
+        assert seen == set(RootKind)
 
 
 class TestSpanPencilOnUnitGenerators:

@@ -190,6 +190,16 @@ class TestComputedOnce:
                 fn(state)
                 assert counts == dict.fromkeys(names, 1)
 
+    def test_tags_solve_no_pencil(self, monkeypatch):
+        # classify3_tags reads a GHZ/W pencil's kind from its coefficients, never its roots
+        names = ("product_roots", "projective_quadratic_roots", "_check_independent")
+        counts = count_calls(monkeypatch, names)
+        tags = [TripartiteClass.GHZ, TripartiteClass.W] * 10
+        rows = [orbit_state(tag, RandomSource(2900 + k))[0].amps for k, tag in enumerate(tags)]
+        rows += [canonical_vector(tag).amps for tag in tags[:2]]
+        assert classify3_tags(np.array(rows)) == tags + tags[:2]
+        assert counts == {}
+
     def test_pencil_spectrum_matches_explicit_eigenvalues(self):
         for trial in range(100):
             state, _ = orbit_state(TripartiteClass.GHZ, RandomSource(2600 + trial))
@@ -343,13 +353,14 @@ class TestScale:
 
     @pytest.mark.parametrize("tag", [t for t, r in RANKS.items() if r[0] == 2])
     @pytest.mark.parametrize("k", [-200, 200])
-    def test_pivot_det_out_of_float_range_is_a_reduction_failure(self, tag, k):
-        # F1 carries 1/sigma twice on rank-2 pivots, so |det F1| ~ 10^(-2k)
+    def test_pivot_det_out_of_float_range_still_reduces(self, tag, k):
+        # F1 carries 1/sigma twice on rank-2 pivots, so |det F1| ~ 10^(-2k) unless the
+        # operators are built on amplitudes scaled by a power of two
         state = make_state([2, 2, 2], canonical_vector(tag).amps * 10.0**k)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ReductionFailed):
-                reduce_to_canonical(state)
+            report, ilos = reduce_to_canonical(state)
+        assert report.tag is tag and ilos.residual <= 1e-8
 
     @pytest.mark.parametrize("tag", [t for t, r in RANKS.items() if r[0] == 1])
     def test_rank1_orbit_states_reduce_at_every_scale(self, tag):
@@ -363,10 +374,10 @@ class TestScale:
                     report, ilos = reduce_to_canonical(make_state([2, 2, 2], amps * 10.0**k))
                     assert report.tag is tag, k
                     assert ilos.residual <= 1e-8, k
-            for k in (-200, 200):  # |det F1| = sigma_1^-2 leaves the float range
+            for k in (-300, -200, 200, 300):  # |det F1| = sigma_1^-2 would leave the float range
                 for amps in states:
-                    with pytest.raises(ReductionFailed):
-                        reduce_to_canonical(make_state([2, 2, 2], amps * 10.0**k))
+                    report, ilos = reduce_to_canonical(make_state([2, 2, 2], amps * 10.0**k))
+                    assert report.tag is tag and ilos.residual <= 1e-8, k
 
     @pytest.mark.parametrize("tag", [t for t, r in RANKS.items() if r[0] == 2])
     def test_rank2_orbit_states_reduce_at_every_scale(self, tag):
@@ -380,10 +391,27 @@ class TestScale:
                     report, ilos = reduce_to_canonical(make_state([2, 2, 2], amps * 10.0**k))
                     assert report.tag is tag, k
                     assert ilos.residual <= 1e-8, k
-            for k in (-200, 200):  # |det F1| = 1/(sigma_1 sigma_2) up to a scale-free factor
+            for k in (-300, -200, 200, 300):  # |det F1| ~ 1/(sigma_1 sigma_2) would leave it
                 for amps in states:
-                    with pytest.raises(ReductionFailed):
-                        reduce_to_canonical(make_state([2, 2, 2], amps * 10.0**k))
+                    report, ilos = reduce_to_canonical(make_state([2, 2, 2], amps * 10.0**k))
+                    assert report.tag is tag and ilos.residual <= 1e-8, k
+
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_far_scales_reduce_as_the_unit_scaled_state(self, k):
+        # beyond |det F1| ~ 2^+-1010 the operators and the residual are read on the
+        # amplitudes scaled by the power of two 2^-e of their largest part: the state
+        # times 2^k reduces with the operators of amps * 2^-e, up to the SVD's rounding
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for trial in range(60):
+                tag = list(TripartiteClass)[trial % 6]
+                amps = orbit_state(tag, RandomSource(4500 + trial))[0].amps
+                unit = 2.0 ** -slocc.tripartite._exponent(amps.tolist())
+                _, expected = reduce_to_canonical(make_state([2, 2, 2], amps * unit))
+                report, ilos = reduce_to_canonical(make_state([2, 2, 2], amps * 2.0**k))
+                assert report.tag is tag and ilos.residual <= 1e-8
+                for got, want in zip(ilos.ops, expected.ops):
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_nan_residual_is_a_reduction_failure(self, monkeypatch):
         def nan_out(state, ops):
