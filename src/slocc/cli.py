@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.set_defaults(func=cmd_classify, ilos=True)
 
     p_canonical = sub.add_parser("canonical", help="emit a canonical state file")
-    p_canonical.add_argument("name", help="class name, e.g. GHZ, W, 000, GHZ4")
+    p_canonical.add_argument("name", help="class name, e.g. GHZ, W or 0_1Psi+_23 (spaces optional)")
     p_canonical.add_argument("--json", action="store_true")
     p_canonical.set_defaults(func=cmd_canonical)
 

@@ -127,11 +127,11 @@ def _minor_table(w1, w2, n_sub: int):
     return minor_pencil(w1[minor_index(n_sub)], w2[minor_index(n_sub)])
 
 
-def _rank_drop_candidates(w1, w2, n_sub: int, pol: TolerancePolicy, table=None):
+def _rank_drop_candidates(table, norm, pol: TolerancePolicy):
     """Unit points of the line where some pivot's matrix drops rank: the roots of its largest
     minor quadratic that zero all its minors, read on the table's rows as Python scalars."""
-    a, b, c = table or _minor_table(w1, w2, n_sub)
-    floor = 1e-13 * (np.linalg.norm(w1) + np.linalg.norm(w2)) ** 2
+    a, b, c = table
+    floor = 1e-13 * norm**2
     drops = []
     for ak, bk, ck in zip(a.tolist(), b.tolist(), c.tolist()):  # pivot k: one entry per minor
         size = list(map(max, map(abs, ak), map(abs, bk), map(abs, ck)))
@@ -147,19 +147,19 @@ def _rank_drop_candidates(w1, w2, n_sub: int, pol: TolerancePolicy, table=None):
     return drops
 
 
-def _tangle_quartic(w1, w2, table=None) -> np.ndarray:
+def _tangle_quartic(table) -> np.ndarray:
     """Coefficients, alpha^4 down to beta^4, of the hyperdeterminant of alpha*w1 + beta*w2
-    (N = 4): B^2 - 4AC over the pivot-2 minor quadratics A = m01, B = m03 - m12, C = m23."""
-    m01, m03, m12, m23 = np.array(table or _minor_table(w1, w2, 3))[:, 1, [0, 2, 3, 5]].T
+    (N = 4): B^2 - 4AC over the table's pivot-2 quadratics A = m01, B = m03 - m12, C = m23."""
+    m01, m03, m12, m23 = np.array(table)[:, 1, [0, 2, 3, 5]].T
     return np.convolve(m03 - m12, m03 - m12) - 4.0 * np.convolve(m01, m23)
 
 
-def _tangle_candidates(w1, w2, table=None) -> list:
+def _tangle_candidates(table, norm) -> list:
     """Unit roots of the tangle quartic (N = 4): (1, 0) if its degree in t (points t*w1 + w2)
     is below 4, then (t, 1) for np.roots' t: its companion's eigenvalues, then trailing zeros."""
-    h = _tangle_quartic(w1, w2, table)[::-1].tolist()  # h[k] multiplies t^k
+    h = _tangle_quartic(table)[::-1].tolist()  # h[k] multiplies t^k
     s = max(map(abs, h))
-    if s <= 1e-12 * (np.linalg.norm(w1) + np.linalg.norm(w2)) ** 4:
+    if s <= 1e-12 * norm**4:
         return []
     degree = max(k for k in range(5) if abs(h[k]) > 1e-9 * s)
     zeros = next(k for k in range(5) if h[k] != 0)
@@ -171,11 +171,11 @@ def _tangle_candidates(w1, w2, table=None) -> list:
 
 
 def _line_candidates(w1, w2, n_sub: int, pol: TolerancePolicy) -> np.ndarray:
-    """Merged rank drops, then (N = 4) tangle roots, from one :func:`_minor_table`; a root
-    within _SNAP_DISTANCE (chordal) of a drop is that drop, a multiple root of the quartic."""
-    table = _minor_table(w1, w2, n_sub)
-    drops = _rank_drop_candidates(w1, w2, n_sub, pol, table)
-    tangle = _tangle_candidates(w1, w2, table) if n_sub == 3 else []
+    """Merged rank drops, then (N = 4) tangle roots, from one :func:`_minor_table` and one
+    |w1| + |w2|; a root within _SNAP_DISTANCE (chordal) of a drop is that drop, a multiple root."""
+    table, norm = _minor_table(w1, w2, n_sub), np.linalg.norm(w1) + np.linalg.norm(w2)
+    drops = _rank_drop_candidates(table, norm, pol)
+    tangle = _tangle_candidates(table, norm) if n_sub == 3 else []
     overlaps = [[abs(a.conjugate() * x + b.conjugate() * y) for x, y in drops] for a, b in tangle]
     far = [p for p, o in zip(tangle, overlaps) if all(1.0 - v * v > _SNAP_DISTANCE**2 for v in o)]
     return _merge(drops + far)

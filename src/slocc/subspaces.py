@@ -105,32 +105,26 @@ def _normalize_root(alpha: complex, beta: complex) -> tuple[complex, complex]:
 
 
 def _root_kind(a, b, c, deg_tol: float):
-    """(kind, pole, (a, b, c, disc)) by the rule of :func:`projective_quadratic_roots`, on the
-    coefficients scaled by the power of two that puts the largest modulus in [0.5, 1): exact,
-    so b^2 neither under- nor overflows. ``pole``: |a| <= _EPS s put a root at (1, 0)."""
+    """(kind, pole, (a, b, c, disc, s)) by the rule of :func:`projective_quadratic_roots`, on
+    the coefficients scaled by the power of two that puts the largest modulus s in [0.5, 1):
+    exact, so b^2 neither under- nor overflows. ``pole``: |a| <= _EPS s put a root at (1, 0)."""
     a, b, c = complex(a), complex(b), complex(c)
     s = max(abs(a), abs(b), abs(c))
     if s == 0.0:
-        return RootKind.INFINITELY_MANY, False, (a, b, c, 0j)
+        return RootKind.INFINITELY_MANY, False, (a, b, c, 0j, s)
     f = math.ldexp(1.0, -max(math.frexp(s)[1], -1022))
     a, b, c, s = a * f, b * f, c * f, s * f
     disc = b * b - 4.0 * a * c
     if abs(disc) <= deg_tol * s * s:
-        return RootKind.ONE_DOUBLE, False, (a, b, c, disc)
+        return RootKind.ONE_DOUBLE, False, (a, b, c, disc, s)
     pole = abs(a) <= _EPS * s
     kind = RootKind.ONE_DOUBLE if pole and abs(b) <= _EPS * s else RootKind.TWO_DISTINCT
-    return kind, pole, (a, b, c, disc)
+    return kind, pole, (a, b, c, disc, s)
 
 
-def projective_quadratic_roots(a, b, c, deg_tol: float):
-    """Roots of ``a*x^2 + b*x*y + c*y^2`` on the projective line.
-
-    Returns ``(RootKind, roots)``, the kind by :func:`_root_kind`, which tag-only callers
-    read alone. The double root comes from the stable vertex formula, so its
-    position is first-order accurate even though the two split roots would each
-    carry sqrt-of-noise error.
-    """
-    kind, pole, (a, b, c, disc) = _root_kind(a, b, c, deg_tol)
+def _solve(reading):
+    """(kind, roots) of a :func:`_root_kind` reading, each root normalized to max component 1."""
+    kind, pole, (a, b, c, disc, _) = reading
     if kind is RootKind.INFINITELY_MANY:
         return kind, ()
     if pole:
@@ -142,10 +136,15 @@ def projective_quadratic_roots(a, b, c, deg_tol: float):
         return kind, (_normalize_root(2.0 * c, -b),)
     sd = np.sqrt(disc)
     t = -b - sd if abs(-b - sd) >= abs(-b + sd) else -b + sd
-    return RootKind.TWO_DISTINCT, (
-        _normalize_root(t, 2.0 * a),
-        _normalize_root(2.0 * c, t),
-    )
+    return kind, (_normalize_root(t, 2.0 * a), _normalize_root(2.0 * c, t))
+
+
+def projective_quadratic_roots(a, b, c, deg_tol: float):
+    """Roots of ``a*x^2 + b*x*y + c*y^2`` on the projective line, ``(RootKind, roots)``:
+    :func:`_solve` of the :func:`_root_kind` reading. The double root comes from the stable
+    vertex formula, so its position is first-order accurate even though the two split roots
+    would each carry sqrt-of-noise error."""
+    return _solve(_root_kind(a, b, c, deg_tol))
 
 
 def _scaled(v) -> np.ndarray:
@@ -179,15 +178,21 @@ def pencil_quadratic(W1, W2) -> tuple[complex, complex, complex]:
     return minor_pencil(*(np.asarray(W, dtype=complex).tolist() for W in (W1, W2)))
 
 
+def _span_pencil(v1, v2, deg_tol: float):
+    """(a, b, c) of the slice pencil of flat 4-vector lists v1, v2 and its :func:`_root_kind`."""
+    coeffs = minor_pencil((v1[::2], v1[1::2]), (v2[::2], v2[1::2]))  # rows of slice_matrix(v)
+    return coeffs, _root_kind(*coeffs, deg_tol)
+
+
 def product_roots(W1, W2, pol: TolerancePolicy = DEFAULT_POLICY) -> RootReport:
     """Classify the product directions of span{w1, w2} from the slice pencil.
 
-    The pencil is read on its own scale: the roots and the discriminant test
-    scale with its coefficients, and it counts as vanishing only when all
-    three are exactly zero. A span of product vectors only, one with a common
-    factor, is named from ranks (:func:`classify_span`), not from its pencil.
-    Coefficients beyond the float range are refused with :class:`NonFinite`
-    (after numpy's overflow warning), not read as NaN roots.
+    The public entry: it refuses dependent generators and coefficients beyond the float
+    range (:class:`NonFinite`, after numpy's overflow warning), checks on outside input that
+    the package's own spans, read once by :func:`_span_pencil`, skip. The pencil is read on
+    its own scale: the roots and the discriminant test scale with its coefficients, and it
+    counts as vanishing only when all three are exactly zero. A common-factor span is named
+    from ranks (:func:`classify_span`), not from its pencil.
     """
     W1 = np.asarray(W1, dtype=complex)
     W2 = np.asarray(W2, dtype=complex)
@@ -195,8 +200,7 @@ def product_roots(W1, W2, pol: TolerancePolicy = DEFAULT_POLICY) -> RootReport:
     a, b, c = pencil_quadratic(W1, W2)
     if not math.isfinite(abs(a) + abs(b) + abs(c)):
         raise NonFinite("slice pencil coefficients leave the float range")
-    kind, roots = projective_quadratic_roots(a, b, c, pol.deg_tol)
-    return RootReport(kind=kind, roots=roots, coeffs=(a, b, c))
+    return RootReport(*projective_quadratic_roots(a, b, c, pol.deg_tol), coeffs=(a, b, c))
 
 
 def product_factors(w) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +244,7 @@ def classify_span(w1, w2, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStru
     keeps the ranks); the smaller one at most ``rank_rel_tol`` names the
     factor side, left on a tie. Any other span is read from the slice pencil of
     its unit generators (:func:`span_structure`), so a generator's size does not
-    change the reading.
+    change the reading. The generators pass one Gram test, the one on ``w1``, ``w2``.
     """
     v1 = np.asarray(w1, dtype=complex).reshape(-1)
     v2 = np.asarray(w2, dtype=complex).reshape(-1)
@@ -248,7 +252,8 @@ def classify_span(w1, w2, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStru
         raise NonFinite("generators contain non-finite entries")
     _check_independent(v1, v2, pol)  # zero generators are refused before the division
     u1, u2 = (v / np.linalg.norm(v) for v in map(_scaled, (v1, v2)))
-    left, right = _pivot_ratios(1.0, 1.0, u1.tolist(), u2.tolist())
+    l1, l2 = u1.tolist(), u2.tolist()
+    left, right = _pivot_ratios(1.0, 1.0, l1, l2)
     if left <= pol.rank_rel_tol and left <= right:
         return SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=product_factors(v1)[0])
     if right <= pol.rank_rel_tol:
@@ -258,16 +263,17 @@ def classify_span(w1, w2, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStru
     # generator halved (a combination of unit vectors stays in range): a common power of
     # two scales them exactly, and no coefficient on v1, v2 can underflow.
     f = math.ldexp(1.0, _exponent([*v1.tolist(), *v2.tolist()]) - 1)
-    return span_structure(u1 * f, u2 * f, product_roots(slice_matrix(u1), slice_matrix(u2), pol))
+    coeffs, reading = _span_pencil(l1, l2, pol.deg_tol)
+    return span_structure(u1 * f, u2 * f, RootReport(*_solve(reading), coeffs))
 
 
 def span_structure(v1, v2, report: RootReport) -> SubspaceStructure:
     """Structure of a span{v1, v2} without a common factor, from its pencil roots.
 
-    ``report`` must come from :func:`product_roots` on the slices of the flat
-    4-vectors v1, v2; each root (alpha, beta) gives the product witness
-    alpha v1 + beta v2; the report already holds the policy's decisions. A factor
-    span is named from ranks before its pencil is read, so a vanishing pencil here
+    ``report`` must read the slice pencil of the flat 4-vectors v1, v2 (up to a common
+    scale), as :func:`product_roots` or :func:`_span_pencil` does; each root (alpha, beta)
+    gives the product witness alpha v1 + beta v2; the report holds the policy's decisions.
+    A factor span is named from ranks before its pencil is read, so a vanishing pencil here
     raises :class:`ToleranceBreakdown`.
     """
     if report.kind is RootKind.INFINITELY_MANY:

@@ -7,9 +7,9 @@ pivot-1 matrix is analyzed through its slice matrices W1, W2. Two distinct
 product directions in the span mean GHZ, a single (double) one means W.
 Equivalently, the spectrum of W1^-1 W2 is non-degenerate for GHZ and
 degenerate for W; the implementation decides via the discriminant of
-det(alpha*W1 + beta*W2), which is the same predicate evaluated without the
-square-root noise amplification of an explicit eigenvalue gap (see the
-module tests for the fixture table).
+det(alpha*W1 + beta*W2), the same predicate without the square-root noise
+of an explicit eigenvalue gap. The pencil is read once (``_span_pencil``):
+the decision keeps its kind, and :func:`classify3` solves its roots from it.
 
 Pivot 1's rank comes from its SVD, one stacked LAPACK call for a batch of
 states (:func:`classify3_tags`; :func:`classify3` is the batch of one).
@@ -59,12 +59,12 @@ from .subspaces import (
     RootReport,
     StructureTag,
     SubspaceStructure,
-    _root_kind,
-    minor_pencil,
+    _solve,
+    _span_pencil,
     one_product_span_basis,
     onto_e1,
     product_factors,
-    product_roots,
+    slice_matrix,
     span_structure,
 )
 
@@ -99,7 +99,7 @@ class SpectrumInfo:
 @dataclass(frozen=True)
 class ClassificationReport:
     """Class of a 3-qubit state and the readings that decided it; ``pencil``
-    holds (roots, W1, W2, policy) where the slice pencil decided GHZ or W,
+    holds (roots, w1, w2, policy) where the slice pencil decided GHZ or W,
     and the diagnostic ``spectrum_used`` is computed from it on first access."""
 
     tag: TripartiteClass
@@ -113,8 +113,8 @@ class ClassificationReport:
     def spectrum_used(self) -> SpectrumInfo | None:
         if self.pencil is None:
             return None
-        roots, W1, W2, pol = self.pencil
-        return _pencil_spectrum(roots, np.linalg.norm(W1), np.linalg.norm(W2), pol)
+        roots, w1, w2, pol = self.pencil
+        return _pencil_spectrum(roots, *(np.linalg.norm(slice_matrix(w)) for w in (w1, w2)), pol)
 
 
 @dataclass(frozen=True)
@@ -151,30 +151,28 @@ def classify3(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> Classi
 
 
 def classify3_tags(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[TripartiteClass]:
-    """Classes of the 3-qubit states in the rows of ``amps`` (B, 8), decided in one batched
-    call as :func:`classify3` decides each, from a GHZ/W pencil's kind, not its roots; the
+    """Classes of the 3-qubit states in the rows of ``amps`` (B, 8): :func:`classify3`'s
+    :func:`_decide` on all rows at once, reading a GHZ/W pencil's kind, never its roots; the
     first failing row raises the error :func:`make_state` or :func:`classify3` gives it."""
     amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
     valid = np.isfinite(amps).all(axis=1) & (amps != 0).any(axis=1)
     n = len(amps) if valid.all() else int(valid.argmin())
-    tags = [reading[0] for reading in _decide(amps[:n], pol, solve=False)[1]] if n else []
+    tags = [reading[0] for reading in _decide(amps[:n], pol)[1]] if n else []
     if n < len(amps):
         make_state((2, 2, 2), amps[n])  # raises the row's NonFinite or ZeroState
     return tags
 
 
-def _decide(amps, pol: TolerancePolicy, solve: bool = True):
+def _decide(amps, pol: TolerancePolicy):
     """The stacked pivot-1 SVD of the finite, nonzero rows of ``amps`` (B, 8), and each
     row's (tag, ranks, pencil) in order; the first failing row raises. Pivot 1's rank
-    comes from its SVD, pivots 2 and 3 from :func:`_pivot_ratios`. Ranks (2, 2, 2) solve the
-    slice pencil, ``pencil = (roots, W1, W2, pol)``, or with ``solve`` false read its kind
-    alone, ``_root_kind`` of the ``minor_pencil`` that product_roots would solve."""
+    comes from its SVD, pivots 2 and 3 from :func:`_pivot_ratios`. Ranks (2, 2, 2) decide
+    from the kind of ``pencil``, :func:`_span_pencil` of w1, w2 (orthonormal singular
+    vectors: no Gram test or range check applies); other ranks have no pencil."""
     res = svd_stack(amps[:, _PIVOT_INDEX[0]])
     tol = pol.rank_rel_tol
-    gens = res.W[:, :, :2].swapaxes(1, 2)  # w1, w2 of each row; slice_matrix(w) = w.reshape(2, 2).T
-    slices = np.ascontiguousarray(gens.reshape(-1, 2, 2, 2).swapaxes(2, 3))
     readings = []
-    for (s1, s2), (w1, w2), (W1, W2) in zip(res.sigma.tolist(), gens.tolist(), slices):
+    for (s1, s2), (w1, w2) in zip(res.sigma.tolist(), res.W[:, :, :2].swapaxes(1, 2).tolist()):
         r2, r3 = _pivot_ratios(s1, s2, w1, w2)
         ranks = (1 + (s2 > tol * s1), 1 + (r2 > tol), 1 + (r3 > tol))
         tag, pencil = _RANK_CLASS.get(ranks), None
@@ -185,11 +183,8 @@ def _decide(amps, pol: TolerancePolicy, solve: bool = True):
         if tag is None:
             # the slice pencil decides GHZ (two roots) against W (one double root); the
             # ranks already rule out a factor, so only an exactly vanishing pencil reads as one
-            if solve:
-                roots = product_roots(W1, W2, pol)
-                kind, pencil = roots.kind, (roots, W1, W2, pol)
-            else:
-                kind = _root_kind(*minor_pencil(W1.tolist(), W2.tolist()), pol.deg_tol)[0]
+            pencil = _span_pencil(w1, w2, pol.deg_tol)
+            kind = pencil[1][0]
             if kind is RootKind.INFINITELY_MANY:
                 raise ToleranceBreakdown(
                     "pencil determinant vanishes identically although all pivots read rank 2"
@@ -200,7 +195,7 @@ def _decide(amps, pol: TolerancePolicy, solve: bool = True):
 
 
 def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationReport, SvdResult]:
-    """:func:`classify3`, also returning pivot 1's SVD."""
+    """:func:`classify3`, also returning pivot 1's SVD; it solves :func:`_decide`'s reading."""
     _require_three_qubits(state)
     stack, [(tag, ranks, pencil)] = _decide(state.amps[None], pol)
     res = SvdResult(stack.V[0], stack.sigma[0], stack.W[0], stack.matrix[0])
@@ -219,11 +214,13 @@ def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationRe
         factor = svd(state.amps[_PIVOT_INDEX[2]]).V[:, 0].conj()
         structure = SubspaceStructure(tag=StructureTag.RIGHT_FACTOR, factor=factor)
     else:
-        a, b, c = pencil[0].coeffs
-        s = max(abs(a), abs(b), abs(c))
+        coeffs, reading = pencil
+        *_, disc, s = reading[2]  # scaled by a power of two: the window reads as unscaled
         threshold = pol.deg_tol * s * s
-        near = threshold / 100.0 < abs(b * b - 4.0 * a * c) <= threshold * 100.0
-        structure = span_structure(w1, w2, pencil[0])
+        near = threshold / 100.0 < abs(disc) <= threshold * 100.0
+        roots = RootReport(*_solve(reading), coeffs)
+        structure = span_structure(w1, w2, roots)
+        pencil = (roots, w1, w2, pol)
 
     report = ClassificationReport(
         tag=tag,

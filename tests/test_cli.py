@@ -418,6 +418,15 @@ class TestCanonicalCommand:
         parsed, label = parse_state_text(out)
         assert label == "Phi4"
 
+    @pytest.mark.parametrize("name", [n for n in CANONICAL_NAMES if " " in n])
+    def test_compact_name(self, name, capsys, monkeypatch):
+        # a class name with its spaces removed names the same class; the label keeps them
+        code, out, _ = run(capsys, "canonical", name.replace(" ", ""))
+        assert code == 0 and out == run(capsys, "canonical", name)[1]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, out, _ = run(capsys, "classify", "-")
+        assert code == 0 and f"class: {name}\n" in out
+
     @pytest.mark.parametrize("name", CANONICAL_NAMES)
     def test_round_trip_every_name(self, name, tmp_path, capsys):
         _, out, _ = run(capsys, "canonical", name)

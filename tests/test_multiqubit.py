@@ -84,7 +84,7 @@ class TestHyperdeterminant:
         assert hyperdeterminant(canonical_vector(TripartiteClass.C01_PSI23).amps) == pytest.approx(0.0)
 
     def test_minor_form_and_line_quartic_match_cayley(self):
-        from slocc.multiqubit import _tangle_quartic
+        from slocc.multiqubit import _minor_table, _tangle_quartic
 
         for tag in TripartiteClass:
             amps = canonical_vector(tag).amps
@@ -94,7 +94,7 @@ class TestHyperdeterminant:
             v, w1, w2 = (random_complex(g, 8) for _ in range(3))
             got = hyperdeterminant(v)
             assert abs(got - cayley_hyperdeterminant(v)) <= 1e-13 * np.linalg.norm(v) ** 4
-            quartic = _tangle_quartic(w1, w2)
+            quartic = _tangle_quartic(_minor_table(w1, w2, 3))
             for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
                 want = cayley_hyperdeterminant(t * w1 + w2)
                 scale = (abs(t) * np.linalg.norm(w1) + np.linalg.norm(w2)) ** 4
@@ -138,6 +138,10 @@ class TestDescriptor:
             descriptor(ghz_state(3))
         with pytest.raises(UnsupportedDepth):
             descriptor(ghz_state(5))
+        with pytest.raises(WrongArity, match="qubit subsystems required"):
+            descriptor(make_state((3, 2, 2, 2), np.ones(24)))
+        with pytest.raises(WrongArity, match="at least 2 qubits"):
+            ghz_state(1)
 
     def test_five_qubits_with_depth(self):
         d = descriptor(ghz_state(5), max_qubits=5)
@@ -358,6 +362,8 @@ class TestContinuousFamily:
             example_4partite_canonical([1, 0])
         with pytest.raises(DegenerateParameter):
             example_4partite_canonical([0, 1])
+        with pytest.raises(DegenerateParameter, match="2-vector, got length 3"):
+            example_4partite_canonical([1, 1, 1])
 
     def test_profile(self):
         d = descriptor(example_4partite_canonical([0.8, 0.6]))
@@ -466,15 +472,16 @@ def _candidate_lines():
 
 class TestCandidateSearch:
     def test_matches_scalar_reference(self):
-        from slocc.multiqubit import _merge, _rank_drop_candidates, _tangle_candidates
+        from slocc.multiqubit import _merge, _minor_table, _rank_drop_candidates, _tangle_candidates
         from slocc.numerics import DEFAULT_POLICY as pol
 
         lines = [(s, 4) for s in _candidate_lines()] + [(ghz_state(5), 5)]
         with_drops = 0
         for state, n in lines:
             w1, w2 = _line(state)
-            tangle = _tangle_candidates(w1, w2) if n == 4 else []
-            drops = _rank_drop_candidates(w1, w2, n - 1, pol)
+            table, norm = _minor_table(w1, w2, n - 1), np.linalg.norm(w1) + np.linalg.norm(w2)
+            tangle = _tangle_candidates(table, norm) if n == 4 else []
+            drops = _rank_drop_candidates(table, norm, pol)
             reference = _reference_merge(_reference_rank_drop_candidates(w1, w2, n - 1, pol) + tangle)
             merged = [tuple(p) for p in _merge(drops + tangle)]
             assert len(merged) == len(reference)
@@ -530,16 +537,17 @@ class TestTangleRootsFromTheCompanion:
         yield w, np.roll(w, 1)
 
     def test_quartic_and_roots_match_np_roots(self, monkeypatch):
-        from slocc.multiqubit import _tangle_candidates, _tangle_quartic
+        from slocc.multiqubit import _minor_table, _tangle_candidates, _tangle_quartic
 
         monkeypatch.setattr(slocc.multiqubit, "_unit_point", lambda point: point)
         shapes = set()
         for w1, w2 in self.lines():
-            quartic = _tangle_quartic(w1, w2)
+            table, norm = _minor_table(w1, w2, 3), np.linalg.norm(w1) + np.linalg.norm(w2)
+            quartic = _tangle_quartic(table)
             assert quartic.tobytes() == tangle_quartic(w1, w2).tobytes()
             floor = 1e-12 * (np.linalg.norm(w1) + np.linalg.norm(w2)) ** 4
             want = tangle_roots(quartic, floor)
-            got = _tangle_candidates(w1, w2)
+            got = _tangle_candidates(table, norm)
             assert np.array(got, dtype=complex).tobytes() == np.array(want, dtype=complex).tobytes()
             shapes.add((len(want), (1.0, 0.0) in want, any(t == 0 for t, _ in want[1:])))
         assert {(4, False, False), (4, True, False), (4, False, True), (3, True, True)} <= shapes

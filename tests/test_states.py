@@ -48,6 +48,10 @@ class TestMakeState:
         with pytest.raises(DimensionMismatch):
             make_state([2, 2.5], [1, 0, 0, 1])
 
+    def test_total_dimension_one_rejected(self):
+        with pytest.raises(DimensionMismatch, match="total dimension must be at least 2"):
+            make_state((1,), [1])
+
     def test_integer_valued_dims_accepted(self):
         st = make_state([2.0, np.int64(2)], [1, 0, 0, 1])
         assert st.dims == (2, 2)
@@ -241,6 +245,10 @@ class TestApplyLocalOperators:
 
 class TestOperatorDeterminant:
     """A 2x2 |det| is abs(a*d - b*c) in Python complex arithmetic."""
+
+    def test_non_square_operator_refused(self):
+        with pytest.raises(DimensionMismatch, match=r"must be square, got shape \(2, 3\)"):
+            LocalOperatorSet([np.eye(2), np.ones((2, 3))])
 
     def test_scaled_identity_inside_the_float_range_accepted(self):
         with warnings.catch_warnings():

@@ -5,7 +5,14 @@ import pytest
 
 from _kit import RandomSource, root_kind
 from conftest import orbit_state, random_complex
-from slocc.errors import DependentGenerators, NonFinite, ZeroVector
+import slocc.subspaces
+from slocc.errors import (
+    DependentGenerators,
+    DimensionMismatch,
+    NonFinite,
+    ToleranceBreakdown,
+    ZeroVector,
+)
 from slocc.numerics import TolerancePolicy, svd
 from slocc.states import coefficient_matrix, make_state
 from slocc.subspaces import (
@@ -42,6 +49,11 @@ class TestSlice:
 
     def test_cross(self):
         assert np.array_equal(slice_matrix(PSI), [[0, 1], [1, 0]])
+
+    def test_three_vector_refused(self):
+        for fn in (slice_matrix, classify_line):
+            with pytest.raises(DimensionMismatch, match="expected a 4-vector, got length 3"):
+                fn([1, 0, 0])
 
     def test_round_trip(self):
         g = RandomSource(31).generator()
@@ -114,6 +126,24 @@ class TestClassifySpan:
             for wit in st.witnesses:
                 s = svd(slice_matrix(wit)).sigma
                 assert s[1] <= 1e-8 * s[0]
+
+    def test_one_gram_test_per_call(self, monkeypatch):
+        # the caller's generators pass the Gram test; the unit ones are not tested again
+        calls = []
+        original = slocc.subspaces._check_independent
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(slocc.subspaces, "_check_independent", counting)
+        spans = [(E11, E22), (PSI, E11), (E11, E12), (E11, E21), (2 * E11, 1e-200 * E22)]
+        g = RandomSource(37).generator()
+        spans += [(random_complex(g, 4), random_complex(g, 4)) for _ in range(20)]
+        for w1, w2 in spans:
+            calls.clear()
+            classify_span(w1, w2)
+            assert len(calls) == 1
 
     def test_invariant_under_generator_mixing(self):
         g = RandomSource(34).generator()
@@ -369,6 +399,14 @@ class TestOneProductBasis:
             assert np.linalg.norm(gram @ coeff - basis.entangled) <= 1e-8 * np.linalg.norm(
                 basis.entangled
             )
+
+    def test_generators_parallel_to_the_witness_refused(self):
+        with pytest.raises(DependentGenerators, match="span collapses onto the witness"):
+            one_product_span_basis(2 * E11, 3j * E11, E11)
+
+    def test_two_product_span_refused(self):
+        with pytest.raises(ToleranceBreakdown, match="no cross component"):
+            one_product_span_basis(E11, E22, E11)
 
     def test_product_factors_split(self):
         g = RandomSource(35).generator()

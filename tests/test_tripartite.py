@@ -12,6 +12,8 @@ from slocc.errors import (
     InconsistentRanks,
     NonFinite,
     ReductionFailed,
+    SingularMatrix,
+    SingularOperator,
     SloccError,
     ToleranceBreakdown,
     WrongArity,
@@ -30,6 +32,7 @@ from slocc.subspaces import (
     RootKind,
     StructureTag,
     SubspaceStructure,
+    classify_line,
     classify_span,
     product_roots,
     slice_matrix,
@@ -177,7 +180,8 @@ class TestComputedOnce:
 
             return wrapper
 
-        names = ("pencil_quadratic", "projective_quadratic_roots", "product_roots")
+        # the pencil is read once, by _root_kind, and never through the public entries
+        names = ("pencil_quadratic", "projective_quadratic_roots", "product_roots", "_root_kind")
         for name in names:
             wrapped = counting(name, getattr(slocc.subspaces, name))
             for module in (slocc.subspaces, slocc.tripartite):
@@ -188,7 +192,7 @@ class TestComputedOnce:
             for fn in (classify3, reduce_to_canonical):
                 counts.clear()
                 fn(state)
-                assert counts == dict.fromkeys(names, 1)
+                assert counts == {"_root_kind": 1}
 
     def test_tags_solve_no_pencil(self, monkeypatch):
         # classify3_tags reads a GHZ/W pencil's kind from its coefficients, never its roots
@@ -218,6 +222,20 @@ class TestComputedOnce:
                 max(abs(got[0] - expected[1]), abs(got[1] - expected[0])),
             )
             assert err <= 1e-8 * max(abs(expected[0]), abs(expected[1]))
+
+    def test_inverse_of_the_second_slice_when_the_first_is_a_product(self):
+        # 2|001> + |100> + |111> is a W state whose w1 is a product vector: det W1 = 0,
+        # so the spectrum is read from W2^-1 @ W1, whose eigenvalues are both 0
+        state = make_state([2, 2, 2], [0, 2, 0, 0, 1, 0, 0, 1])
+        report = classify3(state)
+        assert report.tag is TripartiteClass.W
+        W = svd(coefficient_matrix(state, 1).entries).W
+        W1, W2 = slice_matrix(W[:, 0]), slice_matrix(W[:, 1])
+        assert classify_line(W[:, 0]).tag is StructureTag.PRODUCT_LINE
+        spectrum = report.spectrum_used
+        assert spectrum.product == "W2^-1 @ W1"
+        assert spectrum.eigenvalues == (0, 0)
+        assert np.abs(eig2(inv2(W2) @ W1)).max() <= 1e-15
 
     def test_huge_amplitudes_raise_no_warning(self):
         amps = canonical_vector(TripartiteClass.W).amps * 1e300
@@ -524,6 +542,23 @@ class TestReduce:
         assert report.tag is TripartiteClass.C01_PSI23
         out = apply_local_operators(state, ilos.ops)
         assert up_to_scale(canonical_vector(report.tag).amps, out.amps, 1e-8)
+
+    def test_singular_operator_is_a_reduction_failure(self, monkeypatch):
+        state, _ = orbit_state(TripartiteClass.GHZ, RandomSource(2450))
+
+        def singular(matrix, pol):
+            raise SingularMatrix("2x2 matrix is singular")
+
+        monkeypatch.setattr(slocc.tripartite, "inv2", singular)
+        message = "reducing operators are numerically singular: 2x2 matrix is singular"
+        with pytest.raises(ReductionFailed, match=message) as info:
+            reduce_to_canonical(state)
+        assert isinstance(info.value.__cause__, SingularMatrix)
+        # a zero operator passes inv2 but not LocalOperatorSet's determinant test
+        monkeypatch.setattr(slocc.tripartite, "inv2", lambda matrix, pol: np.zeros((2, 2)))
+        with pytest.raises(ReductionFailed, match="reducing operators are numerically singular") as info:
+            reduce_to_canonical(state)
+        assert isinstance(info.value.__cause__, SingularOperator)
 
     @pytest.mark.parametrize("tag", list(TripartiteClass))
     def test_orbit_reduction(self, tag):
