@@ -29,13 +29,16 @@ decided in one batched :func:`classify3_tags` call, which reads pencil kinds onl
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
-from .numerics import DEFAULT_POLICY, TolerancePolicy, _exponent, numerical_rank, svd
+from .numerics import (
+    DEFAULT_POLICY, TolerancePolicy, _exponent, numerical_rank, singular_values, svd
+)
 from .states import PureState, coefficient_matrix, make_state, minor_index, pivot_index
 from .subspaces import minor_pencil, projective_quadratic_roots
 from .tripartite import classify3_tags
@@ -253,35 +256,44 @@ def same_broad_class(a: StructureDescriptor, b: StructureDescriptor) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _factor_index(n: int) -> np.ndarray:
+    """Read-only flat offsets (n - 1, 2, 2^(n-1)): row p - 2 is ``pivot_index`` of pivot p."""
+    index = np.stack([pivot_index((2,) * n, p) for p in range(2, n + 1)])
+    index.flags.writeable = False
+    return index
+
+
 def factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
     """Detect a single-qubit tensor factor at a non-pivot position.
 
-    Qubit p >= 2 factors out exactly when its coefficient matrix
-    ``coefficient_matrix(state, p)`` has numerical rank 1, read as
-    ``sigma_2 <= rank_rel_tol * sigma_1`` from the singular values of pivots
-    2..N, stacked into one LAPACK call; the factor is that matrix's first left
-    singular vector, so only a rank-1 pivot takes a full SVD. Returns
-    ``(p, factor, reduced_state)`` for the first such p whose factor
-    rebuilds the state within ``residual_tol``, else ``None``. A
-    pivot-qubit factor shows up as dim_w = 1 in :func:`descriptor`
-    instead.
+    Qubit p >= 2 factors out exactly when its pivot matrix C (the entries of
+    ``coefficient_matrix(state, p)``) has numerical rank 1, read as
+    ``sigma_2 <= rank_rel_tol * sigma_1`` from one ``singular_values`` call over
+    pivots 2..N, gathered through one cached index. The factor is C's first left
+    singular vector, so only a rank-1 pivot takes a full SVD. The rebuild test
+    compares factor (x) reduced with C in C's own layout, both scaled by the
+    exact power of two of the state's largest part. Returns ``(p, factor,
+    reduced_state)`` for the first such p whose factor rebuilds the state within
+    ``residual_tol``, else ``None``. A pivot-qubit factor shows up as dim_w = 1
+    in :func:`descriptor` instead.
     """
     _require_qubits(state, 3)
     n = state.n_subsystems
-    t = state.tensor()
-    pivots = state.amps[np.stack([pivot_index(state.dims, p) for p in range(2, n + 1)])]
-    sigma = np.linalg.svd(pivots, compute_uv=False).tolist()
-    for p, (s1, s2) in enumerate(sigma, start=2):
+    pivots = state.amps[_factor_index(n)]
+    f = None
+    for p, (s1, s2) in enumerate(singular_values(pivots).tolist(), start=2):
         if s2 > pol.rank_rel_tol * s1:
             continue
-        factor = svd(pivots[p - 2]).V[:, 0]
-        reduced = np.tensordot(factor.conj(), t, axes=(0, p - 1))
-        rebuilt = np.moveaxis(np.tensordot(factor, reduced, axes=0), 0, p - 1)
-        f = math.ldexp(1.0, -_exponent(state.amps.tolist()))  # exact: no norm under- or overflows
-        if np.linalg.norm((rebuilt - t) * f) > pol.residual_tol * np.linalg.norm(t * f):
+        c = pivots[p - 2]
+        factor = svd(c).V[:, 0]
+        # tensordot, not a product with c: its strided operand sets reduced's last bits
+        reduced = np.tensordot(factor.conj(), state.tensor(), axes=(0, p - 1)).reshape(-1)
+        f = f or math.ldexp(1.0, -_exponent(state.amps.tolist()))  # exact: no norm under- or overflows
+        residual = np.linalg.norm((factor[:, None] * reduced - c) * f)
+        if residual > pol.residual_tol * np.linalg.norm(c * f):
             continue
-        reduced_state = make_state((2,) * (n - 1), reduced.reshape(-1))
-        return p, factor, reduced_state
+        return p, factor, make_state((2,) * (n - 1), reduced)
     return None
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg._umath_linalg import svd_f as _lapack_svd  # numpy >= 2.0 name
+from numpy.linalg._umath_linalg import svd as _lapack_sigma, svd_f as _lapack_svd  # numpy >= 2.0
 
 from .errors import EmptySpectrum, NonFinite, SingularMatrix
 
@@ -89,6 +89,12 @@ def _svd_nonconvergence(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
+# the error state np.linalg.svd calls its gufuncs under
+_svd_errstate = np.errstate(
+    call=_svd_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+
+
 def svd(matrix) -> SvdResult:
     """SVD with a pinned phase convention so results are deterministic.
 
@@ -112,9 +118,7 @@ def svd_stack(matrices) -> SvdResult:
     return _pinned_svd(matrices, 3)
 
 
-@np.errstate(
-    call=_svd_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
-)
+@_svd_errstate
 def _pinned_svd(matrix, ndim: int) -> SvdResult:
     a = np.array(matrix, dtype=complex)
     if a.ndim != ndim or a.size == 0:
@@ -134,6 +138,14 @@ def _pinned_svd(matrix, ndim: int) -> SvdResult:
     for arr in (a, V, W, s):
         arr.setflags(write=False)
     return SvdResult(V=V, sigma=s, W=W, matrix=a)
+
+
+@_svd_errstate
+def singular_values(matrices) -> np.ndarray:
+    """Singular values of a finite complex matrix or stack (..., m, n) from ``svd``, the LAPACK
+    gufunc that ``np.linalg.svd(a, compute_uv=False)`` wraps, under the same error state: byte
+    for byte numpy's, without numpy's per-call conversions and checks."""
+    return _lapack_sigma(matrices, signature="D->d")
 
 
 def numerical_rank(sigma, pol: TolerancePolicy = DEFAULT_POLICY) -> int:

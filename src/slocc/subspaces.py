@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DependentGenerators, DimensionMismatch, NonFinite, ToleranceBreakdown, ZeroVector
-from .numerics import DEFAULT_POLICY, TolerancePolicy, _exponent, _pivot_ratios, numerical_rank
+from .numerics import (
+    DEFAULT_POLICY, TolerancePolicy, _exponent, _pivot_ratios, numerical_rank, singular_values
+)
 
 _EPS = 1e-13
 
@@ -228,7 +230,7 @@ def classify_line(w, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStructure
         raise NonFinite("vector contains non-finite entries")
     if np.abs(v).max() == 0.0:
         raise ZeroVector("the zero vector spans no line")
-    rank = numerical_rank(np.linalg.svd(slice_matrix(v), compute_uv=False), pol)
+    rank = numerical_rank(singular_values(slice_matrix(v)), pol)
     if rank == 1:
         return SubspaceStructure(tag=StructureTag.PRODUCT_LINE, witnesses=(v.copy(),))
     return SubspaceStructure(tag=StructureTag.ENTANGLED_LINE)

@@ -748,6 +748,47 @@ class TestFactorSupportRanksFromSingularValues:
             found.add(None if got is None else got[0])
         assert found == {None, *range(2, n + 1)}
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_every_factor_position_under_ilos(self, n):
+        # reduced's bytes are tensordot's: a product with the gathered pivot matrix
+        # moves their last bits, at p = n among others
+        src = RandomSource(740 + n)
+        g = src.generator()
+        for p in range(2, n + 1):
+            for trial in range(4):
+                rest = random_complex(g, 2 ** (n - 1)).reshape((2,) * (n - 1))
+                tensor = np.moveaxis(np.multiply.outer(rest, random_complex(g, 2)), n - 1, p - 1)
+                ops = [random_ilo(2, src.split(100 * p + 10 * trial + k)) for k in range(n)]
+                state = apply_local_operators(make_state((2,) * n, tensor.ravel()), ops)
+                for pol in POLICIES.values():
+                    got = support_fields(factor_support(state, pol))
+                    assert got is not None and got[0] == p
+                    assert got == support_fields(reference_factor_support(state, pol))
+
+    @pytest.mark.parametrize("name", ["GHZ4", "cluster", "factored", "product", "GHZ6"])
+    def test_one_singular_values_call_per_call(self, name, monkeypatch):
+        state = {
+            "GHZ4": GHZ4,
+            "cluster": CLUSTER,
+            "factored": TestFactorSupportReadsPivots.factored_state()[0],
+            "product": make_state((2,) * 5, np.eye(32)[0]),
+            "GHZ6": ghz_state(6),
+        }[name]
+        calls = []
+
+        def recording(matrices):
+            calls.append(np.array(matrices))
+            return slocc.numerics.singular_values(matrices)
+
+        monkeypatch.setattr(slocc.multiqubit, "singular_values", recording)
+        support = factor_support(state)
+        assert (support is None) == (name in ("GHZ4", "cluster", "GHZ6"))
+        # every pivot 2..N, stacked, in one call
+        assert len(calls) == 1
+        n = state.n_subsystems
+        pivots = [coefficient_matrix(state, p).entries for p in range(2, n + 1)]
+        assert np.array_equal(calls[0], np.stack(pivots))
+
     def test_ten_qubits_in_bounded_memory(self):
         g = RandomSource(730).generator()
         generic = make_state((2,) * 10, random_complex(g, 2**10))

@@ -14,6 +14,7 @@ from slocc.numerics import (
     TolerancePolicy,
     inv2,
     numerical_rank,
+    singular_values,
     svd,
     svd_stack,
 )
@@ -467,3 +468,30 @@ class TestSvdStack:
                 svd_stack(bad)
         with pytest.raises(NonFinite):
             svd_stack([[[0, np.nan]]])
+
+
+class TestSingularValues:
+    """singular_values is np.linalg.svd(..., compute_uv=False) byte for byte, stacked or not."""
+
+    def test_matches_numpy(self):
+        g = RandomSource(721).generator()
+        for trial in range(200):
+            m, n = [(2, 4), (2, 8), (3, 3), (4, 2), (2, 2)][trial % 5]
+            stack = random_complex(g, 7 * m * n).reshape(7, m, n)
+            stack[trial % 7] = np.outer(random_complex(g, m), random_complex(g, n))  # rank 1
+            stack[(trial + 3) % 7, 0] = 0.0
+            stack *= 10.0 ** (trial % 41 * 15 - 300)
+            for a in (stack, stack[trial % 7], stack.swapaxes(1, 2)):
+                want = np.linalg.svd(a, compute_uv=False)
+                got = singular_values(a)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("outer", ["ignore", "warn", "raise"])
+    def test_nonconvergence_is_linalg_error(self, monkeypatch, outer):
+        def not_converged(a, signature):
+            return np.full(a.shape[:-2] + (min(a.shape[-2:]),), np.subtract(np.inf, np.inf))
+
+        monkeypatch.setattr(slocc.numerics, "_lapack_sigma", not_converged)
+        with np.errstate(all=outer), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            singular_values(np.eye(2, dtype=complex))
