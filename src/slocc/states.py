@@ -77,9 +77,10 @@ class CoeffMatrix:
 
 
 def _det_abs(op) -> float:
-    """|det op|; a 2x2 |det| beyond the float range reads inf, which the caller refuses."""
+    """|det op|; a |det| beyond the float range reads inf, which the caller refuses."""
     if op.shape != (2, 2):
-        return abs(complex(np.linalg.det(op)))
+        with np.errstate(over="ignore", invalid="ignore"):  # the LU product may leave the range
+            return abs(complex(np.linalg.det(op)))
     (a, b), (c, d) = op.tolist()
     try:
         return abs(a * d - b * c)
@@ -95,10 +96,9 @@ class LocalOperatorSet:
         for op in mats:
             if op.ndim != 2 or op.shape[0] != op.shape[1]:
                 raise DimensionMismatch(f"local operator must be square, got shape {op.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            dets = tuple(_det_abs(op) for op in mats)
-        for op, d in zip(mats, dets):
-            if not np.isfinite(d) or d <= _DET_FLOOR:
+        dets = tuple(_det_abs(op) for op in mats)
+        for d in dets:
+            if not math.isfinite(d) or d <= _DET_FLOOR:
                 raise SingularOperator(
                     f"|det| = {d:.3e} is at the machine floor or outside the float range"
                 )
@@ -123,16 +123,16 @@ def make_state(dims, amps) -> PureState:
     total = math.prod(dims)
     if total < 2:
         raise DimensionMismatch("the total dimension must be at least 2")
-    a = np.asarray(amps, dtype=complex).reshape(-1)
+    a = np.array(amps, dtype=complex).reshape(-1)  # a copy, made read-only below
     if a.size != total:
         raise DimensionMismatch(
             f"got {a.size} amplitudes, dims {dims} require {total}"
         )
-    if not np.isfinite(a).all():
+    top = np.abs(a.view(float)).max()  # largest |part|: NaN propagates, no modulus overflows
+    if not math.isfinite(top):
         raise NonFinite("amplitudes contain NaN or infinite entries")
-    if np.abs(a).max() == 0.0:
+    if top == 0.0:
         raise ZeroState("the zero vector does not define a state")
-    a = a.copy()
     a.flags.writeable = False
     return PureState(dims=dims, amps=a)
 

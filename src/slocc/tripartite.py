@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,7 +156,8 @@ def classify3_tags(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[Triparti
     :func:`_decide` on all rows at once, reading a GHZ/W pencil's kind, never its roots; the
     first failing row raises the error :func:`make_state` or :func:`classify3` gives it."""
     amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
-    valid = np.isfinite(amps).all(axis=1) & (amps != 0).any(axis=1)
+    top = np.maximum(abs(amps.real), abs(amps.imag)).max(axis=1)  # make_state's reading per row
+    valid = np.isfinite(top) & (top > 0.0)
     n = len(amps) if valid.all() else int(valid.argmin())
     tags = [reading[0] for reading in _decide(amps[:n], pol)[1]] if n else []
     if n < len(amps):
@@ -254,6 +256,11 @@ def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
     return SpectrumInfo(product, tuple(sorted(lams, key=abs, reverse=True)))
 
 
+def _column_inverses(pairs, pol: TolerancePolicy):
+    """:func:`inv2` of the 2x2 matrix [x y] for each column pair (x, y), read as Python scalars."""
+    return (inv2(list(zip(x.tolist(), y.tolist())), pol) for x, y in pairs)
+
+
 def _reducing_operators(report: ClassificationReport, res: SvdResult, amps, pol: TolerancePolicy):
     """F1, F2, F3 sending the state ``amps`` to the canonical vector of its class.
 
@@ -279,8 +286,7 @@ def _reducing_operators(report: ClassificationReport, res: SvdResult, amps, pol:
     if tag is TripartiteClass.GHZ:
         # the witnesses span {w1, w2}; conjugation carries them to span {u1, u2}
         (a1, b1), (a2, b2) = (product_factors(w.conj()) for w in report.structure.witnesses)
-        f2 = inv2(np.column_stack((a1, a2)), pol)
-        f3 = inv2(np.column_stack((b1, b2)), pol)
+        f2, f3 = _column_inverses(((a1, a2), (b1, b2)), pol)
         RT = np.array(report.pencil[0].roots).conj()  # row j: conj(alpha_j, beta_j)
         return (RT / res.sigma[:2]) @ res.V.conj().T, f2, f3
     C, factor = res.matrix, report.structure.factor
@@ -292,10 +298,17 @@ def _reducing_operators(report: ClassificationReport, res: SvdResult, amps, pol:
         return f1, np.eye(2, dtype=complex), onto_e1(factor.conj())
     # W class: t1 = a (x) b' + a' (x) b and t2 = a (x) b
     basis = one_product_span_basis(U[:, 0], U[:, 1], report.structure.witnesses[0].conj())
-    f2 = inv2(np.column_stack((basis.left, basis.left_comp)), pol)
-    f3 = inv2(np.column_stack((basis.right, basis.right_comp)), pol)
-    T = np.column_stack((basis.entangled, np.outer(basis.left, basis.right).ravel())).conj()
-    return inv2((C @ T) / (T.real**2 + T.imag**2).sum(axis=0), pol), f2, f3
+    f2, f3 = _column_inverses(((basis.left, basis.left_comp), (basis.right, basis.right_comp)), pol)
+    a, b = basis.left.tolist(), basis.right.tolist()
+    T = basis.entangled.conj().tolist(), [(x * y).conjugate() for x in a for y in b]
+    n = [sum(t.real * t.real + t.imag * t.imag for t in tj) for tj in T]  # |t_j|^2
+    CT = [[sum(c * t for c, t in zip(row, tj)) / nj for tj, nj in zip(T, n)] for row in C.tolist()]
+    return inv2(CT, pol), f2, f3
+
+
+def _norm(values) -> float:
+    """2-norm of Python complex scalars, summed part by part with no over- or underflow."""
+    return math.hypot(*(p for v in values for p in (v.real, v.imag)))
 
 
 def reduce_to_canonical(
@@ -303,12 +316,14 @@ def reduce_to_canonical(
 ) -> tuple[ClassificationReport, IloTriple]:
     """Classify, then build the local operators reaching the canonical vector.
 
-    The construction works on the conjugated right singular vectors
-    u_k = conj(w_k), because the state decomposes exactly as
-    sum_k sigma_k v_k (x) u_k. Where |det F1| ~ 1 / (sigma_1 sigma_r) nears the float range's
-    end, the operators and the residual are read on the amplitudes times the exact power of
-    two 2^-e that brings their largest part near 1: the operators send the state to 2^e times
-    the canonical vector, up to scale. A singular 2x2 matrix raises :class:`ReductionFailed`.
+    The construction works on the conjugated right singular vectors u_k = conj(w_k), because
+    the state decomposes exactly as sum_k sigma_k v_k (x) u_k. Where |det F1| ~ 1 / (sigma_1
+    sigma_r) nears the float range's end, the operators and the residual are read on the
+    amplitudes times the exact power of two 2^-e that brings their largest part near 1: the
+    operators send the state to 2^e times the canonical vector, up to scale. The residual
+    |out - z c| / |out| of the image out, z its mean on the support of the 0/1 canonical c,
+    is summed term by term (``math.hypot``), never as |out|^2 - |z|^2 |c|^2, which cancels.
+    A singular 2x2 matrix or a residual above ``residual_tol`` raises :class:`ReductionFailed`.
     """
     report, res = _classify3(state, pol)
     s1, s2 = res.sigma.tolist()  # |det F1| ~ 1 / (s1 s_r), s_r the last nonzero sigma
@@ -321,9 +336,9 @@ def reduce_to_canonical(
     except (SingularMatrix, SingularOperator) as exc:
         raise ReductionFailed(f"reducing operators are numerically singular: {exc}") from exc
 
-    out, canon = apply_local_operators(state, ops).amps, canonical_vector(report.tag).amps
-    z = np.vdot(canon, out) / np.vdot(canon, canon)
-    residual = float(np.linalg.norm(out - z * canon) / np.linalg.norm(out))
+    out, support = apply_local_operators(state, ops).amps.tolist(), _CANONICAL_AMPS[report.tag]
+    z = sum(out[i] for i in support) / len(support)  # the projection onto the 0/1 canonical vector
+    residual = _norm(v - z if i in support else v for i, v in enumerate(out)) / _norm(out)
     if not residual <= pol.residual_tol:  # a NaN residual fails too
         raise ReductionFailed(
             f"residual {residual:.3e} above tolerance {pol.residual_tol:.1e}"

@@ -67,6 +67,28 @@ class TestMakeState:
         with pytest.raises(DimensionMismatch, match="require 18446744073709551616"):
             make_state((2**32, 2**32), [1, 0])
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [complex(1, np.nan), complex(0, np.inf), complex(2, -np.inf)])
+    def test_non_finite_part_rejected_at_any_position(self, position, bad):
+        amps = [1, 0, 0, 1j]
+        amps[position] = bad
+        with pytest.raises(NonFinite, match="NaN or infinite"):
+            make_state([2, 2], amps)
+
+    def test_signed_zeros_are_the_zero_state(self):
+        with pytest.raises(ZeroState):
+            make_state([2, 2, 2], [complex(-0.0, -0.0)] * 4 + [complex(0.0, -0.0)] * 4)
+
+    @pytest.mark.parametrize(
+        "amps", [[5e-324, 0, 0, 0], [0, 5e-324j, 0, 0], [1e308 + 1e308j, 0, 0, -1e308 - 1e308j]]
+    )
+    def test_extreme_parts_accepted_without_warning(self, amps):
+        # the largest |part| is read, never a modulus, which would overflow at 1e308 (1 + 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = make_state([2, 2], amps)
+        assert np.array_equal(st.amps, amps)
+
 
 class TestEquality:
     def test_equal_states(self):
@@ -287,6 +309,15 @@ class TestOperatorDeterminant:
             op = random_complex(g, 4).reshape(2, 2) * 10.0 ** g.uniform(-100, 100)
             (a, b), (c, d) = op.tolist()
             assert LocalOperatorSet([op]).det_abs == (abs(a * d - b * c),)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_larger_operators_outside_the_float_range_refused(self, n, scale):
+        # the LU determinant over- or underflows; it is refused, never warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularOperator):
+                LocalOperatorSet([np.eye(2), scale * np.eye(n)])
 
     def test_larger_operators_keep_the_lu_determinant(self):
         g = RandomSource(62).generator()

@@ -517,6 +517,45 @@ class TestBoundaryBehavior:
             reduce_to_canonical(state, squeezed)
 
 
+def unit_scaled(amps):
+    """Amplitudes times the exact power of two 2^-e of their largest part."""
+    return amps * 2.0 ** -slocc.tripartite._exponent(amps.ravel().tolist())
+
+
+def projective_distance(out, tag):
+    """|out - z canon| / |out| with z the projection of out onto the canonical vector."""
+    out, canon = unit_scaled(out.reshape(-1)), canonical_vector(tag).amps
+    z = np.vdot(canon, out) / np.vdot(canon, canon)
+    return float(np.linalg.norm(out - z * canon) / np.linalg.norm(out))
+
+
+class TestResidualReadDirectly:
+    """The reported residual is the projective distance of F1 (x) F2 (x) F3 psi, summed
+    term by term: a "total minus on-support" form cancels to ~1e-8 of rounding noise."""
+
+    def check(self, state, tag):
+        report, ilos = reduce_to_canonical(state)
+        assert report.tag is tag
+        unit = make_state((2, 2, 2), unit_scaled(state.amps))  # the residual is projective
+        # the same image, its distance read by numpy: equal up to the summation order
+        same = projective_distance(apply_local_operators(unit, ilos.ops).amps, tag)
+        assert abs(ilos.residual - same) <= 1e-15 + 1e-6 * same
+        # an einsum over the tensor rounds differently, by up to ~1e-14 in the distance
+        out = np.einsum("ai,bj,ck,ijk->abc", *ilos.ops, unit.amps.reshape(2, 2, 2))
+        einsum = projective_distance(out, tag)
+        assert abs(ilos.residual - einsum) <= 1e-13 + 1e-6 * einsum
+
+    @pytest.mark.parametrize("tag", list(TripartiteClass))
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e300, 1e-300])
+    def test_orbit_states(self, tag, scale):
+        for trial in range(10):
+            amps = orbit_state(tag, RandomSource(4600 + trial))[0].amps
+            self.check(make_state((2, 2, 2), amps * scale), tag)
+
+    def test_near_w_state(self):
+        self.check(near_w_state(1e-9), TripartiteClass.W)
+
+
 class TestReduce:
     def test_canonical_ghz_fixed_point(self):
         report, ilos = reduce_to_canonical(canonical_vector(TripartiteClass.GHZ))
@@ -848,6 +887,25 @@ class TestBatchedDecision:
             with pytest.raises(InconsistentRanks) as single:
                 classify3(make_state((2, 2, 2), inconsistent), loose)
             assert str(first.value) == str(single.value)
+
+    def test_bad_rows_read_as_make_state_reads_them(self):
+        # one rule refuses amplitudes: the largest |part| of a row is finite and nonzero
+        ghz = canonical_vector(TripartiteClass.GHZ).amps
+        nan_imag, inf_imag, signed_zeros = ghz.copy(), ghz.copy(), np.full(8, complex(-0.0, -0.0))
+        nan_imag[2], inf_imag[5] = complex(1, np.nan), complex(0, -np.inf)
+        tiny, huge = np.zeros(8, dtype=complex), np.full(8, 1e308 + 1e308j)
+        tiny[3] = 5e-324
+        for bad in (nan_imag, inf_imag, signed_zeros):
+            with pytest.raises(SloccError) as alone:
+                make_state((2, 2, 2), bad)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(type(alone.value)) as batched:
+                    classify3_tags(np.array([ghz, tiny, huge, bad, np.full(8, np.nan)]))
+            assert str(batched.value) == str(alone.value)
+            strided = np.repeat(np.array([ghz, bad]), 2, axis=1)[:, ::2]  # last axis strided
+            with pytest.raises(type(alone.value)):
+                classify3_tags(strided)
 
     def test_pivot_ratios_match_the_pivot_svds(self):
         # near-rank-1 pivots 2 and 3: a 0_2 or 0_3 orbit state plus noise of relative size r
