@@ -19,6 +19,7 @@ accepted with --json-in and emitted with --json.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -47,17 +48,26 @@ EXIT_UNSUPPORTED = 3
 EXIT_REDUCTION = 4
 
 
-def _canonical_states() -> dict[str, PureState]:
-    states = {tag.value: canonical_vector(tag) for tag in TripartiteClass}
-    states["00"] = make_state((2, 2), [1, 0, 0, 0])
-    states["Psi+"] = make_state((2, 2), [1, 0, 0, 1])
-    states["GHZ4"] = ghz_state(4)
-    states["Phi4"] = cluster_state_4()
-    return states
+class CommandError(Exception):
+    """A failed command: :func:`main` prints ``error: <message>`` and exits with ``code``."""
+
+    def __init__(self, message: str, code: int = EXIT_PARSE):
+        super().__init__(message)
+        self.code = code
 
 
-CANONICAL_NAMES = tuple(_canonical_states().keys())
-_ALIASES = {"cluster": "Phi4"}
+CANONICAL_STATES = {
+    **{tag.value: canonical_vector(tag) for tag in TripartiteClass},
+    "00": make_state((2, 2), [1, 0, 0, 0]),
+    "Psi+": make_state((2, 2), [1, 0, 0, 1]),
+    "GHZ4": ghz_state(4),
+    "Phi4": cluster_state_4(),
+}
+CANONICAL_NAMES = tuple(CANONICAL_STATES)
+# every name, its space-free form and the cluster alias, mapped to the name
+_NAME_LOOKUP = {
+    form: name for name in CANONICAL_NAMES for form in (name, name.replace(" ", ""))
+} | {"cluster": "Phi4"}
 
 
 def parse_state_text(text: str) -> tuple[PureState, str | None]:
@@ -107,7 +117,7 @@ def parse_state_text(text: str) -> tuple[PureState, str | None]:
 def parse_state_json(text: str) -> tuple[PureState, str | None]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a 4301-digit integer, deep nesting
         raise StateFileError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "dims" not in data or "amps" not in data:
         raise StateFileError("JSON state needs 'dims' and 'amps' fields")
@@ -117,12 +127,18 @@ def parse_state_json(text: str) -> tuple[PureState, str | None]:
     except (TypeError, ValueError, SloccError) as exc:
         raise StateFileError(str(exc)) from exc
     label = data.get("label")
+    if label is not None and not isinstance(label, str):
+        raise StateFileError(f"label must be a string, got {label!r}")
     return state, label
 
 
 def format_state_text(state: PureState, label: str | None = None) -> str:
+    """The text form of a state; a label must be one line free of ``#`` and of leading or
+    trailing whitespace, or it would not read back as written (:class:`StateFileError`)."""
     lines = []
     if label:
+        if "#" in label or label.splitlines() != [label] or label != label.strip():
+            raise StateFileError(f"label {label!r} cannot be written to a text state file")
         lines.append(f"label: {label}")
     lines.append("dims: " + " ".join(str(d) for d in state.dims))
     for amp in state.amps:
@@ -150,10 +166,6 @@ def _complex_pairs(vec) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=complex).reshape(-1)]
 
 
-def _matrix_pairs(m) -> list[list[list[float]]]:
-    return [_complex_pairs(row) for row in np.asarray(m, dtype=complex)]
-
-
 def _classify_bipartite(state, pol, report):
     form = schmidt(state, pol)
     cls = BipartiteClass(schmidt_rank=form.coeffs.size)
@@ -166,7 +178,7 @@ def _classify_bipartite(state, pol, report):
 def _classify_tripartite(state, pol, report, include_ilos):
     if include_ilos:
         rep, ilos = reduce_to_canonical(state, pol)
-        report["ilos"] = {f"F{k}": _matrix_pairs(f) for k, f in enumerate(ilos.ops, 1)}
+        report["ilos"] = {f"F{k}": list(map(_complex_pairs, f)) for k, f in enumerate(ilos.ops, 1)}
         report["residual"] = ilos.residual
     else:
         rep = classify3(state, pol)
@@ -186,7 +198,7 @@ def _classify_tripartite(state, pol, report, include_ilos):
 @functools.lru_cache(maxsize=4)
 def _named_4qubit_descriptors(pol) -> tuple:
     """Descriptors of the 4-qubit states the CLI names; both have dim_w = 2."""
-    return ("GHZ4", descriptor(ghz_state(4), pol)), ("Phi4", descriptor(cluster_state_4(), pol))
+    return tuple((name, descriptor(CANONICAL_STATES[name], pol)) for name in ("GHZ4", "Phi4"))
 
 
 def _classify_4qubit(state, pol, report):
@@ -208,12 +220,13 @@ def _classify_4qubit(state, pol, report):
         "signature": desc.signature(),
     }
     support = factor_support(state, pol)
-    if support is not None:
+    if support is not None:  # a 4-qubit state's factor leaves a 3-qubit reduced state
         position, factor, reduced = support
-        entry = {"position": position, "vector": _complex_pairs(factor)}
-        if reduced.n_subsystems == 3:
-            entry["reduced_class"] = classify3(reduced, pol).tag.value
-        report["factor"] = entry
+        report["factor"] = {
+            "position": position,
+            "vector": _complex_pairs(factor),
+            "reduced_class": classify3(reduced, pol).tag.value,
+        }
 
 
 def _render_text(report) -> str:
@@ -233,8 +246,8 @@ def _render_text(report) -> str:
     if "factor" in report:
         f = report["factor"]
         lines.append(
-            f"factor: qubit {f['position']}, vector {f['vector']}"
-            + (f", reduced class {f['reduced_class']}" if "reduced_class" in f else "")
+            f"factor: qubit {f['position']}, vector {f['vector']}, "
+            f"reduced class {f['reduced_class']}"
         )
     if "spectrum" in report:
         lines.append(
@@ -247,40 +260,30 @@ def _render_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> str:
     try:
         text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
         state, label = parse_state_json(text) if args.json_in else parse_state_text(text)
-    except StateFileError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
         pol = _policy_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except StateFileError as exc:
+        raise CommandError(f"{args.input}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable or undecodable input, a bad --tol
+        raise CommandError(str(exc)) from exc
 
-    report: dict = {}
-    if label:
-        report["label"] = label
+    report: dict = {"label": label} if label else {}
     report["dims"] = list(state.dims)
     if args.pivot is not None:
         n = state.n_subsystems
         if not 1 <= args.pivot <= n:
-            print(f"error: pivot {args.pivot} out of range 1..{n}", file=sys.stderr)
-            return EXIT_PARSE
+            raise CommandError(f"pivot {args.pivot} out of range 1..{n}")
         if args.pivot != 1:
             order = (args.pivot,) + tuple(k for k in range(1, n + 1) if k != args.pivot)
             state = permute_subsystems(state, order)
             report["pivot"] = args.pivot
     if args.ilos and state.dims != (2, 2, 2):
-        print(f"error: reduce needs dims [2, 2, 2], got {list(state.dims)}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise CommandError(
+            f"reduce needs dims [2, 2, 2], got {list(state.dims)}", EXIT_UNSUPPORTED
+        )
 
     try:
         if state.n_subsystems == 2:
@@ -290,66 +293,38 @@ def cmd_classify(args) -> int:
         elif state.dims == (2, 2, 2, 2):
             _classify_4qubit(state, pol, report)
         else:
-            print(
-                f"error: unsupported dims {list(state.dims)}; supported: any bipartite, "
+            raise CommandError(
+                f"unsupported dims {list(state.dims)}; supported: any bipartite, "
                 "[2,2,2], [2,2,2,2]",
-                file=sys.stderr,
+                EXIT_UNSUPPORTED,
             )
-            return EXIT_UNSUPPORTED
     except ReductionFailed as exc:
-        print(f"error: reduction failed: {exc}", file=sys.stderr)
-        return EXIT_REDUCTION
+        raise CommandError(f"reduction failed: {exc}", EXIT_REDUCTION) from exc
     except SloccError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise CommandError(str(exc)) from exc
 
-    report["policy"] = {
-        "rank_rel_tol": pol.rank_rel_tol,
-        "deg_tol": pol.deg_tol,
-        "residual_tol": pol.residual_tol,
-    }
-    if args.json:
-        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(_render_text(report))
-    return EXIT_OK
+    report["policy"] = dataclasses.asdict(pol)
+    return json.dumps(report, sort_keys=True) + "\n" if args.json else _render_text(report)
 
 
-def cmd_canonical(args) -> int:
-    name = _ALIASES.get(args.name, args.name)
-    states = _canonical_states()
-    compact = {key.replace(" ", ""): key for key in states}
-    if name in states:
-        state = states[name]
-    elif name in compact:
-        name = compact[name]
-        state = states[name]
-    else:
-        print(
-            f"error: unknown class name {args.name!r}; known: {', '.join(states)}",
-            file=sys.stderr,
+def cmd_canonical(args) -> str:
+    name = _NAME_LOOKUP.get(args.name)
+    if name is None:
+        raise CommandError(
+            f"unknown class name {args.name!r}; known: {', '.join(CANONICAL_NAMES)}"
         )
-        return EXIT_PARSE
-    if args.json:
-        sys.stdout.write(format_state_json(state, label=name))
-    else:
-        sys.stdout.write(format_state_text(state, label=name))
-    return EXIT_OK
+    fmt = format_state_json if args.json else format_state_text
+    return fmt(CANONICAL_STATES[name], label=name)
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> str:
     try:
         result = class_count_bound(args.m, args.n)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise CommandError(str(exc)) from exc
     if args.split:
-        sys.stdout.write(
-            f"{result.bound} = {result.genuine} genuine + {result.degenerate} degenerate\n"
-        )
-    else:
-        sys.stdout.write(f"{result.bound}\n")
-    return EXIT_OK
+        return f"{result.bound} = {result.genuine} genuine + {result.degenerate} degenerate\n"
+    return f"{result.bound}\n"
 
 
 def _add_classify_options(parser):
@@ -393,9 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command: its output goes to stdout, a failure to one ``error:`` line on
+    stderr, and the exit code is 0 or the :class:`CommandError`'s code."""
+    args = build_parser().parse_args(argv)
+    try:
+        output = args.func(args)
+    except CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    sys.stdout.write(output)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
+from .errors import ArityMismatch, DegenerateParameter, NonFinite, UnsupportedDepth, WrongArity
 from .numerics import (
     DEFAULT_POLICY, TolerancePolicy, _exponent, numerical_rank, singular_values, svd
 )
@@ -110,10 +110,9 @@ def hyperdeterminant(amps) -> complex:
 
 
 def _point_classes(vecs, n_sub: int, pol: TolerancePolicy, max_qubits: int) -> list[str]:
-    """Class names of the (N-1)-qubit states in the rows of ``vecs``, scaled to unit norm
-    (np.linalg.norm's sums); for N = 4 in one :func:`classify3_tags` call."""
-    norms = [math.sqrt(x @ x + y @ y) for x, y in zip(vecs.real, vecs.imag)]
-    vecs = vecs / np.array(norms)[:, None]
+    """Class names of the (N-1)-qubit states in the rows of ``vecs``, unit vectors
+    alpha w1 + beta w2 (orthonormal w, unit (alpha, beta)); for N = 4 in one
+    :func:`classify3_tags` call."""
     if n_sub == 3:
         return [tag.value for tag in classify3_tags(vecs, pol)]
     return [descriptor(make_state((2,) * n_sub, v), pol, max_qubits).signature() for v in vecs]
@@ -285,6 +284,8 @@ def factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
     for p, (s1, s2) in enumerate(singular_values(pivots).tolist(), start=2):
         if s2 > pol.rank_rel_tol * s1:
             continue
+        if not math.isfinite(s1):  # an inf or NaN sigma_1 reads rank 1
+            raise NonFinite("singular values leave the float range")
         c = pivots[p - 2]
         factor = svd(c).V[:, 0]
         # tensordot, not a product with c: its strided operand sets reduced's last bits

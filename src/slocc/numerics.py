@@ -151,10 +151,14 @@ def singular_values(matrices) -> np.ndarray:
 def numerical_rank(sigma, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
     """Count singular values above ``rank_rel_tol`` times the first (the largest).
 
-    Raises :class:`EmptySpectrum` unless the first value is positive."""
+    Raises :class:`EmptySpectrum` unless the first value is positive, and
+    :class:`NonFinite` unless it is finite: for a finite matrix whose sigma_1
+    nears or leaves the float range's end, LAPACK returns inf or NaN without error."""
     s = np.asarray(sigma, dtype=float).tolist()  # Python floats: numpy's results, half its cost
     if not s or s[0] <= 0.0:
         raise EmptySpectrum("rank needs at least one positive singular value")
+    if not math.isfinite(s[0]):
+        raise NonFinite("singular values leave the float range")
     return sum(x > pol.rank_rel_tol * s[0] for x in s)
 
 

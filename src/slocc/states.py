@@ -117,8 +117,8 @@ class LocalOperatorSet:
 def make_state(dims, amps) -> PureState:
     """Validate and build a :class:`PureState`; amplitudes stored verbatim."""
     raw = tuple(dims)
-    dims = tuple(int(d) for d in raw)
-    if any(d < 1 for d in dims) or dims != raw:
+    dims = tuple(int(d) for d in raw)  # True == 1: a bool dimension would pass as 1
+    if any(d < 1 for d in dims) or dims != raw or any(isinstance(d, (bool, np.bool_)) for d in raw):
         raise DimensionMismatch(f"subsystem dimensions must be positive integers, got {raw}")
     total = math.prod(dims)
     if total < 2:

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import (
     InconsistentRanks,
+    NonFinite,
     ReductionFailed,
     SingularMatrix,
     SingularOperator,
@@ -201,7 +202,9 @@ def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationRe
     _require_three_qubits(state)
     stack, [(tag, ranks, pencil)] = _decide(state.amps[None], pol)
     res = SvdResult(stack.V[0], stack.sigma[0], stack.W[0], stack.matrix[0])
-    w1, w2 = res.W[:, 0], res.W[:, 1]
+    w1, w2, sigma = res.W[:, 0], res.W[:, 1], tuple(res.sigma.tolist())
+    if not math.isfinite(sigma[0]):  # an inf or NaN sigma_1 reads pivot 1 as rank 1
+        raise NonFinite("singular values leave the float range")
 
     near = False
     # a factored qubit is a rank-1 pivot; the conjugate of its factor lies in span{w1, w2}
@@ -227,7 +230,7 @@ def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationRe
     report = ClassificationReport(
         tag=tag,
         ranks=ranks,
-        sigma=tuple(res.sigma.tolist()),
+        sigma=sigma,
         structure=structure,
         near_boundary=near,
         pencil=pencil,

@@ -458,3 +458,107 @@ class TestBoundCommand:
         with pytest.raises(SystemExit) as exc:
             main(["bound", "six", "3"])
         assert exc.value.code == 2
+
+
+FAILURES = [  # argv, stdin bytes, exit code, the one stderr line ({tmp}: the test's directory)
+    (["classify", "{tmp}/missing.txt"], None, 2,
+     "error: [Errno 2] No such file or directory: '{tmp}/missing.txt'"),
+    (["classify", "-"], b"\xff\xfe", 2,
+     "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (["classify", "{tmp}/short.txt"], None, 2,
+     "error: {tmp}/short.txt: got 1 amplitudes, dims require 4"),
+    (["classify", "{tmp}/bell.txt", "--tol", "2"], None, 2,
+     "error: rank_rel_tol must lie strictly between 0 and 1, got 2.0"),
+    (["classify", "{tmp}/ghz.txt", "--pivot", "4"], None, 2, "error: pivot 4 out of range 1..3"),
+    (["reduce", "{tmp}/bell.txt"], None, 3, "error: reduce needs dims [2, 2, 2], got [2, 2]"),
+    (["classify", "{tmp}/ghz5.txt"], None, 3,
+     "error: unsupported dims [2, 2, 2, 2, 2]; supported: any bipartite, [2,2,2], [2,2,2,2]"),
+    (["classify", "{tmp}/ranks112.txt", "--tol", "0.501"], None, 2,
+     "error: ranks (1, 1, 2): exactly two pivots read rank 1, impossible for a valid state"),
+    (["reduce", "{tmp}/ghz.txt", "--json"], None, 4, "error: reduction failed: synthetic"),
+    (["canonical", "XYZ"], None, 2,
+     "error: unknown class name 'XYZ'; known: 000, 0_1 Psi+_23, 0_2 Psi+_13, 0_3 Psi+_12, GHZ, W, "
+     "00, Psi+, GHZ4, Phi4"),
+    (["bound", "0", "3"], None, 2, "error: m_n must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,code,line",
+    FAILURES,
+    ids=[
+        "missing-file", "undecodable-stdin", "parse-error", "tol-out-of-range",
+        "pivot-out-of-range", "reduce-other-dims", "unsupported-dims", "decision-error",
+        "reduction-failure", "unknown-name", "bound-zero-m",
+    ],
+)
+def test_every_failure_leaves_as_one_line(argv, stdin, code, line, tmp_path, capsys, monkeypatch):
+    import slocc.cli as cli_mod
+    from slocc.errors import ReductionFailed
+    from slocc.tripartite import TripartiteClass, canonical_vector
+
+    def boom(state, pol):  # only the reduce of the GHZ file gets this far
+        raise ReductionFailed("synthetic")
+
+    monkeypatch.setattr(cli_mod, "reduce_to_canonical", boom)
+    write_state(tmp_path, canonical_vector(TripartiteClass.GHZ), name="ghz.txt")
+    write_state(tmp_path, make_state([2, 2], [1, 0, 0, 1]), name="bell.txt")
+    write_state(tmp_path, ghz_state(5), name="ghz5.txt")
+    write_state(tmp_path, make_state([2, 2, 2], [1, 0, 0, 0.5, 0, 0.05, 0, 0]), name="ranks112.txt")
+    (tmp_path / "short.txt").write_text("dims: 2 2\n1 0\n")
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin), "utf-8"))
+    got = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert got == (code, "", line.format(tmp=tmp_path) + "\n")
+
+
+class TestStateFileBoundary:
+    @pytest.mark.parametrize("label", ["a#b", "x\ny", "x\r\ny", "x\u2028y", " x", "x ", "x\t"])
+    def test_text_writer_refuses_labels_it_cannot_carry(self, label):
+        with pytest.raises(StateFileError, match="cannot be written"):
+            format_state_text(make_state([2, 2], [1, 0, 0, 1]), label=label)
+
+    @pytest.mark.parametrize("label", ["x", "a b", "tri/0_1 Psi+_23/0", "quad/W(x)0/0", "GHZ"])
+    def test_text_labels_read_back_as_written(self, label):
+        text = format_state_text(make_state([2, 2], [1, 0, 0, 1]), label=label)
+        assert parse_state_text(text)[1] == label
+
+    @pytest.mark.parametrize("label", [5, ["x"], True, {"a": 1}])
+    def test_json_label_must_be_a_string(self, label, tmp_path, capsys):
+        bell = {"dims": [2, 2], "amps": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+        text = json.dumps({**bell, "label": label})
+        with pytest.raises(StateFileError, match="label must be a string"):
+            parse_state_json(text)
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "classify", str(path), "--json-in")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: label must be a string, got {label!r}\n"
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ('{"dims": [2, 2], "amps": [[1' + "0" * 5000 + ", 0]]}", "Exceeds the limit"),
+            ('{"dims": [2, 2], "amps": ' + "[" * 100000 + "]" * 100000 + "}", "maximum recursion"),
+        ],
+        ids=["5001-digit-integer", "deep-nesting"],
+    )
+    def test_json_the_decoder_refuses_is_a_parse_error(self, text, reason, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "classify", str(path), "--json-in")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: invalid JSON: {reason}") and err.count("\n") == 1
+
+    def test_json_label_null_is_no_label(self):
+        text = json.dumps({"dims": [2, 2], "amps": [[1, 0], [0, 0], [0, 0], [1, 0]], "label": None})
+        assert parse_state_json(text)[1] is None
+
+    def test_bool_json_dims_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text('{"dims": [2, true], "amps": [[1, 0], [1, 0]]}')
+        code, out, err = run(capsys, "classify", str(path), "--json-in")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: subsystem dimensions must be positive integers, got (2, True)\n"
+        )

@@ -495,3 +495,60 @@ class TestSingularValues:
         monkeypatch.setattr(slocc.numerics, "_lapack_sigma", not_converged)
         with np.errstate(all=outer), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             singular_values(np.eye(2, dtype=complex))
+
+
+def _overflow_readings():
+    """Entry points reading a state's largest singular value, with one random state each:
+    a 2x3 state, a GHZ-class orbit state, a 4-qubit state and GHZ (x) a qubit at position 3."""
+    from slocc.bipartite import classify_bipartite
+    from slocc.multiqubit import descriptor, factor_support
+    from slocc.states import apply_local_operators, make_state
+    from slocc.tripartite import TripartiteClass, canonical_vector, classify3, reduce_to_canonical
+
+    g = np.random.default_rng(5)
+    ops = [random_complex(g, 4).reshape(2, 2) for _ in range(3)]
+    ghz = apply_local_operators(canonical_vector(TripartiteClass.GHZ), ops)
+    four = make_state((2,) * 4, random_complex(g, 16))
+    bip = make_state((2, 3), random_complex(g, 6))
+    rest = canonical_vector(TripartiteClass.GHZ).amps.reshape(2, 2, 2)
+    amps = np.moveaxis(np.multiply.outer(rest, random_complex(g, 2)), 3, 2).ravel()
+    ops = [random_complex(g, 4).reshape(2, 2) for _ in range(4)]
+    factored = apply_local_operators(make_state((2,) * 4, amps), ops)
+    return {
+        "classify_bipartite": (bip, lambda s: classify_bipartite(s).schmidt_rank),
+        "classify3": (ghz, lambda s: classify3(s).tag),
+        "reduce_to_canonical": (ghz, lambda s: reduce_to_canonical(s)[0].tag),
+        "descriptor": (four, lambda s: descriptor(s).signature()),
+        "factor_support": (factored, lambda s: (factor_support(s) or (None,))[0]),
+    }
+
+
+class TestOverflowingSingularValues:
+    """Finite parts near the float range's end can give LAPACK an inf or NaN sigma_1, with no
+    error: every entry point decides as at scale 1 or raises NonFinite, never a wrong class."""
+
+    @pytest.mark.parametrize("top", [1.2e308, 1.5e308, 1.79e308])
+    @pytest.mark.parametrize(
+        "entry",
+        ["classify_bipartite", "classify3", "reduce_to_canonical", "descriptor", "factor_support"],
+    )
+    def test_decided_as_at_scale_1_or_refused(self, entry, top):
+        from slocc.states import make_state
+
+        state, read = _overflow_readings()[entry]
+        expected = read(state)
+        amps = state.amps / np.abs(state.amps.view(float)).max() * top
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = make_state(state.dims, amps)
+            try:
+                got = read(scaled)
+            except NonFinite as exc:
+                assert str(exc) == "singular values leave the float range"
+            else:
+                assert got == expected
+
+    def test_numerical_rank_refuses_a_non_finite_first_value(self):
+        for first in (np.inf, np.nan):
+            with pytest.raises(NonFinite, match="leave the float range"):
+                numerical_rank([first, 1.0])

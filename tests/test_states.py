@@ -52,6 +52,11 @@ class TestMakeState:
         with pytest.raises(DimensionMismatch, match="total dimension must be at least 2"):
             make_state((1,), [1])
 
+    @pytest.mark.parametrize("dims", [[2, True], [True, 2], [2, np.True_], [False, 2]])
+    def test_bool_dims_rejected(self, dims):
+        with pytest.raises(DimensionMismatch, match="positive integers"):
+            make_state(dims, [1, 0])
+
     def test_integer_valued_dims_accepted(self):
         st = make_state([2.0, np.int64(2)], [1, 0, 0, 1])
         assert st.dims == (2, 2)
