@@ -1,15 +1,15 @@
 """Three-qubit SLOCC classification and canonical-form reduction.
 
-Decision procedure: the ranks of the three coefficient matrices name the
-product-like classes, whose structure is read from the rank-1 pivots; when
-all three ranks are 2 the span of the two right singular vectors of the
-pivot-1 matrix is analyzed through its slice matrices W1, W2. Two distinct
-product directions in the span mean GHZ, a single (double) one means W.
-Equivalently, the spectrum of W1^-1 W2 is non-degenerate for GHZ and
-degenerate for W; the implementation decides via the discriminant of
-det(alpha*W1 + beta*W2), the same predicate without the square-root noise
-of an explicit eigenvalue gap. The pencil is read once (``_span_pencil``):
-the decision keeps its kind, and :func:`classify3` solves its roots from it.
+Decision procedure: the ranks of the three coefficient matrices name the product-like
+classes, whose structure is read from the rank-1 pivots; when all three ranks are 2 the
+span of the two right singular vectors of the pivot-1 matrix is analyzed through its
+slice matrices W1, W2. Two distinct product directions in the span mean GHZ, a single
+(double) one means W. Equivalently, the spectrum of W1^-1 W2 is non-degenerate for GHZ
+and degenerate for W; the implementation decides via the discriminant of
+det(alpha*W1 + beta*W2), the same predicate without the square-root noise of an explicit
+eigenvalue gap. The pencil is read once (``_span_pencil``): the decision keeps its kind.
+The report explains the decision only when read: the first access to its ``structure``
+or ``pencil`` solves the roots from that reading (or takes 0_2's or 0_3's factor SVD).
 
 Pivot 1's rank comes from its SVD, one stacked LAPACK call for a batch of
 states (:func:`classify3_tags`; :func:`classify3` is the batch of one).
@@ -98,25 +98,68 @@ class SpectrumInfo:
     eigenvalues: tuple[complex, complex]
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Class of a 3-qubit state and the readings that decided it; ``pencil``
-    holds (roots, w1, w2, policy) where the slice pencil decided GHZ or W,
-    and the diagnostic ``spectrum_used`` is computed from it on first access."""
+class _cached(functools.cached_property):
+    """:class:`functools.cached_property` without its lock or a ``__dict__`` built for it: the
+    first read stores the value as an instance attribute, where later reads find it."""
 
-    tag: TripartiteClass
-    ranks: tuple[int, int, int]
-    sigma: tuple[float, ...]
-    structure: SubspaceStructure
-    near_boundary: bool
-    pencil: tuple | None = field(default=None, repr=False, compare=False)
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.attrname, value)  # past a frozen dataclass's guard
+        return value
 
-    @functools.cached_property
+
+class _Explanation:
+    """A report's explanation, each part a cached read from its ``_source``: (amplitudes,
+    pivot 1's right singular vectors, the :func:`_span_pencil` reading or None, policy)."""
+
+    @_cached
+    def pencil(self) -> tuple | None:
+        _, W, reading, pol = self._source
+        if reading is None:
+            return None
+        coeffs, reading = reading
+        return RootReport(*_solve(reading), coeffs), W[:, 0], W[:, 1], pol
+
+    @_cached
+    def structure(self) -> SubspaceStructure:
+        # a factored qubit is a rank-1 pivot; the conjugate of its factor lies in span{w1, w2}
+        amps, W, _, _ = self._source
+        if self.tag is TripartiteClass.C000:
+            return SubspaceStructure(tag=StructureTag.PRODUCT_LINE, witnesses=(W[:, 0].copy(),))
+        if self.tag is TripartiteClass.C01_PSI23:
+            return SubspaceStructure(tag=StructureTag.ENTANGLED_LINE)
+        if self.tag is TripartiteClass.C02_PSI13:
+            factor = svd(amps[_PIVOT_INDEX[1]]).V[:, 0].conj()
+            return SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=factor)
+        if self.tag is TripartiteClass.C03_PSI12:
+            factor = svd(amps[_PIVOT_INDEX[2]]).V[:, 0].conj()
+            return SubspaceStructure(tag=StructureTag.RIGHT_FACTOR, factor=factor)
+        roots, w1, w2, _ = self.pencil
+        return span_structure(w1, w2, roots)
+
+    @_cached
     def spectrum_used(self) -> SpectrumInfo | None:
         if self.pencil is None:
             return None
         roots, w1, w2, pol = self.pencil
         return _pencil_spectrum(roots, *(np.linalg.norm(slice_matrix(w)) for w in (w1, w2)), pol)
+
+
+@dataclass(frozen=True)
+class ClassificationReport(_Explanation):
+    """Class of a 3-qubit state and the readings that decided it. ``structure`` and ``pencil``
+    ((roots, w1, w2, policy) where the slice pencil decided GHZ or W, else None) take no
+    argument and no class default: a read reaches :class:`_Explanation`, which computes them."""
+
+    tag: TripartiteClass
+    ranks: tuple[int, int, int]
+    sigma: tuple[float, ...]
+    structure: SubspaceStructure = field(init=False)
+    near_boundary: bool
+    pencil: tuple | None = field(init=False, repr=False, compare=False)
+    _source: tuple = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -131,11 +174,6 @@ class IloTriple:
 def canonical_vector(tag: TripartiteClass) -> PureState:
     """The canonical representative of a class (unnormalized, 0/1 amplitudes; cached)."""
     return make_state((2, 2, 2), [k in _CANONICAL_AMPS[tag] for k in range(8)])
-
-
-def _require_three_qubits(state: PureState):
-    if state.dims != (2, 2, 2):
-        raise WrongArity(f"expected dims (2, 2, 2), got {state.dims}")
 
 
 _PIVOT_INDEX = tuple(pivot_index((2, 2, 2), p) for p in (1, 2, 3))
@@ -168,7 +206,7 @@ def classify3_tags(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[Triparti
 
 def _decide(amps, pol: TolerancePolicy):
     """The stacked pivot-1 SVD of the finite, nonzero rows of ``amps`` (B, 8), and each
-    row's (tag, ranks, pencil) in order; the first failing row raises. Pivot 1's rank
+    row's (tag, ranks, sigma, pencil) in order; the first failing row raises. Pivot 1's rank
     comes from its SVD, pivots 2 and 3 from :func:`_pivot_ratios`. Ranks (2, 2, 2) decide
     from the kind of ``pencil``, :func:`_span_pencil` of w1, w2 (orthonormal singular
     vectors: no Gram test or range check applies); other ranks have no pencil."""
@@ -193,49 +231,24 @@ def _decide(amps, pol: TolerancePolicy):
                     "pencil determinant vanishes identically although all pivots read rank 2"
                 )
             tag = TripartiteClass.GHZ if kind is RootKind.TWO_DISTINCT else TripartiteClass.W
-        readings.append((tag, ranks, pencil))
+        readings.append((tag, ranks, (s1, s2), pencil))
     return res, readings
 
 
 def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationReport, SvdResult]:
-    """:func:`classify3`, also returning pivot 1's SVD; it solves :func:`_decide`'s reading."""
-    _require_three_qubits(state)
-    stack, [(tag, ranks, pencil)] = _decide(state.amps[None], pol)
-    res = SvdResult(stack.V[0], stack.sigma[0], stack.W[0], stack.matrix[0])
-    w1, w2, sigma = res.W[:, 0], res.W[:, 1], tuple(res.sigma.tolist())
+    """:func:`classify3`, also returning the stacked pivot-1 SVD (a batch of one) it read."""
+    if state.dims != (2, 2, 2):
+        raise WrongArity(f"expected dims (2, 2, 2), got {state.dims}")
+    stack, [(tag, ranks, sigma, pencil)] = _decide(state.amps[None], pol)
     if not math.isfinite(sigma[0]):  # an inf or NaN sigma_1 reads pivot 1 as rank 1
         raise NonFinite("singular values leave the float range")
-
     near = False
-    # a factored qubit is a rank-1 pivot; the conjugate of its factor lies in span{w1, w2}
-    if tag is TripartiteClass.C000:
-        structure = SubspaceStructure(tag=StructureTag.PRODUCT_LINE, witnesses=(w1.copy(),))
-    elif tag is TripartiteClass.C01_PSI23:
-        structure = SubspaceStructure(tag=StructureTag.ENTANGLED_LINE)
-    elif tag is TripartiteClass.C02_PSI13:
-        factor = svd(state.amps[_PIVOT_INDEX[1]]).V[:, 0].conj()
-        structure = SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=factor)
-    elif tag is TripartiteClass.C03_PSI12:
-        factor = svd(state.amps[_PIVOT_INDEX[2]]).V[:, 0].conj()
-        structure = SubspaceStructure(tag=StructureTag.RIGHT_FACTOR, factor=factor)
-    else:
-        coeffs, reading = pencil
-        *_, disc, s = reading[2]  # scaled by a power of two: the window reads as unscaled
+    if pencil is not None:
+        *_, disc, s = pencil[1][2]  # scaled by a power of two: the window reads as unscaled
         threshold = pol.deg_tol * s * s
         near = threshold / 100.0 < abs(disc) <= threshold * 100.0
-        roots = RootReport(*_solve(reading), coeffs)
-        structure = span_structure(w1, w2, roots)
-        pencil = (roots, w1, w2, pol)
-
-    report = ClassificationReport(
-        tag=tag,
-        ranks=ranks,
-        sigma=sigma,
-        structure=structure,
-        near_boundary=near,
-        pencil=pencil,
-    )
-    return report, res
+    report = ClassificationReport(tag, ranks, sigma, near, (state.amps, stack.W[0], pencil, pol))
+    return report, stack
 
 
 def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
@@ -277,22 +290,22 @@ def _reducing_operators(report: ClassificationReport, res: SvdResult, amps, pol:
     coordinates of T = [t1 t2]. See the module docstring for R and M.
     """
     tag = report.tag
-    U = res.W[:, :2].conj()  # columns u1, u2
     if tag is TripartiteClass.C000:
         f2, f3 = (onto_e1(svd(amps[_PIVOT_INDEX[p]]).V[:, 0]) for p in (1, 2))
     elif tag is TripartiteClass.C01_PSI23:
         # the pair part u1 = vec(P) reaches e1 (x) e1 + e2 (x) e2 under P^-1 (x) 1
-        f2, f3 = inv2(U[:, 0].reshape(2, 2), pol), np.eye(2, dtype=complex)
+        f2, f3 = inv2(res.W[:, 0].conj().reshape(2, 2), pol), np.eye(2, dtype=complex)
     if report.ranks[0] == 1:  # 000 or 0_1: V^dagger / sigma_1 scales both directions alike
         return res.V.conj().T / res.sigma[0], f2, f3
 
+    structure = report.structure
     if tag is TripartiteClass.GHZ:
         # the witnesses span {w1, w2}; conjugation carries them to span {u1, u2}
-        (a1, b1), (a2, b2) = (product_factors(w.conj()) for w in report.structure.witnesses)
+        (a1, b1), (a2, b2) = (product_factors(w.conj()) for w in structure.witnesses)
         f2, f3 = _column_inverses(((a1, a2), (b1, b2)), pol)
         RT = np.array(report.pencil[0].roots).conj()  # row j: conj(alpha_j, beta_j)
         return (RT / res.sigma[:2]) @ res.V.conj().T, f2, f3
-    C, factor = res.matrix, report.structure.factor
+    C, factor = res.matrix, structure.factor
     if tag is TripartiteClass.C02_PSI13:  # t_j = a (x) e_j with a = conj(factor), |a| = 1
         f1 = inv2(factor @ C.reshape(2, 2, 2), pol)
         return f1, onto_e1(factor.conj()), np.eye(2, dtype=complex)
@@ -300,7 +313,8 @@ def _reducing_operators(report: ClassificationReport, res: SvdResult, amps, pol:
         f1 = inv2(C.reshape(2, 2, 2) @ factor, pol)
         return f1, np.eye(2, dtype=complex), onto_e1(factor.conj())
     # W class: t1 = a (x) b' + a' (x) b and t2 = a (x) b
-    basis = one_product_span_basis(U[:, 0], U[:, 1], report.structure.witnesses[0].conj())
+    u1, u2 = res.W[:, :2].conj().T  # u_k = conj(w_k)
+    basis = one_product_span_basis(u1, u2, structure.witnesses[0].conj())
     f2, f3 = _column_inverses(((basis.left, basis.left_comp), (basis.right, basis.right_comp)), pol)
     a, b = basis.left.tolist(), basis.right.tolist()
     T = basis.entangled.conj().tolist(), [(x * y).conjugate() for x in a for y in b]
@@ -328,8 +342,9 @@ def reduce_to_canonical(
     is summed term by term (``math.hypot``), never as |out|^2 - |z|^2 |c|^2, which cancels.
     A singular 2x2 matrix or a residual above ``residual_tol`` raises :class:`ReductionFailed`.
     """
-    report, res = _classify3(state, pol)
-    s1, s2 = res.sigma.tolist()  # |det F1| ~ 1 / (s1 s_r), s_r the last nonzero sigma
+    report, stack = _classify3(state, pol)
+    res = SvdResult(stack.V[0], stack.sigma[0], stack.W[0], stack.matrix[0])
+    s1, s2 = report.sigma  # |det F1| ~ 1 / (s1 s_r), s_r the last nonzero sigma
     if not 2.0**-1010 < s1 * (s2 if report.ranks[0] == 2 else s1) < 2.0**1010:
         f = 2.0 ** -_exponent(state.amps.tolist())
         res = SvdResult(res.V, res.sigma * f, res.W, res.matrix * f)

@@ -802,6 +802,54 @@ class TestSpectrumOnFirstAccess:
         assert calls == []
 
 
+class TestExplainedOnFirstRead:
+    """classify3 builds the decision only; the structure and the pencil roots are built on
+    their first read, once, and the reduction reads them as before."""
+
+    @pytest.mark.parametrize("tag", [TripartiteClass.C02_PSI13, TripartiteClass.C03_PSI12])
+    def test_factor_svd_on_first_read(self, tag, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapper(matrix):
+                calls.append(np.shape(matrix))
+                return fn(matrix)
+
+            return wrapper
+
+        monkeypatch.setattr(slocc.tripartite, "svd", counting(svd))
+        monkeypatch.setattr(slocc.tripartite, "svd_stack", counting(svd_stack))
+        for trial in range(20):
+            state, _ = orbit_state(tag, RandomSource(6000 + trial))
+            calls.clear()
+            report = classify3(state)
+            assert report.tag is tag and calls == [(1, 2, 4)]
+            structure = report.structure
+            assert calls == [(1, 2, 4), (2, 4)]
+            assert report.structure is structure and calls == [(1, 2, 4), (2, 4)]
+            calls.clear()
+            report, _ = reduce_to_canonical(state)
+            report.structure
+            assert calls == [(1, 2, 4), (2, 4)]
+
+    @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
+    def test_roots_solved_on_first_read(self, tag, monkeypatch):
+        counts = count_calls(monkeypatch, ("_solve", "span_structure"))
+        for trial in range(20):
+            state, _ = orbit_state(tag, RandomSource(6100 + trial))
+            counts.clear()
+            report = classify3(state)
+            assert report.tag is tag and counts == {}
+            report.structure, report.pencil, report.spectrum_used
+            report.structure, report.pencil, report.spectrum_used
+            assert counts == {"_solve": 1, "span_structure": 1}
+            counts.clear()
+            report, _ = reduce_to_canonical(state)
+            assert counts == {"_solve": 1, "span_structure": 1}
+            report.structure, report.pencil, report.spectrum_used
+            assert counts == {"_solve": 1, "span_structure": 1}
+
+
 class TestReportEquality:
     """Reports are values: equal readings compare equal and hash alike."""
 
@@ -821,6 +869,33 @@ class TestReportEquality:
             for b in reports:
                 if a.tag is not b.tag:
                     assert a != b and a.structure != b.structure
+
+    def test_reports_differing_only_in_structure_are_unequal(self):
+        # |000> + |111> and |010> + |101> read the same decision but different witnesses
+        ghz = classify3(make_state((2, 2, 2), [1, 0, 0, 0, 0, 0, 0, 1]))
+        flipped = classify3(make_state((2, 2, 2), [0, 0, 1, 0, 0, 1, 0, 0]))
+        assert (ghz.tag, ghz.ranks, ghz.near_boundary) == (flipped.tag, flipped.ranks, False)
+        assert [x.hex() for x in ghz.sigma] == [x.hex() for x in flipped.sigma]
+        assert ghz.structure != flipped.structure
+        assert ghz != flipped
+
+    def test_repr_is_the_dataclass_text(self):
+        for tag in TripartiteClass:
+            r = classify3(orbit_state(tag, RandomSource(6200))[0])
+            assert repr(r) == (
+                f"ClassificationReport(tag={r.tag!r}, ranks={r.ranks!r}, sigma={r.sigma!r}, "
+                f"structure={r.structure!r}, near_boundary={r.near_boundary!r})"
+            )
+
+    def test_equal_whichever_structure_was_read_first(self):
+        for tag in TripartiteClass:
+            state, _ = orbit_state(tag, RandomSource(6300))
+            for read_first in (0, 1, None):
+                pair = classify3(state), classify3(state)
+                if read_first is not None:
+                    pair[read_first].structure
+                assert pair[0] == pair[1] and pair[1] == pair[0]
+                assert hash(pair[0]) == hash(pair[1])
 
     def test_structure_equality_reads_the_arrays(self):
         w = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
