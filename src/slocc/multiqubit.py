@@ -21,10 +21,13 @@ Product and biseparable points lie in its singular locus (Miyake), so a rank-dro
 point is a multiple root, which root finding spreads by ~eps^(1/m) for
 multiplicity m: a quartic root within ``_SNAP_DISTANCE`` = 8 eps^(1/4) (chordal)
 of a rank-drop point is that point. Rank-drop loci have measure zero, so sampling
-alone would miss them. Every other point of the line carries the generic class,
-read at one fixed probe point farthest from all candidates. For N = 4 the probe
-point and the merged candidates (or a one-dimensional line's generator) are
-decided in one batched :func:`classify3_tags` call, which reads pencil kinds only.
+alone would miss them. Every other point of the line carries the generic class. For
+N = 4 the table names it: a pivot whose minors stay within rank_rel_tol |w|^2 has rank 1
+on the whole line; at ranks (2, 2, 2) the class is W where the tangle quartic stays within
+1e-8 of the least pivot scale squared (both shrink as the squared distance to a
+biseparable line), else GHZ. Only the candidates (or a one-dimensional line's generator)
+are decided, in one batched :func:`classify3_tags` call reading pencil kinds only; deeper
+lines read their generic class at one probe point farthest from them all.
 """
 
 from __future__ import annotations
@@ -35,13 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, DegenerateParameter, NonFinite, UnsupportedDepth, WrongArity
+from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
 from .numerics import (
     DEFAULT_POLICY, TolerancePolicy, _exponent, numerical_rank, singular_values, svd
 )
 from .states import PureState, coefficient_matrix, make_state, minor_index, pivot_index
-from .subspaces import minor_pencil, projective_quadratic_roots
-from .tripartite import classify3_tags
+from .subspaces import _scaled, minor_pencil, projective_quadratic_roots
+from .tripartite import TripartiteClass, _rank_class, classify3_tags
 
 # chordal distances of machine-identical points already read ~sqrt(eps)
 _MERGE_DISTANCE = 1e-6
@@ -173,14 +176,26 @@ def _tangle_candidates(table, norm) -> list:
 
 
 def _line_candidates(w1, w2, n_sub: int, pol: TolerancePolicy) -> np.ndarray:
-    """Merged rank drops, then (N = 4) tangle roots, from one :func:`_minor_table` and one
-    |w1| + |w2|; a root within _SNAP_DISTANCE (chordal) of a drop is that drop, a multiple root."""
+    """The merged candidates of :func:`_line`."""
+    return _line(w1, w2, n_sub, pol)[0]
+
+
+def _line(w1, w2, n_sub: int, pol: TolerancePolicy):
+    """Merged rank drops, then (N = 4) tangle roots, a root within _SNAP_DISTANCE (chordal) of
+    a drop being that drop, and the N = 4 generic class (None above), from one minor table."""
     table, norm = _minor_table(w1, w2, n_sub), np.linalg.norm(w1) + np.linalg.norm(w2)
     drops = _rank_drop_candidates(table, norm, pol)
-    tangle = _tangle_candidates(table, norm) if n_sub == 3 else []
+    if n_sub > 3:
+        return _merge(drops), None
+    tangle = _tangle_candidates(table, norm)
     overlaps = [[abs(a.conjugate() * x + b.conjugate() * y) for x, y in drops] for a, b in tangle]
     far = [p for p, o in zip(tangle, overlaps) if all(1.0 - v * v > _SNAP_DISTANCE**2 for v in o)]
-    return _merge(drops + far)
+    scales = abs(np.array(table)).max(axis=(0, 2))  # each pivot's largest minor coefficient
+    tag = _rank_class(tuple((1 + (scales > pol.rank_rel_tol * norm**2)).tolist()))
+    if tag is None:  # ranks (2, 2, 2): GHZ or W (module docstring)
+        ghz = abs(_tangle_quartic(table)).max() > 1e-8 * scales.min() ** 2
+        tag = TripartiteClass.GHZ if ghz else TripartiteClass.W
+    return _merge(drops + far), tag.value
 
 
 def _merge(candidates) -> np.ndarray:
@@ -207,7 +222,7 @@ def _generic_point(merged):
 def descriptor(
     state: PureState, pol: TolerancePolicy = DEFAULT_POLICY, max_qubits: int = 4
 ) -> StructureDescriptor:
-    """Right-singular-subspace descriptor of an N >= 4 qubit state."""
+    """Right-singular-subspace descriptor of an N >= 4 qubit state (module docstring)."""
     _require_qubits(state, 4)
     n = state.n_subsystems
     if n > max_qubits:
@@ -216,6 +231,8 @@ def descriptor(
         )
     n_sub = n - 1
     res = svd(coefficient_matrix(state, 1).entries)
+    if not math.isfinite(res.sigma[0]):  # sigma_1 overflowed: read the ray times 2^-exponent
+        return descriptor(make_state(state.dims, _scaled(state.amps)), pol, max_qubits)
     dim_w = numerical_rank(res.sigma, pol)
 
     if dim_w == 1:
@@ -224,11 +241,10 @@ def descriptor(
 
     w1 = res.W[:, 0]
     w2 = res.W[:, 1]
-    merged = _line_candidates(w1, w2, n_sub, pol)
-    points = np.concatenate((_generic_point(merged)[None], merged))
-    generic, *classes = _point_classes(
-        points[:, :1] * w1 + points[:, 1:] * w2, n_sub, pol, max_qubits
-    )
+    merged, generic = _line(w1, w2, n_sub, pol)
+    points = merged if generic else np.concatenate((_generic_point(merged)[None], merged))
+    classes = _point_classes(points[:, :1] * w1 + points[:, 1:] * w2, n_sub, pol, max_qubits)
+    generic = generic or classes.pop(0)  # N >= 5 reads its generic class at the probe point
     keys = np.round(merged, 9).view(float).tolist()
     exceptional = sorted(
         (cls, *key, i) for i, (cls, key) in enumerate(zip(classes, keys)) if cls != generic
@@ -274,8 +290,9 @@ def factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
     compares factor (x) reduced with C in C's own layout, both scaled by the
     exact power of two of the state's largest part. Returns ``(p, factor,
     reduced_state)`` for the first such p whose factor rebuilds the state within
-    ``residual_tol``, else ``None``. A pivot-qubit factor shows up as dim_w = 1
-    in :func:`descriptor` instead.
+    ``residual_tol``, else ``None``; if sigma_1 leaves the float range, factor (x) reduced_state
+    rebuilds the state times 2^-e, e the exponent of its largest part (the same ray).
+    A pivot-qubit factor shows up as dim_w = 1 in :func:`descriptor` instead.
     """
     _require_qubits(state, 3)
     n = state.n_subsystems
@@ -284,8 +301,8 @@ def factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
     for p, (s1, s2) in enumerate(singular_values(pivots).tolist(), start=2):
         if s2 > pol.rank_rel_tol * s1:
             continue
-        if not math.isfinite(s1):  # an inf or NaN sigma_1 reads rank 1
-            raise NonFinite("singular values leave the float range")
+        if not math.isfinite(s1):  # an inf or NaN sigma_1 reads rank 1: read the ray at scale 1
+            return factor_support(make_state(state.dims, _scaled(state.amps)), pol)
         c = pivots[p - 2]
         factor = svd(c).V[:, 0]
         # tensordot, not a product with c: its strided operand sets reduced's last bits

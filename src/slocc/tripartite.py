@@ -185,6 +185,14 @@ _RANK_CLASS = {
 }
 
 
+def _rank_class(ranks: tuple[int, ...]) -> TripartiteClass | None:
+    """The class pivot ``ranks`` name; None at (2, 2, 2), which GHZ and W share."""
+    if ranks in _RANK_CLASS or ranks == (2, 2, 2):
+        return _RANK_CLASS.get(ranks)
+    msg = f"ranks {ranks}: exactly two pivots read rank 1, impossible for a valid state"
+    raise InconsistentRanks(msg)
+
+
 def classify3(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> ClassificationReport:
     """Classify a 3-qubit state into one of the six SLOCC classes."""
     return _classify3(state, pol)[0]
@@ -216,11 +224,7 @@ def _decide(amps, pol: TolerancePolicy):
     for (s1, s2), (w1, w2) in zip(res.sigma.tolist(), res.W[:, :, :2].swapaxes(1, 2).tolist()):
         r2, r3 = _pivot_ratios(s1, s2, w1, w2)
         ranks = (1 + (s2 > tol * s1), 1 + (r2 > tol), 1 + (r3 > tol))
-        tag, pencil = _RANK_CLASS.get(ranks), None
-        if tag is None and ranks != (2, 2, 2):
-            raise InconsistentRanks(
-                f"ranks {ranks}: exactly two pivots read rank 1, impossible for a valid state"
-            )
+        tag, pencil = _rank_class(ranks), None
         if tag is None:
             # the slice pencil decides GHZ (two roots) against W (one double root); the
             # ranks already rule out a factor, so only an exactly vanishing pencil reads as one

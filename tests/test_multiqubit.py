@@ -19,10 +19,11 @@ from _kit import (
     tangle_quartic,
     tangle_roots,
 )
-from conftest import random_complex
+from conftest import random_complex, rel_err
 from slocc.errors import (
     ArityMismatch,
     DegenerateParameter,
+    InconsistentRanks,
     SingularMatrix,
     SloccError,
     UnsupportedDepth,
@@ -155,7 +156,7 @@ class TestDescriptor:
 class TestGenericProbe:
     @pytest.mark.parametrize("state", [GHZ4, CLUSTER], ids=["GHZ4", "cluster"])
     def test_generic_class_read_once(self, state, monkeypatch):
-        # two exceptional candidates plus one probe point, decided in one batched call
+        # the two exceptional candidates in one batched call; the line gives the generic class
         calls = []
 
         def counting(points, *args, **kwargs):
@@ -164,7 +165,7 @@ class TestGenericProbe:
 
         monkeypatch.setattr(slocc.multiqubit, "classify3_tags", counting)
         descriptor(state)
-        assert len(calls) == 1 and len(calls[0]) == 3
+        assert len(calls) == 1 and len(calls[0]) == 2
 
     def test_probe_error_propagates(self, monkeypatch):
         def failing(points, *args, **kwargs):
@@ -815,3 +816,120 @@ class TestFactorSupportRanksFromSingularValues:
         assert factor_support(state)[0] == 4
         assert factor_support(GHZ4) is None
         assert factor_support(ghz_state(6)) is None
+
+
+SEVEN_POLICIES = [
+    *POLICIES.values(),
+    *(TolerancePolicy(t, min(10.0 * t, 0.5)) for t in (1e-9, 1e-7, 1e-5, 1e-3)),
+]
+
+
+class TestGenericClassFromTheLine:
+    """At N = 4 the generic class is read from the line's minor table (whole-line pivot
+    ranks and whether the tangle quartic vanishes identically), not at a probe point."""
+
+    def test_census_image_keeps_ghz_at_the_loosest_policy(self):
+        # one line point's pencil reads W here at --tol 1e-3 (relative discriminant 8.3e-3),
+        # while the line's tangle quartic is 5.6e-3 of its least pivot scale squared, not 1e-8
+        state = four_qubit_orbit(CENSUS["000 + 0_2 Psi+_13"], RandomSource(5007))
+        expected = "4q|dimW=2|generic=GHZ|exc=[000,0_2 Psi+_13]"
+        assert descriptor(state).signature() == expected
+        assert descriptor(state, TolerancePolicy(1e-3, 1e-2)).signature() == expected
+
+    def test_generic_class_identical_under_seven_policies(self):
+        states = []
+        for i, rep in enumerate(CENSUS.values()):
+            states.append(rep)
+            states += [four_qubit_orbit(rep, RandomSource(5000 + 3 * i + j)) for j in range(3)]
+        assert len(states) == 84
+        for state in states:
+            expected = descriptor(state).generic_class
+            assert expected is not None
+            got = [descriptor(state, pol).generic_class for pol in SEVEN_POLICIES]
+            assert got == [expected] * 7
+
+    def test_no_classify3_row_without_candidates(self, monkeypatch):
+        rows = []
+
+        def counting(points, *args, **kwargs):
+            rows.append(len(points))
+            return classify3_tags(points, *args, **kwargs)
+
+        monkeypatch.setattr(slocc.multiqubit, "classify3_tags", counting)
+        state = four_qubit_orbit(quad_representatives()["EPR(x)EPR"], RandomSource(650))
+        assert descriptor(state).signature() == "4q|dimW=2|generic=0_1 Psi+_23|exc=[]"
+        assert sum(rows) == 0
+
+    @pytest.mark.parametrize(
+        "rep, noise, pol, expected",
+        [
+            # pivot 1's minors sit at the noise level, within rank_rel_tol but far above the
+            # rank-drop search's 1e-13 floor: rank 1 on the whole line
+            ("EPR(x)EPR", 1e-10, TolerancePolicy(), "0_1 Psi+_23"),
+            ("EPR(x)EPR", 1e-6, TolerancePolicy(1e-3, 1e-2), "0_1 Psi+_23"),
+            # resolved noise: the tangle quartic is O(noise^2), as is pivot 1's scale squared
+            ("EPR(x)EPR", 1e-8, TolerancePolicy(), "GHZ"),
+            # the quartic is O(noise) off a W line, within 1e-8 of the scales squared
+            ("W4", 1e-10, TolerancePolicy(), "W"),
+        ],
+    )
+    def test_noisy_line_reads_as_its_generic_points(self, rep, noise, pol, expected):
+        state = four_qubit_orbit(quad_representatives()[rep], RandomSource(650))
+        kick = random_complex(RandomSource(651).generator(), 16)
+        amps = state.amps + noise * np.linalg.norm(state.amps) / np.linalg.norm(kick) * kick
+        assert descriptor(make_state(state.dims, amps), pol).generic_class == expected
+
+    def test_inconsistent_line_ranks_raise_as_classify3_does(self, monkeypatch):
+        # pivots 2 and 3 rank-deficient on the whole line while pivot 1 is not
+        minor_table = slocc.multiqubit._minor_table
+
+        def flattened(*args):
+            return [np.concatenate((x[:1], 0 * x[1:])) for x in minor_table(*args)]
+
+        monkeypatch.setattr(slocc.multiqubit, "_minor_table", flattened)
+        message = "ranks (2, 1, 1): exactly two pivots read rank 1, impossible for a valid state"
+        with pytest.raises(InconsistentRanks) as err:
+            descriptor(GHZ4)
+        assert str(err.value) == message
+
+    def test_five_qubits_keep_the_probe_row(self, monkeypatch):
+        rows = []
+        point_classes = slocc.multiqubit._point_classes
+
+        def recording(vecs, n_sub, *args):
+            rows.append((n_sub, len(vecs)))
+            return point_classes(vecs, n_sub, *args)
+
+        monkeypatch.setattr(slocc.multiqubit, "_point_classes", recording)
+        d = descriptor(ghz_state(5), max_qubits=5)
+        assert d.exceptional_classes == ("4q|dimW=1|line=000",) * 2
+        # two candidates plus the probe point, each a 4-qubit state with its own descriptor
+        assert rows[0] == (4, 3)
+
+
+class TestSingularValuesBeyondTheFloatRange:
+    """A 4-qubit state whose sigma_1 leaves the float range is read on its amplitudes times
+    an exact power of two, as at scale 1, by descriptor and factor_support alike."""
+
+    @pytest.mark.parametrize("top", [1.2e308, 1.5e308, 1.79e308])
+    def test_read_as_at_scale_1(self, top):
+        g = RandomSource(760).generator()
+        rest = canonical_vector(TripartiteClass.GHZ).amps.reshape(2, 2, 2)
+        factored = make_state((2,) * 4, np.multiply.outer(rest, random_complex(g, 2)).ravel())
+        ops = [random_ilo(2, RandomSource(761).split(k)) for k in range(4)]
+        generic = make_state((2,) * 4, random_complex(g, 16))
+        for state in (generic, apply_local_operators(factored, ops)):
+            support = factor_support(state)
+            expected = descriptor(state).signature(), support and support[0]
+            scaled = make_state(state.dims, state.amps / np.abs(state.amps.view(float)).max() * top)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                support = factor_support(scaled)
+                assert (descriptor(scaled).signature(), support and support[0]) == expected
+        assert expected[1] == 4
+        # factor (x) reduced rebuilds the same ray: the state times 2^-e, e the exponent
+        # of its largest part
+        _, factor, reduced = support
+        e = np.frexp(np.abs(scaled.amps.view(float)).max())[1]
+        rebuilt = np.multiply.outer(reduced.amps, factor).ravel()
+        assert rel_err(rebuilt, scaled.amps * 2.0**-e) < 1e-12
