@@ -10,23 +10,22 @@ the same broad-sense class exactly when these summaries match; residual
 continuous freedom (the exceptional points' positions) is deliberately
 excluded from the comparison.
 
-Exceptional points are located algebraically. Each 2x2 minor of a pivot's
-coefficient matrix along the line is a quadratic pencil, gathered once per line
-into one table (``subspaces.minor_pencil``); rank drops are the roots of a
-pivot's largest minor quadratic that zero all of its minors. For N = 4 the
-GHZ/W boundary is the root set of the hyperdeterminant along the line, B^2 - 4AC
-over the table's pivot-2 quadratics A = m01, B = m03 - m12, C = m23 (the 3-tangle
-of Coffman, Kundu and Wootters), solved as its companion matrix's eigenvalues.
-Product and biseparable points lie in its singular locus (Miyake), so a rank-drop
-point is a multiple root, which root finding spreads by ~eps^(1/m) for
-multiplicity m: a quartic root within ``_SNAP_DISTANCE`` = 8 eps^(1/4) (chordal)
-of a rank-drop point is that point. Rank-drop loci have measure zero, so sampling
-alone would miss them. Every other point of the line carries the generic class. For
-N = 4 the table names it: a pivot whose minors stay within rank_rel_tol |w|^2 has rank 1
-on the whole line; at ranks (2, 2, 2) the class is W where the tangle quartic stays within
-1e-8 of the least pivot scale squared (both shrink as the squared distance to a
-biseparable line), else GHZ. Only the candidates (or a one-dimensional line's generator)
-are decided, in one batched :func:`classify3_tags` call reading pencil kinds only; deeper
+Exceptional points are located algebraically, reading each line once. Each 2x2 minor of a
+pivot's coefficient matrix along the line is a quadratic pencil, gathered into one table
+(``subspaces.minor_pencil``). One pass over it reads each pivot's scale (its largest minor
+coefficient) and rank drops: the roots of that minor's quadratic that zero all of its minors.
+For N = 4 the GHZ/W boundary is the root set of the hyperdeterminant along the line, the one
+tangle quartic B^2 - 4AC over the pivot-2 quadratics A = m01, B = m03 - m12, C = m23 (the
+3-tangle of Coffman, Kundu and Wootters), solved as its companion matrix's eigenvalues. Product
+and biseparable points lie in its singular locus (Miyake), so a rank-drop point is a multiple
+root, which root finding spreads by ~eps^(1/m) for multiplicity m: a quartic root within
+``_SNAP_DISTANCE`` = 8 eps^(1/4) (chordal) of a rank-drop point is that point. Rank-drop loci
+have measure zero, so sampling alone would miss them. Every other point carries the generic
+class. For N = 4 the same readings name it: a pivot whose scale is within rank_rel_tol |w|^2
+has rank 1 on the whole line; at ranks (2, 2, 2) the class is W where the quartic stays within
+1e-8 of the least pivot scale squared (both shrink as the squared distance to a biseparable
+line), else GHZ. Only the candidates, merged on Python scalars (or a one-dimensional line's
+generator), are decided, in one :func:`classify3_tags` call reading pencil kinds only; deeper
 lines read their generic class at one probe point farthest from them all.
 """
 
@@ -42,7 +41,7 @@ from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongA
 from .numerics import (
     DEFAULT_POLICY, TolerancePolicy, _exponent, numerical_rank, singular_values, svd
 )
-from .states import PureState, coefficient_matrix, make_state, minor_index, pivot_index
+from .states import PureState, make_state, minor_index, pivot_index
 from .subspaces import _scaled, minor_pencil, projective_quadratic_roots
 from .tripartite import TripartiteClass, _rank_class, classify3_tags
 
@@ -132,15 +131,16 @@ def _minor_table(w1, w2, n_sub: int):
     return minor_pencil(w1[minor_index(n_sub)], w2[minor_index(n_sub)])
 
 
-def _rank_drop_candidates(table, norm, pol: TolerancePolicy):
+def _rank_drop_candidates(table, norm, pol: TolerancePolicy, scales=None):
     """Unit points of the line where some pivot's matrix drops rank: the roots of its largest
-    minor quadratic that zero all its minors, read on the table's rows as Python scalars."""
+    minor quadratic that zero all its minors, on Python scalars; pivot scales go to ``scales``."""
     a, b, c = table
     floor = 1e-13 * norm**2
-    drops = []
+    drops, scales = [], [] if scales is None else scales
     for ak, bk, ck in zip(a.tolist(), b.tolist(), c.tolist()):  # pivot k: one entry per minor
         size = list(map(max, map(abs, ak), map(abs, bk), map(abs, ck)))
         scale = max(size)
+        scales.append(scale)
         if scale <= floor:
             continue  # pivot is rank-deficient on the whole line
         m = size.index(scale)
@@ -159,10 +159,10 @@ def _tangle_quartic(table) -> np.ndarray:
     return np.convolve(m03 - m12, m03 - m12) - 4.0 * np.convolve(m01, m23)
 
 
-def _tangle_candidates(table, norm) -> list:
-    """Unit roots of the tangle quartic (N = 4): (1, 0) if its degree in t (points t*w1 + w2)
-    is below 4, then (t, 1) for np.roots' t: its companion's eigenvalues, then trailing zeros."""
-    h = _tangle_quartic(table)[::-1].tolist()  # h[k] multiplies t^k
+def _tangle_candidates(table, norm, quartic=None) -> list:
+    """Unit roots of ``quartic``, the table's tangle quartic if None: (1, 0) if its degree in t
+    (points t*w1 + w2) is below 4, then (t, 1) for np.roots' t: companion eigenvalues, zeros."""
+    h = (_tangle_quartic(table) if quartic is None else quartic)[::-1].tolist()  # h[k]: t^k
     s = max(map(abs, h))
     if s <= 1e-12 * norm**4:
         return []
@@ -182,31 +182,31 @@ def _line_candidates(w1, w2, n_sub: int, pol: TolerancePolicy) -> np.ndarray:
 
 def _line(w1, w2, n_sub: int, pol: TolerancePolicy):
     """Merged rank drops, then (N = 4) tangle roots, a root within _SNAP_DISTANCE (chordal) of
-    a drop being that drop, and the N = 4 generic class (None above), from one minor table."""
+    a drop being that drop, and the N = 4 generic class (None above), each read once."""
     table, norm = _minor_table(w1, w2, n_sub), np.linalg.norm(w1) + np.linalg.norm(w2)
-    drops = _rank_drop_candidates(table, norm, pol)
+    scales = []  # each pivot's largest minor coefficient, read by the rank-drop pass
+    drops = _rank_drop_candidates(table, norm, pol, scales)
     if n_sub > 3:
         return _merge(drops), None
-    tangle = _tangle_candidates(table, norm)
+    quartic = _tangle_quartic(table)  # one per line: its roots and the GHZ/W test
+    tangle = _tangle_candidates(table, norm, quartic)
     overlaps = [[abs(a.conjugate() * x + b.conjugate() * y) for x, y in drops] for a, b in tangle]
     far = [p for p, o in zip(tangle, overlaps) if all(1.0 - v * v > _SNAP_DISTANCE**2 for v in o)]
-    scales = abs(np.array(table)).max(axis=(0, 2))  # each pivot's largest minor coefficient
-    tag = _rank_class(tuple((1 + (scales > pol.rank_rel_tol * norm**2)).tolist()))
+    tag = _rank_class(tuple(2 if s > pol.rank_rel_tol * norm**2 else 1 for s in scales))
     if tag is None:  # ranks (2, 2, 2): GHZ or W (module docstring)
-        ghz = abs(_tangle_quartic(table)).max() > 1e-8 * scales.min() ** 2
+        ghz = max(map(abs, quartic.tolist())) > 1e-8 * min(scales) ** 2
         tag = TripartiteClass.GHZ if ghz else TripartiteClass.W
     return _merge(drops + far), tag.value
 
 
 def _merge(candidates) -> np.ndarray:
-    """Greedy merge: keep each candidate farther than _MERGE_DISTANCE from all kept."""
-    points = np.array(candidates, dtype=complex).reshape(-1, 2)
-    far = np.sqrt(np.maximum(0.0, 1.0 - np.abs(points.conj() @ points.T) ** 2)) > _MERGE_DISTANCE
+    """Greedy scalar merge: keep each candidate farther than _MERGE_DISTANCE from all kept."""
     kept = []
-    for i, row in enumerate(far.tolist()):
-        if all(row[j] for j in kept):
-            kept.append(i)
-    return points[kept]
+    for a, b in candidates:
+        overlaps = (abs(x.conjugate() * a + y.conjugate() * b) for x, y in kept)
+        if all(math.sqrt(max(0.0, 1.0 - o * o)) > _MERGE_DISTANCE for o in overlaps):
+            kept.append((a, b))
+    return np.array(kept, dtype=complex).reshape(-1, 2)
 
 
 def _generic_point(merged):
@@ -230,7 +230,7 @@ def descriptor(
             f"{n} qubits exceeds the configured recursion depth {max_qubits}"
         )
     n_sub = n - 1
-    res = svd(coefficient_matrix(state, 1).entries)
+    res = svd(state.amps[pivot_index(state.dims, 1)])
     if not math.isfinite(res.sigma[0]):  # sigma_1 overflowed: read the ray times 2^-exponent
         return descriptor(make_state(state.dims, _scaled(state.amps)), pol, max_qubits)
     dim_w = numerical_rank(res.sigma, pol)
