@@ -190,27 +190,46 @@ def _pivot_ratios(s1: float, s2: float, w1: list, w2: list) -> list[float]:
     return ratios
 
 
+def _top_direction(rows) -> list:
+    """Unit top eigenvector of G = C C^dagger, C a 2xM matrix given as two rows of Python
+    scalars, phase-pinned as by :func:`svd`: for a rank-1 C, its first left singular vector.
+    G is read on C times 2^-e, e the exponent of its largest part, so nothing under- or
+    overflows; the row of G - lambda_1 with the larger diagonal gap gives the vector."""
+    f = math.ldexp(1.0, -_exponent(rows[0] + rows[1]))
+    x, y = [[z * f for z in row] for row in rows]
+    g11, g22 = (sum([z.real * z.real + z.imag * z.imag for z in r]) for r in (x, y))
+    g12 = sum([a * b.conjugate() for a, b in zip(x, y)])
+    d, h = g11 - g22, math.hypot(g11 - g22, 2.0 * abs(g12))  # h = lambda_1 - lambda_2
+    v = ((d + h) or 1.0, 2.0 * g12.conjugate()) if d >= 0.0 else (2.0 * g12, h - d)  # G = g I: e1
+    n = math.hypot(abs(v[0]), abs(v[1]))
+    phase = n * _lead_phase([z / n for z in v])
+    return [z / phase for z in v]
+
+
 def _exponent(parts) -> int:
     """Binary exponent e with every real and imaginary part below 2**e in size, at
     least -1023 so that 2**-e is finite: scaling by 2**-e is exact in every part
     that stays normal."""
-    return max(math.frexp(max(max(abs(z.real), abs(z.imag)) for z in parts))[1], -1023)
+    top = max([abs(z.real) for z in parts] + [abs(z.imag) for z in parts])
+    return max(math.frexp(top)[1], -1023)
 
 
 def inv2(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Adjugate-over-determinant inverse of a 2x2 matrix, in Python complex scalars.
+    """Adjugate-over-determinant inverse of a 2x2 matrix, :func:`_inv2` of its entries read as
+    Python complex scalars. Raises :class:`SingularMatrix` when |det| is at most
+    ``rank_rel_tol`` times the squared Frobenius norm, a test independent of the matrix scale,
+    or when the inverse could leave the float range. The test and the adjugate run on the
+    matrix scaled by the power of two that puts its largest real or imaginary part in
+    [0.5, 1): the scaling is exact, so neither |det| nor the norm under- or overflows."""
+    return np.array(_inv2(np.asarray(matrix, dtype=complex).tolist(), pol))
 
-    Raises :class:`SingularMatrix` when |det| is at most ``rank_rel_tol``
-    times the squared Frobenius norm, a test independent of the matrix scale,
-    or when the inverse could leave the float range. The test and the
-    adjugate run on the matrix scaled by the power of two that puts its
-    largest real or imaginary part in [0.5, 1): the scaling is exact, so
-    neither |det| nor the norm under- or overflows at any scale.
-    """
-    parts = np.asarray(matrix, dtype=complex).ravel().tolist()
-    e = _exponent(parts)
+
+def _inv2(rows, pol: TolerancePolicy) -> list[list]:
+    """:func:`inv2` of the nested lists ((p, q), (r, s)) of Python scalars, as nested lists."""
+    (p, q), (r, s) = rows
+    e = _exponent((p, q, r, s))
     f = math.ldexp(1.0, -e)
-    p, q, r, s = (z * f for z in parts)
+    p, q, r, s = p * f, q * f, r * f, s * f
     det = p * s - q * r
     scale = abs(p) ** 2 + abs(q) ** 2 + abs(r) ** 2 + abs(s) ** 2
     if abs(det) <= pol.rank_rel_tol * scale:
@@ -220,4 +239,4 @@ def inv2(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     if math.frexp(abs(det))[1] + e < -1022:  # |inverse| < 2^(0.5-e)/|det| may pass 2^1024
         raise SingularMatrix(f"inverse outside the float range, entries below 2^{e}")
     g = f / det  # the inverse of the unscaled matrix is adj(m * 2**-e) * 2**-e / det
-    return np.array([[s * g, -q * g], [-r * g, p * g]])
+    return [[s * g, -q * g], [-r * g, p * g]]

@@ -92,18 +92,18 @@ class LocalOperatorSet:
     """One square operator per subsystem, each required to be invertible."""
 
     def __init__(self, ops):
-        mats = tuple(np.asarray(op, dtype=complex) for op in ops)
+        mats = tuple([np.asarray(op, dtype=complex) for op in ops])
         for op in mats:
             if op.ndim != 2 or op.shape[0] != op.shape[1]:
                 raise DimensionMismatch(f"local operator must be square, got shape {op.shape}")
-        dets = tuple(_det_abs(op) for op in mats)
+        dets = tuple(map(_det_abs, mats))
         for d in dets:
-            if not math.isfinite(d) or d <= _DET_FLOOR:
+            if not (math.isfinite(d) and d > _DET_FLOOR):
                 raise SingularOperator(
                     f"|det| = {d:.3e} is at the machine floor or outside the float range"
                 )
         for op in mats:
-            op.flags.writeable = False
+            op.setflags(write=False)
         self.ops = mats
         self.det_abs = dets
 
@@ -125,15 +125,18 @@ def make_state(dims, amps) -> PureState:
         raise DimensionMismatch("the total dimension must be at least 2")
     a = np.array(amps, dtype=complex).reshape(-1)  # a copy, made read-only below
     if a.size != total:
-        raise DimensionMismatch(
-            f"got {a.size} amplitudes, dims {dims} require {total}"
-        )
+        raise DimensionMismatch(f"got {a.size} amplitudes, dims {dims} require {total}")
+    return _checked_state(dims, a)
+
+
+def _checked_state(dims: tuple[int, ...], a: np.ndarray) -> PureState:
+    """:func:`make_state`'s amplitude checks on a new flat complex array of valid ``dims``."""
     top = np.abs(a.view(float)).max()  # largest |part|: NaN propagates, no modulus overflows
     if not math.isfinite(top):
         raise NonFinite("amplitudes contain NaN or infinite entries")
     if top == 0.0:
         raise ZeroState("the zero vector does not define a state")
-    a.flags.writeable = False
+    a.setflags(write=False)
     return PureState(dims=dims, amps=a)
 
 
@@ -180,9 +183,7 @@ def apply_local_operators(state: PureState, ops) -> PureState:
     if not isinstance(ops, LocalOperatorSet):
         ops = LocalOperatorSet(ops)
     if len(ops) != state.n_subsystems:
-        raise DimensionMismatch(
-            f"{len(ops)} operators for {state.n_subsystems} subsystems"
-        )
+        raise DimensionMismatch(f"{len(ops)} operators for {state.n_subsystems} subsystems")
     amps = state.amps
     for k, op in enumerate(ops):
         if op.shape[0] != state.dims[k]:
@@ -191,7 +192,7 @@ def apply_local_operators(state: PureState, ops) -> PureState:
             )
         index, old, amps = pivot_index(state.dims, k + 1), amps, np.empty_like(amps)
         amps[index] = np.dot(op, old[index])
-    return make_state(state.dims, amps)
+    return _checked_state(state.dims, amps)  # the dims are the state's, the array is new
 
 
 def permute_subsystems(state: PureState, order) -> PureState:

@@ -206,19 +206,22 @@ def product_roots(W1, W2, pol: TolerancePolicy = DEFAULT_POLICY) -> RootReport:
 
 
 def product_factors(w) -> tuple[np.ndarray, np.ndarray]:
-    """Split a (near-)product 4-vector as a (x) b with a of unit norm.
+    """Split a (near-)product 4-vector as a (x) b with a of unit norm (:func:`_factors`)."""
+    a, b = _factors(np.asarray(w, dtype=complex).reshape(-1).tolist())
+    return np.array(a), np.array(b)
 
-    The 2x2 matrix m = a b^T of a product vector has rank 1, so a is its
-    largest column over that column's norm and b = a^dagger m.
-    """
-    p, q, r, s = np.asarray(w, dtype=complex).reshape(-1).tolist()
+
+def _factors(w) -> tuple[list, list]:
+    """:func:`product_factors` of a flat list of four Python scalars, as lists: the 2x2 matrix
+    m = a b^T of a product vector has rank 1, so a is its largest column over that column's
+    norm and b = a^dagger m."""
+    p, q, r, s = w
     n0, n1 = math.hypot(abs(p), abs(r)), math.hypot(abs(q), abs(s))  # column norms of m
     x, y, n = (p, r, n0) if n0 >= n1 else (q, s, n1)
     if n == 0.0:
         raise ZeroVector("the zero vector has no product factors")
     x, y = x / n, y / n
-    b = [x.conjugate() * p + y.conjugate() * r, x.conjugate() * q + y.conjugate() * s]
-    return np.array([x, y]), np.array(b)
+    return [x, y], [x.conjugate() * p + y.conjugate() * r, x.conjugate() * q + y.conjugate() * s]
 
 
 def classify_line(w, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStructure:
@@ -305,29 +308,35 @@ class AdaptedSpanBasis:
     leak: float
 
 
-def onto_e1(v) -> np.ndarray:
+def onto_e1(v) -> list[list]:
     """Unitary [[conj v0, conj v1], [-v1, v0]] sending the unit vector v = (v0, v1) to e1."""
-    v0, v1 = v.tolist()
-    return np.array([[v0.conjugate(), v1.conjugate()], [-v1, v0]])
+    v0, v1 = v
+    return [[v0.conjugate(), v1.conjugate()], [-v1, v0]]
 
 
 def one_product_span_basis(w1, w2, witness) -> AdaptedSpanBasis:
     """Adapted basis of a OneProductPlusEntangled span around its witness a (x) b.
 
-    With X = onto_e1(a) and Y = onto_e1(b) (a, b of unit norm; their rows are
-    a^dagger, a_perp^dagger and b^dagger, b_perp^dagger), X H Y^T holds a
-    generator's coordinates on the product basis {a, a_perp} (x) {b, b_perp}, H
-    its 2x2 matrix. The witness is coordinate (0, 0); of the generator farther
-    from it, coordinate (1, 1) must vanish (``leak``) and the cross ones fold
-    into the complements, so the entangled generator reads a (x) b' + a' (x) b.
-    """
-    a, b = product_factors(witness)  # raises ZeroVector for a zero witness
-    b = b / np.linalg.norm(b)
-    (x0, x1), (x2, x3) = onto_e1(a).tolist()
-    (y0, y1), (y2, y3) = onto_e1(b).tolist()
+    With X = onto_e1(a) and Y = onto_e1(b) (a, b of unit norm; their rows are a^dagger,
+    a_perp^dagger and b^dagger, b_perp^dagger), X H Y^T holds a generator's coordinates on
+    the product basis {a, a_perp} (x) {b, b_perp}, H its 2x2 matrix. The witness is
+    coordinate (0, 0); of the generator farther from it, coordinate (1, 1) must vanish
+    (``leak``) and the cross ones fold into the complements, so the entangled generator
+    reads a (x) b' + a' (x) b. :func:`_span_basis` reads the fields in Python scalars."""
+    flat = (np.asarray(v, dtype=complex).reshape(-1).tolist() for v in (w1, w2, witness))
+    *fields, leak = _span_basis(*flat)
+    return AdaptedSpanBasis(*map(np.array, fields), leak=leak)
+
+
+def _span_basis(w1, w2, witness) -> tuple:
+    """:func:`one_product_span_basis`'s fields in order on flat lists of Python scalars."""
+    a, b = _factors(witness)  # raises ZeroVector for a zero witness
+    nb = math.hypot(abs(b[0]), abs(b[1]))
+    b = [b[0] / nb, b[1] / nb]
+    (x0, x1), (x2, x3) = onto_e1(a)
+    (y0, y1), (y2, y3) = onto_e1(b)
     best = -1.0
-    for w in (w1, w2):
-        p, q, r, s = np.asarray(w, dtype=complex).reshape(-1).tolist()
+    for p, q, r, s in (w1, w2):
         # X H Y^T for H = [[p, q], [r, s]], coordinates (0, 1), (1, 0) and (1, 1)
         h00, h01, h10, h11 = p * y0 + q * y1, p * y2 + q * y3, r * y0 + s * y1, r * y2 + s * y3
         c = (x0 * h01 + x1 * h11, x2 * h00 + x3 * h10, x2 * h01 + x3 * h11)
@@ -340,14 +349,7 @@ def one_product_span_basis(w1, w2, witness) -> AdaptedSpanBasis:
         raise ToleranceBreakdown(
             "complement of the witness has no cross component; span is not of one-product type"
         )
-    right_comp = b01 * np.array([y2, y3]).conj()  # b01 b_perp
-    left_comp = b10 * np.array([x2, x3]).conj()  # b10 a_perp
-    entangled = np.outer(a, right_comp).ravel() + np.outer(left_comp, b).ravel()
-    return AdaptedSpanBasis(
-        left=a,
-        right=b,
-        left_comp=left_comp,
-        right_comp=right_comp,
-        entangled=entangled,
-        leak=abs(b11) / best,
-    )
+    right_comp = [b01 * y2.conjugate(), b01 * y3.conjugate()]  # b01 b_perp
+    left_comp = [b10 * x2.conjugate(), b10 * x3.conjugate()]  # b10 a_perp
+    entangled = [u * v + p * q for u, p in zip(a, left_comp) for v, q in zip(right_comp, b)]
+    return a, b, left_comp, right_comp, entangled, abs(b11) / best

@@ -11,22 +11,19 @@ eigenvalue gap. The pencil is read once (``_span_pencil``): the decision keeps i
 The report explains the decision only when read: the first access to its ``structure``
 or ``pencil`` solves the roots from that reading (or takes 0_2's or 0_3's factor SVD).
 
-Pivot 1's rank comes from its SVD, one stacked LAPACK call for a batch of
-states (:func:`classify3_tags`; :func:`classify3` is the batch of one).
-Pivots 2 and 3 read sigma_2 / sigma_1 from their 2x2 minors, taken in pivot
-1's singular basis; a pivot 2 or 3 takes an SVD only where it reads rank 1
-and its factor is wanted.
+Pivot 1's rank comes from its SVD, one stacked LAPACK call for a batch of states
+(:func:`classify3_tags`; :func:`classify3` is the batch of one). Pivots 2 and 3 read
+sigma_2 / sigma_1 from their 2x2 minors, taken in pivot 1's singular basis.
 
-The reduction builds one invertible operator per qubit from the report and
-pivot 1's SVD, with no least-squares solve. A factored qubit's operator sends
-its rank-1 pivot's first left singular vector to e1 (0_2 and 0_3 read it from
-the report's factor; 000 takes the pivot-2 and pivot-3 SVDs). Otherwise F2 and
-F3 send targets t1, t2 to computational basis vectors, and with u_k = conj(w_k) =
-M[k, 0] t1 + M[k, 1] t2 the pivot operator is F1 = M^-1 diag(1/sigma) V^dagger.
-For GHZ the targets are the conjugated witnesses, so M^-1 = R^T and
-F1 = R^T diag(1/sigma) V^dagger with R = conj([[alpha_1, alpha_2],
-[beta_1, beta_2]]) over the pencil roots. For 0_2, 0_3 and W the targets are
-orthogonal, so M^T = diag(1/|t_j|^2) [t1 t2]^dagger [u1 u2].
+The reduction builds one invertible operator per qubit in Python scalars, from the report
+and pivot 1's SVD. A factored qubit's operator sends its rank-1 pivot's one left direction,
+the top eigenvector of the pivot's 2x2 Gram matrix, to e1: 000 takes no pivot-2 or pivot-3
+SVD, and 0_2 and 0_3 read no ``structure``. Otherwise F2 and F3 send targets t1, t2 to the
+computational basis, and with u_k = conj(w_k) = M[k, 0] t1 + M[k, 1] t2, F1 = M^-1
+diag(1/sigma) V^dagger: for GHZ, whose targets are the conjugated witnesses, M^-1 = R^T with
+R = conj([[alpha_1, alpha_2], [beta_1, beta_2]]) over the pencil roots; for 0_2, 0_3 and W,
+whose targets are orthogonal, F1 is the inverse of C conj(T) diag(1/|t_j|^2), C the pivot-1
+matrix in the coordinates of T = [t1 t2].
 """
 
 from __future__ import annotations
@@ -38,17 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InconsistentRanks,
-    NonFinite,
-    ReductionFailed,
-    SingularMatrix,
-    SingularOperator,
-    ToleranceBreakdown,
-    WrongArity,
-)
+from .errors import InconsistentRanks, ReductionFailed, SingularMatrix, SingularOperator
+from .errors import ToleranceBreakdown, WrongArity
 from .numerics import DEFAULT_POLICY, SvdResult, TolerancePolicy, inv2, svd, svd_stack
-from .numerics import _exponent, _pivot_ratios
+from .numerics import _exponent, _pivot_ratios, _top_direction
 from .states import (
     LocalOperatorSet,
     PureState,
@@ -61,11 +51,12 @@ from .subspaces import (
     RootReport,
     StructureTag,
     SubspaceStructure,
+    _factors,
+    _scaled,
     _solve,
+    _span_basis,
     _span_pencil,
-    one_product_span_basis,
     onto_e1,
-    product_factors,
     slice_matrix,
     span_structure,
 )
@@ -151,7 +142,9 @@ class _Explanation:
 class ClassificationReport(_Explanation):
     """Class of a 3-qubit state and the readings that decided it. ``structure`` and ``pencil``
     ((roots, w1, w2, policy) where the slice pencil decided GHZ or W, else None) take no
-    argument and no class default: a read reaches :class:`_Explanation`, which computes them."""
+    argument and no class default: a read reaches :class:`_Explanation`, which computes them.
+    Where the ray's sigma_1 leaves the float range, ``sigma`` is its sigma times 2^-e, the
+    power of two of the largest amplitude part."""
 
     tag: TripartiteClass
     ranks: tuple[int, int, int]
@@ -206,19 +199,17 @@ def classify3_tags(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[Triparti
     top = np.maximum(abs(amps.real), abs(amps.imag)).max(axis=1)  # make_state's reading per row
     valid = np.isfinite(top) & (top > 0.0)
     n = len(amps) if valid.all() else int(valid.argmin())
-    tags = [reading[0] for reading in _decide(amps[:n], pol)[1]] if n else []
+    tags = [tag for tag, *_ in _decide(svd_stack(amps[:n, _PIVOT_INDEX[0]]), pol)] if n else []
     if n < len(amps):
         make_state((2, 2, 2), amps[n])  # raises the row's NonFinite or ZeroState
     return tags
 
 
-def _decide(amps, pol: TolerancePolicy):
-    """The stacked pivot-1 SVD of the finite, nonzero rows of ``amps`` (B, 8), and each
-    row's (tag, ranks, sigma, pencil) in order; the first failing row raises. Pivot 1's rank
-    comes from its SVD, pivots 2 and 3 from :func:`_pivot_ratios`. Ranks (2, 2, 2) decide
-    from the kind of ``pencil``, :func:`_span_pencil` of w1, w2 (orthonormal singular
-    vectors: no Gram test or range check applies); other ranks have no pencil."""
-    res = svd_stack(amps[:, _PIVOT_INDEX[0]])
+def _decide(res: SvdResult, pol: TolerancePolicy) -> list[tuple]:
+    """Each row's (tag, ranks, sigma, pencil) from ``res``, the stacked pivot-1 SVD of 3-qubit
+    states; the first failing row raises. Pivot 1's rank comes from its SVD, pivots 2 and 3
+    from :func:`_pivot_ratios`. Ranks (2, 2, 2) decide from the kind of ``pencil``, the
+    :func:`_span_pencil` of the orthonormal w1, w2 (no Gram test or range check applies)."""
     tol = pol.rank_rel_tol
     readings = []
     for (s1, s2), (w1, w2) in zip(res.sigma.tolist(), res.W[:, :, :2].swapaxes(1, 2).tolist()):
@@ -236,23 +227,25 @@ def _decide(amps, pol: TolerancePolicy):
                 )
             tag = TripartiteClass.GHZ if kind is RootKind.TWO_DISTINCT else TripartiteClass.W
         readings.append((tag, ranks, (s1, s2), pencil))
-    return res, readings
+    return readings
 
 
-def _classify3(state: PureState, pol: TolerancePolicy) -> tuple[ClassificationReport, SvdResult]:
-    """:func:`classify3`, also returning the stacked pivot-1 SVD (a batch of one) it read."""
+def _classify3(state: PureState, pol: TolerancePolicy) -> tuple:
+    """:func:`classify3`, also returning the stacked pivot-1 SVD (a batch of one) and the state
+    read: an inf or NaN sigma_1, seen before any rank, reads the amplitudes times 2^-e instead."""
     if state.dims != (2, 2, 2):
         raise WrongArity(f"expected dims (2, 2, 2), got {state.dims}")
-    stack, [(tag, ranks, sigma, pencil)] = _decide(state.amps[None], pol)
-    if not math.isfinite(sigma[0]):  # an inf or NaN sigma_1 reads pivot 1 as rank 1
-        raise NonFinite("singular values leave the float range")
+    stack = svd_stack(state.amps[None, _PIVOT_INDEX[0]])
+    if not math.isfinite(stack.sigma[0, 0]):
+        return _classify3(make_state(state.dims, _scaled(state.amps)), pol)
+    [(tag, ranks, sigma, pencil)] = _decide(stack, pol)
     near = False
     if pencil is not None:
         *_, disc, s = pencil[1][2]  # scaled by a power of two: the window reads as unscaled
         threshold = pol.deg_tol * s * s
         near = threshold / 100.0 < abs(disc) <= threshold * 100.0
     report = ClassificationReport(tag, ranks, sigma, near, (state.amps, stack.W[0], pencil, pol))
-    return report, stack
+    return report, stack, state
 
 
 def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
@@ -276,60 +269,42 @@ def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
     return SpectrumInfo(product, tuple(sorted(lams, key=abs, reverse=True)))
 
 
-def _column_inverses(pairs, pol: TolerancePolicy):
-    """:func:`inv2` of the 2x2 matrix [x y] for each column pair (x, y), read as Python scalars."""
-    return (inv2(list(zip(x.tolist(), y.tolist())), pol) for x, y in pairs)
-
-
-def _reducing_operators(report: ClassificationReport, res: SvdResult, amps, pol: TolerancePolicy):
-    """F1, F2, F3 sending the state ``amps`` to the canonical vector of its class.
-
-    ``res`` is pivot 1's SVD. A factored qubit is a rank-1 pivot, and its operator
-    sends the pivot's first left singular vector a to e1: a = conj(factor) from the
-    report for 0_2 and 0_3, from the pivot-2 and pivot-3 SVDs taken here for 000.
-    Otherwise F2 and F3 send the targets t_j to computational basis vectors, and
-    F1 is read from the pencil roots (GHZ, F1 = R^T diag(1/sigma) V^dagger) or
-    from orthogonal targets (0_2, 0_3, W): there F1 = (V diag(sigma) M)^-1 with
-    V diag(sigma) M = C conj(T) diag(1/|t_j|^2), the pivot matrix C in the
-    coordinates of T = [t1 t2]. See the module docstring for R and M.
-    """
+def _reducing_operators(report: ClassificationReport, V, sigma, W, amps, pol: TolerancePolicy):
+    """F1, F2, F3 sending the state ``amps``, with pivot-1 SVD V diag(sigma) W^dagger, to the
+    canonical vector of its class, as the module docstring builds them, in Python scalars;
+    each becomes an array once, in :func:`inv2` or :class:`LocalOperatorSet`. A factored
+    qubit's direction comes from :func:`numerics._top_direction`: 000 takes no pivot-2 or
+    pivot-3 SVD, and 0_2 and 0_3 read no ``structure``."""
     tag = report.tag
     if tag is TripartiteClass.C000:
-        f2, f3 = (onto_e1(svd(amps[_PIVOT_INDEX[p]]).V[:, 0]) for p in (1, 2))
+        f2, f3 = (onto_e1(_top_direction(amps[_PIVOT_INDEX[p]].tolist())) for p in (1, 2))
     elif tag is TripartiteClass.C01_PSI23:
         # the pair part u1 = vec(P) reaches e1 (x) e1 + e2 (x) e2 under P^-1 (x) 1
-        f2, f3 = inv2(res.W[:, 0].conj().reshape(2, 2), pol), np.eye(2, dtype=complex)
+        f2, f3 = inv2(W[:, 0].conj().reshape(2, 2), pol), np.eye(2)
     if report.ranks[0] == 1:  # 000 or 0_1: V^dagger / sigma_1 scales both directions alike
-        return res.V.conj().T / res.sigma[0], f2, f3
+        return V.conj().T / sigma[0], f2, f3
+    C = amps[_PIVOT_INDEX[0]].tolist()
+    if tag is TripartiteClass.C02_PSI13:  # t_j = a (x) e_j, |a| = 1
+        (x, y), _ = f2 = onto_e1(_top_direction(amps[_PIVOT_INDEX[1]].tolist()))  # x, y = conj(a)
+        return inv2([[x * c[k] + y * c[k + 2] for k in (0, 1)] for c in C], pol), f2, np.eye(2)
+    if tag is TripartiteClass.C03_PSI12:  # t_j = e_j (x) b, |b| = 1
+        (x, y), _ = f3 = onto_e1(_top_direction(amps[_PIVOT_INDEX[2]].tolist()))  # x, y = conj(b)
+        return inv2([[x * c[k] + y * c[k + 1] for k in (0, 2)] for c in C], pol), np.eye(2), f3
 
-    structure = report.structure
+    witnesses = [w.conj().tolist() for w in report.structure.witnesses]
     if tag is TripartiteClass.GHZ:
         # the witnesses span {w1, w2}; conjugation carries them to span {u1, u2}
-        (a1, b1), (a2, b2) = (product_factors(w.conj()) for w in structure.witnesses)
-        f2, f3 = _column_inverses(((a1, a2), (b1, b2)), pol)
-        RT = np.array(report.pencil[0].roots).conj()  # row j: conj(alpha_j, beta_j)
-        return (RT / res.sigma[:2]) @ res.V.conj().T, f2, f3
-    C, factor = res.matrix, structure.factor
-    if tag is TripartiteClass.C02_PSI13:  # t_j = a (x) e_j with a = conj(factor), |a| = 1
-        f1 = inv2(factor @ C.reshape(2, 2, 2), pol)
-        return f1, onto_e1(factor.conj()), np.eye(2, dtype=complex)
-    if tag is TripartiteClass.C03_PSI12:  # t_j = e_j (x) b with b = conj(factor), |b| = 1
-        f1 = inv2(C.reshape(2, 2, 2) @ factor, pol)
-        return f1, np.eye(2, dtype=complex), onto_e1(factor.conj())
-    # W class: t1 = a (x) b' + a' (x) b and t2 = a (x) b
-    u1, u2 = res.W[:, :2].conj().T  # u_k = conj(w_k)
-    basis = one_product_span_basis(u1, u2, structure.witnesses[0].conj())
-    f2, f3 = _column_inverses(((basis.left, basis.left_comp), (basis.right, basis.right_comp)), pol)
-    a, b = basis.left.tolist(), basis.right.tolist()
-    T = basis.entangled.conj().tolist(), [(x * y).conjugate() for x in a for y in b]
-    n = [sum(t.real * t.real + t.imag * t.imag for t in tj) for tj in T]  # |t_j|^2
-    CT = [[sum(c * t for c, t in zip(row, tj)) / nj for tj, nj in zip(T, n)] for row in C.tolist()]
-    return inv2(CT, pol), f2, f3
-
-
-def _norm(values) -> float:
-    """2-norm of Python complex scalars, summed part by part with no over- or underflow."""
-    return math.hypot(*(p for v in values for p in (v.real, v.imag)))
+        (a1, b1), (a2, b2) = map(_factors, witnesses)
+        (s1, s2), Vh = sigma.tolist(), V.conj().tolist()  # row k of conj(V): column k of V^dagger
+        RT = [(x.conjugate() / s1, y.conjugate() / s2) for x, y in report.pencil[0].roots]
+        f1 = [[x * p + y * q for p, q in Vh] for x, y in RT]  # R^T diag(1/sigma) V^dagger
+        return f1, inv2([*zip(a1, a2)], pol), inv2([*zip(b1, b2)], pol)
+    # W class: t1 = a (x) b' + a' (x) b and t2 = a (x) b, in span{u1, u2}, u_k = conj(w_k)
+    a, b, a_comp, b_comp, entangled, _ = _span_basis(*W[:, :2].conj().T.tolist(), witnesses[0])
+    T = [t.conjugate() for t in entangled], [(x * y).conjugate() for x in a for y in b]
+    n = [sum([t.real * t.real + t.imag * t.imag for t in tj]) for tj in T]  # |t_j|^2
+    CT = [[sum([c * t for c, t in zip(row, tj)]) / nj for tj, nj in zip(T, n)] for row in C]
+    return inv2(CT, pol), inv2([*zip(a, a_comp)], pol), inv2([*zip(b, b_comp)], pol)
 
 
 def reduce_to_canonical(
@@ -338,31 +313,34 @@ def reduce_to_canonical(
     """Classify, then build the local operators reaching the canonical vector.
 
     The construction works on the conjugated right singular vectors u_k = conj(w_k), because
-    the state decomposes exactly as sum_k sigma_k v_k (x) u_k. Where |det F1| ~ 1 / (sigma_1
-    sigma_r) nears the float range's end, the operators and the residual are read on the
-    amplitudes times the exact power of two 2^-e that brings their largest part near 1: the
-    operators send the state to 2^e times the canonical vector, up to scale. The residual
-    |out - z c| / |out| of the image out, z its mean on the support of the 0/1 canonical c,
-    is summed term by term (``math.hypot``), never as |out|^2 - |z|^2 |c|^2, which cancels.
-    A singular 2x2 matrix or a residual above ``residual_tol`` raises :class:`ReductionFailed`.
+    the state decomposes exactly as sum_k sigma_k v_k (x) u_k. The operators and the residual
+    are read on the state :func:`classify3` read, and where |det F1| ~ 1 / (sigma_1 sigma_r)
+    nears the float range's end, on the amplitudes times the exact power of two 2^-e that
+    brings their largest part near 1: the operators then send the state to 2^e times the
+    canonical vector, up to scale. The residual |out - z c| / |out| of the image out, z its
+    mean on the support of the 0/1 canonical c, is summed term by term (``math.hypot``),
+    never as |out|^2 - |z|^2 |c|^2, which cancels. A singular 2x2 matrix or a residual above
+    ``residual_tol`` raises :class:`ReductionFailed`.
     """
-    report, stack = _classify3(state, pol)
-    res = SvdResult(stack.V[0], stack.sigma[0], stack.W[0], stack.matrix[0])
+    report, stack, state = _classify3(state, pol)
+    sigma = stack.sigma[0]
     s1, s2 = report.sigma  # |det F1| ~ 1 / (s1 s_r), s_r the last nonzero sigma
     if not 2.0**-1010 < s1 * (s2 if report.ranks[0] == 2 else s1) < 2.0**1010:
         f = 2.0 ** -_exponent(state.amps.tolist())
-        res = SvdResult(res.V, res.sigma * f, res.W, res.matrix * f)
+        sigma = sigma * f
         state = make_state(state.dims, state.amps * f)  # the operators and residual read it
     try:
-        ops = LocalOperatorSet(_reducing_operators(report, res, state.amps, pol))
+        ops = _reducing_operators(report, stack.V[0], sigma, stack.W[0], state.amps, pol)
+        ops = LocalOperatorSet(ops)
     except (SingularMatrix, SingularOperator) as exc:
         raise ReductionFailed(f"reducing operators are numerically singular: {exc}") from exc
 
-    out, support = apply_local_operators(state, ops).amps.tolist(), _CANONICAL_AMPS[report.tag]
+    image = apply_local_operators(state, ops).amps
+    out, support = image.tolist(), _CANONICAL_AMPS[report.tag]
     z = sum(out[i] for i in support) / len(support)  # the projection onto the 0/1 canonical vector
-    residual = _norm(v - z if i in support else v for i, v in enumerate(out)) / _norm(out)
+    out = [v - z if i in support else v for i, v in enumerate(out)]
+    residual = math.hypot(*[v.real for v in out], *[v.imag for v in out])
+    residual /= math.hypot(*image.view(float).tolist())
     if not residual <= pol.residual_tol:  # a NaN residual fails too
-        raise ReductionFailed(
-            f"residual {residual:.3e} above tolerance {pol.residual_tol:.1e}"
-        )
+        raise ReductionFailed(f"residual {residual:.3e} above tolerance {pol.residual_tol:.1e}")
     return report, IloTriple(ops=ops, residual=residual)

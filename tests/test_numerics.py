@@ -552,3 +552,50 @@ class TestOverflowingSingularValues:
         for first in (np.inf, np.nan):
             with pytest.raises(NonFinite, match="leave the float range"):
                 numerical_rank([first, 1.0])
+
+
+def rank1_cases(g):
+    """Rank-1 2x4 matrices a b^T with complex phases: generic, with a zero row, with a zero
+    column, with parts at 2^+-1000, and plus noise up to rank_rel_tol of sigma_1."""
+    tol = TolerancePolicy().rank_rel_tol
+    for trial in range(600):
+        a, b = random_complex(g, 2), random_complex(g, 4)
+        kind = trial % 6
+        if kind == 1:
+            a[trial % 2] = 0.0
+        if kind == 2:
+            b[trial % 4] = 0.0
+        c = np.outer(a, b)
+        if kind == 3:
+            c *= 2.0 ** (1000 if trial % 2 else -1000)
+        if kind == 4:  # parts of both ends in one matrix: the small row reads as zero
+            c[trial % 2] *= 2.0**-1000
+            c[1 - trial % 2] *= 2.0**1000 / np.abs(c).max()
+        if kind == 5:
+            noise = random_complex(g, 8).reshape(2, 4)
+            c += g.uniform() * tol * np.linalg.norm(c) * noise / np.linalg.norm(noise)
+        yield c
+
+
+class TestTopDirection:
+    """A rank-1 pivot's one left direction, read as the top eigenvector of its 2x2 Gram matrix
+    in Python scalars, is svd()'s first left singular vector."""
+
+    def test_matches_the_first_left_singular_vector(self):
+        g = RandomSource(7100).generator()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in rank1_cases(g):
+                a = np.array(slocc.numerics._top_direction(c.tolist()))
+                v = svd(c).V[:, 0]
+                assert abs(np.linalg.norm(a) - 1.0) <= 1e-15
+                assert abs(np.vdot(a, v)) >= 1.0 - 1e-13
+                assert np.abs(a - v).max() <= 1e-13  # phase pinned as svd() pins it
+
+    def test_named_cases(self):
+        top = slocc.numerics._top_direction
+        assert top([[0j, 2j, 0j, 0j], [0j, 0j, 0j, 0j]]) == [1.0, 0.0]
+        assert top([[0j] * 4, [0j, 0j, -3.0, 0j]]) == [0.0, 1.0]
+        a = top([[1 + 1j, 0j, 2.0, 0j], [2j, 0j, 2 + 2j, 0j]])  # row 2 = (1 + 1j) * row 1
+        assert abs(a[1] / a[0] - (1 + 1j)) <= 1e-15 and a[0].imag == 0.0 < a[0].real
+        assert top([[1.0, 0j], [0j, 1.0]]) == [1.0, 0.0]  # G = I: any unit vector; e1

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from _kit import RandomSource, root_kind
-from conftest import orbit_state, random_complex
+from conftest import numpy_span_basis, orbit_state, random_complex
 import slocc.subspaces
 from slocc.errors import (
     DependentGenerators,
     DimensionMismatch,
     NonFinite,
+    SloccError,
     ToleranceBreakdown,
     ZeroVector,
 )
@@ -399,6 +400,26 @@ class TestOneProductBasis:
             assert np.linalg.norm(gram @ coeff - basis.entangled) <= 1e-8 * np.linalg.norm(
                 basis.entangled
             )
+
+    def test_fields_match_the_numpy_basis(self):
+        # the scalar basis against its numpy reference (conftest), field by field
+        fields = ("left", "right", "left_comp", "right_comp", "entangled")
+        for trial in range(300):
+            state, _ = orbit_state(TripartiteClass.W, RandomSource(1500 + trial))
+            res = svd(coefficient_matrix(state, 1).entries)
+            w1, w2 = res.W[:, 0], res.W[:, 1]
+            witness = classify_span(w1, w2).witnesses[0]
+            got, want = one_product_span_basis(w1, w2, witness), numpy_span_basis(w1, w2, witness)
+            for name in fields:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype == complex and a.shape == b.shape
+                assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max(), (trial, name)
+            assert abs(got.leak - want.leak) <= 1e-15  # a relative coordinate, rounding-level
+        for args in ((2 * E11, 3j * E11, E11), (E11, E22, E11)):
+            with pytest.raises(SloccError) as got:
+                one_product_span_basis(*args)
+            with pytest.raises(type(got.value), match=str(got.value)):
+                numpy_span_basis(*args)
 
     def test_generators_parallel_to_the_witness_refused(self):
         with pytest.raises(DependentGenerators, match="span collapses onto the witness"):

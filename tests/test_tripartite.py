@@ -6,7 +6,7 @@ import pytest
 import slocc.subspaces
 import slocc.tripartite
 from _kit import RandomSource, eig2, random_ilo
-from conftest import orbit_state, random_complex, up_to_scale
+from conftest import numpy_span_basis, orbit_state, random_complex, up_to_scale
 from slocc.errors import (
     EmptySpectrum,
     InconsistentRanks,
@@ -34,6 +34,7 @@ from slocc.subspaces import (
     SubspaceStructure,
     classify_line,
     classify_span,
+    product_factors,
     product_roots,
     slice_matrix,
     span_structure,
@@ -311,8 +312,8 @@ class TestFactoredClassesReadFromRanks:
             calls.clear()
             report, ilos = reduce_to_canonical(state)
             assert report.tag is tag and ilos.residual <= 1e-8
-            # the stacked pivot-1 SVD, then one SVD per rank-1 pivot among 2 and 3
-            assert calls == [(1, 2, 4)] + [(2, 4)] * (2 if tag is FACTORED[0] else 1)
+            # the stacked pivot-1 SVD only: a rank-1 pivot's direction is read from its Gram matrix
+            assert calls == [(1, 2, 4)]
         assert counts == {}
 
     @pytest.mark.parametrize("tag", [FACTORED[2], FACTORED[3]])
@@ -1000,3 +1001,111 @@ class TestBatchedDecision:
                 sigma = svd(amps[slocc.tripartite._PIVOT_INDEX[p - 1]]).sigma
                 worst = max(worst, abs(ratio - sigma[1] / sigma[0]))
         assert worst <= 4e-15
+
+
+PIVOT1 = slocc.tripartite._PIVOT_INDEX[0]
+POLICIES = [
+    TolerancePolicy(),
+    TolerancePolicy(rank_rel_tol=1e-6, deg_tol=1e-5),
+    TolerancePolicy(rank_rel_tol=1e-4, deg_tol=1e-3),
+]
+
+
+def numpy_operators(report, res, pol):
+    """GHZ's and W's F1, F2, F3 as they were built on numpy arrays (``product_factors``, column
+    stacks, ``@`` and the numpy span basis), kept as the reference of the scalar build."""
+
+    def column_inverses(pairs):
+        return (inv2(list(zip(x.tolist(), y.tolist())), pol) for x, y in pairs)
+
+    structure = report.structure
+    if report.tag is TripartiteClass.GHZ:
+        (a1, b1), (a2, b2) = (product_factors(w.conj()) for w in structure.witnesses)
+        f2, f3 = column_inverses(((a1, a2), (b1, b2)))
+        RT = np.array(report.pencil[0].roots).conj()
+        return (RT / res.sigma[:2]) @ res.V.conj().T, f2, f3
+    u1, u2 = res.W[:, :2].conj().T
+    basis = numpy_span_basis(u1, u2, structure.witnesses[0].conj())
+    f2, f3 = column_inverses(((basis.left, basis.left_comp), (basis.right, basis.right_comp)))
+    a, b = basis.left.tolist(), basis.right.tolist()
+    T = basis.entangled.conj().tolist(), [(x * y).conjugate() for x in a for y in b]
+    n = [sum(t.real * t.real + t.imag * t.imag for t in tj) for tj in T]
+    C = res.matrix.tolist()
+    CT = [[sum(c * t for c, t in zip(row, tj)) / nj for tj, nj in zip(T, n)] for row in C]
+    return inv2(CT, pol), f2, f3
+
+
+def assert_close_operators(got, want, rel):
+    for f, g in zip(got, want):
+        assert np.abs(f - g).max() <= rel * np.abs(g).max()
+
+
+class TestScalarOperators:
+    """GHZ's and W's operators, built on Python scalars, are the numpy build's."""
+
+    @pytest.mark.parametrize("pol", POLICIES[:2], ids=["default", "1e-6"])
+    @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
+    def test_match_the_numpy_build(self, tag, pol):
+        for trial in range(100):
+            state, _ = orbit_state(tag, RandomSource(7200 + trial))
+            report, ilos = reduce_to_canonical(state, pol)
+            assert report.tag is tag
+            expected = numpy_operators(report, svd(state.amps[PIVOT1]), pol)
+            assert_close_operators(ilos.ops, expected, 1e-12)
+
+
+class TestFactorDirections:
+    """A factored qubit's operator reads its pivot's one direction from the 2x2 Gram matrix:
+    the reduction takes no pivot-2 or pivot-3 SVD, and at every scale reaches the canonical
+    vector with the operators the SVD's direction would give."""
+
+    @pytest.mark.parametrize("pol", POLICIES, ids=["default", "1e-6", "1e-4"])
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+    def test_reduce_at_every_scale(self, pol, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tag in (TripartiteClass.C000, TripartiteClass.C02_PSI13, TripartiteClass.C03_PSI12):
+                for trial in range(20):
+                    amps = orbit_state(tag, RandomSource(7300 + trial))[0].amps
+                    report, ilos = reduce_to_canonical(make_state((2, 2, 2), amps * scale), pol)
+                    assert report.tag is tag and ilos.residual <= pol.residual_tol, (tag, trial)
+
+    @pytest.mark.parametrize(
+        "tag", [TripartiteClass.C000, TripartiteClass.C02_PSI13, TripartiteClass.C03_PSI12]
+    )
+    def test_operators_of_the_svd_direction(self, tag):
+        index = slocc.tripartite._PIVOT_INDEX
+        for trial in range(50):
+            state, _ = orbit_state(tag, RandomSource(7350 + trial))
+            _, ilos = reduce_to_canonical(state)
+            for p in (2, 3):
+                if RANKS[tag][p - 1] == 1:  # onto_e1 of the pivot's first left singular vector
+                    v0, v1 = svd(state.amps[index[p - 1]]).V[:, 0]
+                    want = np.array([[v0.conjugate(), v1.conjugate()], [-v1, v0]])
+                    assert np.abs(ilos.ops.ops[p - 1] - want).max() <= 1e-13
+
+
+class TestOverflowingSigmaReadScaled:
+    """An inf or NaN pivot-1 sigma_1 is read again on the amplitudes times 2^-e: classify3 and
+    reduce_to_canonical decide the state as at scale 1, with no warning."""
+
+    @pytest.mark.parametrize("top", [1.5e308, 1.79e308])
+    @pytest.mark.parametrize("tag", list(TripartiteClass))
+    def test_decided_on_the_scaled_ray(self, tag, top):
+        overflowed = 0
+        for trial in range(5):
+            amps = orbit_state(tag, RandomSource(7400 + trial))[0].amps
+            big = make_state((2, 2, 2), amps / np.abs(amps.view(float)).max() * top)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = classify3(big)
+                reduced, ilos = reduce_to_canonical(big)
+            assert report.tag is tag and report.ranks == RANKS[tag]
+            assert reduced == report and ilos.residual <= 1e-8
+            if np.isfinite(svd(big.amps[PIVOT1]).sigma[0]):
+                continue  # read as it is
+            overflowed += 1
+            scaled = make_state((2, 2, 2), slocc.subspaces._scaled(big.amps))
+            assert report_fields(*unpack(report)) == report_fields(*unpack(classify3(scaled)))
+            assert_close_operators(ilos.ops, reduce_to_canonical(scaled)[1].ops, 0.0)
+        assert overflowed >= 4  # the non-finite reading is what is tested
