@@ -25,8 +25,8 @@ class. For N = 4 the same readings name it: a pivot whose scale is within rank_r
 has rank 1 on the whole line; at ranks (2, 2, 2) the class is W where the quartic stays within
 1e-8 of the least pivot scale squared (both shrink as the squared distance to a biseparable
 line), else GHZ. Only the candidates, merged on Python scalars (or a one-dimensional line's
-generator), are decided, in one :func:`classify3_tags` call reading pencil kinds only; deeper
-lines read their generic class at one probe point farthest from them all.
+generator), are decided, on one stacked pivot-1 SVD reading pencil kinds only; deeper lines
+read their generic class at one probe point farthest from them all.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .numerics import (
 )
 from .states import PureState, make_state, minor_index, pivot_index
 from .subspaces import _scaled, minor_pencil, projective_quadratic_roots
-from .tripartite import TripartiteClass, _rank_class, classify3_tags
+from .tripartite import TripartiteClass, _classify3_rows, _rank_class
 
 # chordal distances of machine-identical points already read ~sqrt(eps)
 _MERGE_DISTANCE = 1e-6
@@ -113,10 +113,10 @@ def hyperdeterminant(amps) -> complex:
 
 def _point_classes(vecs, n_sub: int, pol: TolerancePolicy, max_qubits: int) -> list[str]:
     """Class names of the (N-1)-qubit states in the rows of ``vecs``, unit vectors
-    alpha w1 + beta w2 (orthonormal w, unit (alpha, beta)); for N = 4 in one
-    :func:`classify3_tags` call."""
+    alpha w1 + beta w2 (orthonormal w, unit (alpha, beta)); for N = 4 on one stacked
+    pivot-1 SVD (``tripartite._classify3_rows``)."""
     if n_sub == 3:
-        return [tag.value for tag in classify3_tags(vecs, pol)]
+        return [tag.value for tag in _classify3_rows(vecs, pol)]
     return [descriptor(make_state((2,) * n_sub, v), pol, max_qubits).signature() for v in vecs]
 
 
@@ -245,9 +245,9 @@ def descriptor(
     points = merged if generic else np.concatenate((_generic_point(merged)[None], merged))
     classes = _point_classes(points[:, :1] * w1 + points[:, 1:] * w2, n_sub, pol, max_qubits)
     generic = generic or classes.pop(0)  # N >= 5 reads its generic class at the probe point
-    keys = np.round(merged, 9).view(float).tolist()
     exceptional = sorted(
-        (cls, *key, i) for i, (cls, key) in enumerate(zip(classes, keys)) if cls != generic
+        (cls, *[round(x, 9) for z in point for x in (z.real, z.imag)], i)
+        for i, (cls, point) in enumerate(zip(classes, merged.tolist())) if cls != generic
     )
 
     return StructureDescriptor(

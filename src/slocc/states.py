@@ -89,10 +89,10 @@ def _det_abs(op) -> float:
 
 
 class LocalOperatorSet:
-    """One square operator per subsystem, each required to be invertible."""
+    """One square operator per subsystem, each invertible, held as a read-only copy."""
 
     def __init__(self, ops):
-        mats = tuple([np.asarray(op, dtype=complex) for op in ops])
+        mats = tuple([np.array(op, dtype=complex) for op in ops])
         for op in mats:
             if op.ndim != 2 or op.shape[0] != op.shape[1]:
                 raise DimensionMismatch(f"local operator must be square, got shape {op.shape}")

@@ -11,19 +11,19 @@ eigenvalue gap. The pencil is read once (``_span_pencil``): the decision keeps i
 The report explains the decision only when read: the first access to its ``structure``
 or ``pencil`` solves the roots from that reading (or takes 0_2's or 0_3's factor SVD).
 
-Pivot 1's rank comes from its SVD, one stacked LAPACK call for a batch of states
-(:func:`classify3_tags`; :func:`classify3` is the batch of one). Pivots 2 and 3 read
+Pivot 1's rank comes from its one SVD, read as Python scalars by :func:`_decide`, which
+``descriptor``'s line points share through one stacked SVD. Pivots 2 and 3 read
 sigma_2 / sigma_1 from their 2x2 minors, taken in pivot 1's singular basis.
 
 The reduction builds one invertible operator per qubit in Python scalars, from the report
-and pivot 1's SVD. A factored qubit's operator sends its rank-1 pivot's one left direction,
-the top eigenvector of the pivot's 2x2 Gram matrix, to e1: 000 takes no pivot-2 or pivot-3
-SVD, and 0_2 and 0_3 read no ``structure``. Otherwise F2 and F3 send targets t1, t2 to the
-computational basis, and with u_k = conj(w_k) = M[k, 0] t1 + M[k, 1] t2, F1 = M^-1
-diag(1/sigma) V^dagger: for GHZ, whose targets are the conjugated witnesses, M^-1 = R^T with
-R = conj([[alpha_1, alpha_2], [beta_1, beta_2]]) over the pencil roots; for 0_2, 0_3 and W,
-whose targets are orthogonal, F1 is the inverse of C conj(T) diag(1/|t_j|^2), C the pivot-1
-matrix in the coordinates of T = [t1 t2].
+and pivot 1's SVD, and reads no ``structure``: GHZ and W read the report's ``pencil``. A
+factored qubit's operator sends its rank-1 pivot's one left direction, the top eigenvector
+of the pivot's 2x2 Gram matrix, to e1, so 000 takes no pivot-2 or pivot-3 SVD. Otherwise F2
+and F3 send targets t1, t2 to the computational basis, and with u_k = conj(w_k) =
+M[k, 0] t1 + M[k, 1] t2, F1 = M^-1 diag(1/sigma) V^dagger: for GHZ, whose targets are the
+conjugated witnesses, M^-1 = R^T with R = conj([[alpha_1, alpha_2], [beta_1, beta_2]]) over
+the pencil roots; for 0_2, 0_3 and W, whose targets are orthogonal, F1 is the inverse of
+C conj(T) diag(1/|t_j|^2), C the pivot-1 matrix in the coordinates of T = [t1 t2].
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InconsistentRanks, ReductionFailed, SingularMatrix, SingularOperator
 from .errors import ToleranceBreakdown, WrongArity
-from .numerics import DEFAULT_POLICY, SvdResult, TolerancePolicy, inv2, svd, svd_stack
+from .numerics import DEFAULT_POLICY, TolerancePolicy, inv2, svd, svd_stack
 from .numerics import _exponent, _pivot_ratios, _top_direction
 from .states import (
     LocalOperatorSet,
@@ -191,61 +191,58 @@ def classify3(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> Classi
     return _classify3(state, pol)[0]
 
 
-def classify3_tags(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[TripartiteClass]:
-    """Classes of the 3-qubit states in the rows of ``amps`` (B, 8): :func:`classify3`'s
-    :func:`_decide` on all rows at once, reading a GHZ/W pencil's kind, never its roots; the
-    first failing row raises the error :func:`make_state` or :func:`classify3` gives it."""
-    amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
-    top = np.maximum(abs(amps.real), abs(amps.imag)).max(axis=1)  # make_state's reading per row
-    valid = np.isfinite(top) & (top > 0.0)
-    n = len(amps) if valid.all() else int(valid.argmin())
-    tags = [tag for tag, *_ in _decide(svd_stack(amps[:n, _PIVOT_INDEX[0]]), pol)] if n else []
-    if n < len(amps):
-        make_state((2, 2, 2), amps[n])  # raises the row's NonFinite or ZeroState
-    return tags
+def _decide(sigma: list, span: list, pol: TolerancePolicy) -> tuple:
+    """(tag, ranks, pencil) of a 3-qubit state from its pivot-1 SVD read as Python scalars:
+    ``sigma`` = [s1, s2] and ``span`` = [w1, w2], the right singular vectors. Pivot 1's rank
+    comes from sigma, pivots 2 and 3 from :func:`_pivot_ratios`. Ranks (2, 2, 2) decide from
+    the kind of ``pencil``, the :func:`_span_pencil` of the orthonormal w1, w2 (no Gram test
+    or range check applies)."""
+    (s1, s2), (w1, w2), tol = sigma, span, pol.rank_rel_tol
+    r2, r3 = _pivot_ratios(s1, s2, w1, w2)
+    ranks = (1 + (s2 > tol * s1), 1 + (r2 > tol), 1 + (r3 > tol))
+    tag = _rank_class(ranks)
+    if tag is not None:
+        return tag, ranks, None
+    # the slice pencil decides GHZ (two roots) against W (one double root); the ranks
+    # already rule out a factor, so only an exactly vanishing pencil reads as one
+    pencil = _span_pencil(w1, w2, pol.deg_tol)
+    kind = pencil[1][0]
+    if kind is RootKind.INFINITELY_MANY:
+        raise ToleranceBreakdown(
+            "pencil determinant vanishes identically although all pivots read rank 2"
+        )
+    tag = TripartiteClass.GHZ if kind is RootKind.TWO_DISTINCT else TripartiteClass.W
+    return tag, ranks, pencil
 
 
-def _decide(res: SvdResult, pol: TolerancePolicy) -> list[tuple]:
-    """Each row's (tag, ranks, sigma, pencil) from ``res``, the stacked pivot-1 SVD of 3-qubit
-    states; the first failing row raises. Pivot 1's rank comes from its SVD, pivots 2 and 3
-    from :func:`_pivot_ratios`. Ranks (2, 2, 2) decide from the kind of ``pencil``, the
-    :func:`_span_pencil` of the orthonormal w1, w2 (no Gram test or range check applies)."""
-    tol = pol.rank_rel_tol
-    readings = []
-    for (s1, s2), (w1, w2) in zip(res.sigma.tolist(), res.W[:, :, :2].swapaxes(1, 2).tolist()):
-        r2, r3 = _pivot_ratios(s1, s2, w1, w2)
-        ranks = (1 + (s2 > tol * s1), 1 + (r2 > tol), 1 + (r3 > tol))
-        tag, pencil = _rank_class(ranks), None
-        if tag is None:
-            # the slice pencil decides GHZ (two roots) against W (one double root); the
-            # ranks already rule out a factor, so only an exactly vanishing pencil reads as one
-            pencil = _span_pencil(w1, w2, pol.deg_tol)
-            kind = pencil[1][0]
-            if kind is RootKind.INFINITELY_MANY:
-                raise ToleranceBreakdown(
-                    "pencil determinant vanishes identically although all pivots read rank 2"
-                )
-            tag = TripartiteClass.GHZ if kind is RootKind.TWO_DISTINCT else TripartiteClass.W
-        readings.append((tag, ranks, (s1, s2), pencil))
-    return readings
+def _classify3_rows(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[TripartiteClass]:
+    """Classes of the 3-qubit unit vectors in the rows of ``amps`` (B, 8), ``descriptor``'s
+    line points: one stacked pivot-1 SVD, then :func:`_decide` on each row, which reads a
+    GHZ/W pencil's kind, never its roots. The first failing row raises."""
+    if not len(amps):
+        return []
+    res = svd_stack(amps[:, _PIVOT_INDEX[0]])
+    spans = res.W[:, :, :2].swapaxes(1, 2).tolist()
+    return [_decide(sigma, span, pol)[0] for sigma, span in zip(res.sigma.tolist(), spans)]
 
 
 def _classify3(state: PureState, pol: TolerancePolicy) -> tuple:
-    """:func:`classify3`, also returning the stacked pivot-1 SVD (a batch of one) and the state
-    read: an inf or NaN sigma_1, seen before any rank, reads the amplitudes times 2^-e instead."""
+    """:func:`classify3`, also returning pivot 1's SVD and the state read: an inf or NaN
+    sigma_1, seen before any rank, reads the amplitudes times 2^-e instead."""
     if state.dims != (2, 2, 2):
         raise WrongArity(f"expected dims (2, 2, 2), got {state.dims}")
-    stack = svd_stack(state.amps[None, _PIVOT_INDEX[0]])
-    if not math.isfinite(stack.sigma[0, 0]):
+    res = svd(state.amps[_PIVOT_INDEX[0]])
+    sigma = res.sigma.tolist()
+    if not math.isfinite(sigma[0]):
         return _classify3(make_state(state.dims, _scaled(state.amps)), pol)
-    [(tag, ranks, sigma, pencil)] = _decide(stack, pol)
+    tag, ranks, pencil = _decide(sigma, res.W[:, :2].T.tolist(), pol)
     near = False
     if pencil is not None:
         *_, disc, s = pencil[1][2]  # scaled by a power of two: the window reads as unscaled
         threshold = pol.deg_tol * s * s
         near = threshold / 100.0 < abs(disc) <= threshold * 100.0
-    report = ClassificationReport(tag, ranks, sigma, near, (state.amps, stack.W[0], pencil, pol))
-    return report, stack, state
+    report = ClassificationReport(tag, ranks, tuple(sigma), near, (state.amps, res.W, pencil, pol))
+    return report, res, state
 
 
 def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
@@ -273,8 +270,9 @@ def _reducing_operators(report: ClassificationReport, V, sigma, W, amps, pol: To
     """F1, F2, F3 sending the state ``amps``, with pivot-1 SVD V diag(sigma) W^dagger, to the
     canonical vector of its class, as the module docstring builds them, in Python scalars;
     each becomes an array once, in :func:`inv2` or :class:`LocalOperatorSet`. A factored
-    qubit's direction comes from :func:`numerics._top_direction`: 000 takes no pivot-2 or
-    pivot-3 SVD, and 0_2 and 0_3 read no ``structure``."""
+    qubit's direction comes from :func:`numerics._top_direction`, so 000 takes no pivot-2 or
+    pivot-3 SVD; GHZ's and W's witnesses alpha w1 + beta w2 come from the report's ``pencil``
+    roots, as :func:`span_structure` forms them. No class reads ``structure``."""
     tag = report.tag
     if tag is TripartiteClass.C000:
         f2, f3 = (onto_e1(_top_direction(amps[_PIVOT_INDEX[p]].tolist())) for p in (1, 2))
@@ -291,12 +289,13 @@ def _reducing_operators(report: ClassificationReport, V, sigma, W, amps, pol: To
         (x, y), _ = f3 = onto_e1(_top_direction(amps[_PIVOT_INDEX[2]].tolist()))  # x, y = conj(b)
         return inv2([[x * c[k] + y * c[k + 1] for k in (0, 2)] for c in C], pol), np.eye(2), f3
 
-    witnesses = [w.conj().tolist() for w in report.structure.witnesses]
+    roots, w1, w2, _ = report.pencil  # the decision's own reading, solved once
+    witnesses = [(alpha * w1 + beta * w2).conj().tolist() for alpha, beta in roots.roots]
     if tag is TripartiteClass.GHZ:
         # the witnesses span {w1, w2}; conjugation carries them to span {u1, u2}
         (a1, b1), (a2, b2) = map(_factors, witnesses)
         (s1, s2), Vh = sigma.tolist(), V.conj().tolist()  # row k of conj(V): column k of V^dagger
-        RT = [(x.conjugate() / s1, y.conjugate() / s2) for x, y in report.pencil[0].roots]
+        RT = [(x.conjugate() / s1, y.conjugate() / s2) for x, y in roots.roots]
         f1 = [[x * p + y * q for p, q in Vh] for x, y in RT]  # R^T diag(1/sigma) V^dagger
         return f1, inv2([*zip(a1, a2)], pol), inv2([*zip(b1, b2)], pol)
     # W class: t1 = a (x) b' + a' (x) b and t2 = a (x) b, in span{u1, u2}, u_k = conj(w_k)
@@ -322,15 +321,15 @@ def reduce_to_canonical(
     never as |out|^2 - |z|^2 |c|^2, which cancels. A singular 2x2 matrix or a residual above
     ``residual_tol`` raises :class:`ReductionFailed`.
     """
-    report, stack, state = _classify3(state, pol)
-    sigma = stack.sigma[0]
+    report, res, state = _classify3(state, pol)
+    sigma = res.sigma
     s1, s2 = report.sigma  # |det F1| ~ 1 / (s1 s_r), s_r the last nonzero sigma
     if not 2.0**-1010 < s1 * (s2 if report.ranks[0] == 2 else s1) < 2.0**1010:
         f = 2.0 ** -_exponent(state.amps.tolist())
         sigma = sigma * f
         state = make_state(state.dims, state.amps * f)  # the operators and residual read it
     try:
-        ops = _reducing_operators(report, stack.V[0], sigma, stack.W[0], state.amps, pol)
+        ops = _reducing_operators(report, res.V, sigma, res.W, state.amps, pol)
         ops = LocalOperatorSet(ops)
     except (SingularMatrix, SingularOperator) as exc:
         raise ReductionFailed(f"reducing operators are numerically singular: {exc}") from exc

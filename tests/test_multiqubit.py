@@ -42,7 +42,7 @@ from slocc.multiqubit import (
 )
 from slocc.numerics import TolerancePolicy
 from slocc.states import apply_local_operators, coefficient_matrix, make_state, pivot_index
-from slocc.tripartite import TripartiteClass, canonical_vector, classify3, classify3_tags
+from slocc.tripartite import TripartiteClass, _classify3_rows, canonical_vector, classify3
 
 GHZ4 = ghz_state(4)
 CLUSTER = cluster_state_4()
@@ -162,9 +162,9 @@ class TestGenericProbe:
 
         def counting(points, *args, **kwargs):
             calls.append(points)
-            return classify3_tags(points, *args, **kwargs)
+            return _classify3_rows(points, *args, **kwargs)
 
-        monkeypatch.setattr(slocc.multiqubit, "classify3_tags", counting)
+        monkeypatch.setattr(slocc.multiqubit, "_classify3_rows", counting)
         descriptor(state)
         assert len(calls) == 1 and len(calls[0]) == 2
 
@@ -172,7 +172,7 @@ class TestGenericProbe:
         def failing(points, *args, **kwargs):
             raise SingularMatrix("probe")
 
-        monkeypatch.setattr(slocc.multiqubit, "classify3_tags", failing)
+        monkeypatch.setattr(slocc.multiqubit, "_classify3_rows", failing)
         with pytest.raises(SingularMatrix):
             descriptor(GHZ4)
 
@@ -854,9 +854,9 @@ class TestGenericClassFromTheLine:
 
         def counting(points, *args, **kwargs):
             rows.append(len(points))
-            return classify3_tags(points, *args, **kwargs)
+            return _classify3_rows(points, *args, **kwargs)
 
-        monkeypatch.setattr(slocc.multiqubit, "classify3_tags", counting)
+        monkeypatch.setattr(slocc.multiqubit, "_classify3_rows", counting)
         state = four_qubit_orbit(quad_representatives()["EPR(x)EPR"], RandomSource(650))
         assert descriptor(state).signature() == "4q|dimW=2|generic=0_1 Psi+_23|exc=[]"
         assert sum(rows) == 0

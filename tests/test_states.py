@@ -269,6 +269,17 @@ class TestApplyLocalOperators:
         ops = LocalOperatorSet([np.eye(2), 2 * np.eye(2)])
         assert ops.det_abs == (1.0, 4.0)
 
+    def test_caller_arrays_stay_writeable(self):
+        # the set freezes its own copies, never the caller's complex arrays
+        given = [np.eye(2, dtype=complex), 2 * np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+        ops = LocalOperatorSet(given)
+        apply_local_operators(GHZ, given)
+        for op, held in zip(given, ops):
+            assert op.flags.writeable and not held.flags.writeable
+            assert held is not op and np.array_equal(held, op)
+        given[0][0, 0] = 3.0
+        assert ops.ops[0][0, 0] == 1.0
+
 
 class TestOperatorDeterminant:
     """A 2x2 |det| is abs(a*d - b*c) in Python complex arithmetic."""

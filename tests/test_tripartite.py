@@ -10,14 +10,12 @@ from conftest import numpy_span_basis, orbit_state, random_complex, up_to_scale
 from slocc.errors import (
     EmptySpectrum,
     InconsistentRanks,
-    NonFinite,
     ReductionFailed,
     SingularMatrix,
     SingularOperator,
     SloccError,
     ToleranceBreakdown,
     WrongArity,
-    ZeroState,
 )
 from slocc.multiqubit import hyperdeterminant
 from slocc.numerics import TolerancePolicy, inv2, svd, svd_stack
@@ -41,9 +39,9 @@ from slocc.subspaces import (
 )
 from slocc.tripartite import (
     TripartiteClass,
+    _classify3_rows,
     canonical_vector,
     classify3,
-    classify3_tags,
     reduce_to_canonical,
 )
 
@@ -168,7 +166,7 @@ class TestComputedOnce:
             for fn in (classify3, reduce_to_canonical):
                 calls.clear()
                 fn(state)
-                assert calls == [(1, 2, 4)]  # the stacked pivot-1 SVD; pivots 2, 3 read minors
+                assert calls == [(2, 4)]  # the pivot-1 SVD; pivots 2, 3 read minors
 
     @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
     def test_pencil_solved_once_per_call(self, tag, monkeypatch):
@@ -196,13 +194,13 @@ class TestComputedOnce:
                 assert counts == {"_root_kind": 1}
 
     def test_tags_solve_no_pencil(self, monkeypatch):
-        # classify3_tags reads a GHZ/W pencil's kind from its coefficients, never its roots
+        # _classify3_rows reads a GHZ/W pencil's kind from its coefficients, never its roots
         names = ("product_roots", "projective_quadratic_roots", "_check_independent")
         counts = count_calls(monkeypatch, names)
         tags = [TripartiteClass.GHZ, TripartiteClass.W] * 10
         rows = [orbit_state(tag, RandomSource(2900 + k))[0].amps for k, tag in enumerate(tags)]
         rows += [canonical_vector(tag).amps for tag in tags[:2]]
-        assert classify3_tags(np.array(rows)) == tags + tags[:2]
+        assert _classify3_rows(np.array(rows)) == tags + tags[:2]
         assert counts == {}
 
     def test_pencil_spectrum_matches_explicit_eigenvalues(self):
@@ -312,8 +310,8 @@ class TestFactoredClassesReadFromRanks:
             calls.clear()
             report, ilos = reduce_to_canonical(state)
             assert report.tag is tag and ilos.residual <= 1e-8
-            # the stacked pivot-1 SVD only: a rank-1 pivot's direction is read from its Gram matrix
-            assert calls == [(1, 2, 4)]
+            # the pivot-1 SVD only: a rank-1 pivot's direction is read from its Gram matrix
+            assert calls == [(2, 4)]
         assert counts == {}
 
     @pytest.mark.parametrize("tag", [FACTORED[2], FACTORED[3]])
@@ -756,7 +754,7 @@ class TestReductionFromDecisionNumbers:
             calls.clear()
             report, ilos = reduce_to_canonical(state)
             assert report.tag is tag and ilos.residual <= 1e-8
-            assert calls == [(1, 2, 4)]
+            assert calls == [(2, 4)]
         assert lstsq_calls == []
 
 
@@ -824,14 +822,14 @@ class TestExplainedOnFirstRead:
             state, _ = orbit_state(tag, RandomSource(6000 + trial))
             calls.clear()
             report = classify3(state)
-            assert report.tag is tag and calls == [(1, 2, 4)]
+            assert report.tag is tag and calls == [(2, 4)]
             structure = report.structure
-            assert calls == [(1, 2, 4), (2, 4)]
-            assert report.structure is structure and calls == [(1, 2, 4), (2, 4)]
+            assert calls == [(2, 4), (2, 4)]
+            assert report.structure is structure and calls == [(2, 4), (2, 4)]
             calls.clear()
             report, _ = reduce_to_canonical(state)
             report.structure
-            assert calls == [(1, 2, 4), (2, 4)]
+            assert calls == [(2, 4), (2, 4)]
 
     @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
     def test_roots_solved_on_first_read(self, tag, monkeypatch):
@@ -846,7 +844,7 @@ class TestExplainedOnFirstRead:
             assert counts == {"_solve": 1, "span_structure": 1}
             counts.clear()
             report, _ = reduce_to_canonical(state)
-            assert counts == {"_solve": 1, "span_structure": 1}
+            assert counts == {"_solve": 1}  # the reduction reads the pencil, not the structure
             report.structure, report.pencil, report.spectrum_used
             assert counts == {"_solve": 1, "span_structure": 1}
 
@@ -935,7 +933,7 @@ class TestReductionReadsTheReport:
 
 
 class TestBatchedDecision:
-    """classify3_tags decides a stack of states as classify3 decides each one."""
+    """_classify3_rows decides a stack of states as classify3 decides each one."""
 
     def test_tags_match_classify3(self):
         for pol in (TolerancePolicy(), TolerancePolicy(rank_rel_tol=1e-4, deg_tol=1e-3)):
@@ -944,7 +942,7 @@ class TestBatchedDecision:
                 for trial in range(10)
                 for tag in TripartiteClass
             ]
-            tags = classify3_tags(np.array([s.amps for s in states]), pol)
+            tags = _classify3_rows(np.array([s.amps for s in states]), pol)
             assert tags == [classify3(s, pol).tag for s in states]
 
     def test_first_failing_row_raises(self):
@@ -952,36 +950,11 @@ class TestBatchedDecision:
         inconsistent = np.zeros(8, dtype=complex)
         inconsistent[[0, 3, 5]] = 1.0, 0.5, 0.05
         loose = TolerancePolicy(rank_rel_tol=0.501)
-        for bad, error in ((np.zeros(8), ZeroState), (np.full(8, np.nan), NonFinite)):
-            with pytest.raises(error) as alone:
-                make_state((2, 2, 2), bad)
-            with pytest.raises(error) as batched:
-                classify3_tags(np.array([ghz, bad, inconsistent]), loose)
-            assert str(batched.value) == str(alone.value)
-            with pytest.raises(InconsistentRanks) as first:
-                classify3_tags(np.array([ghz, inconsistent, bad]), loose)
-            with pytest.raises(InconsistentRanks) as single:
-                classify3(make_state((2, 2, 2), inconsistent), loose)
-            assert str(first.value) == str(single.value)
-
-    def test_bad_rows_read_as_make_state_reads_them(self):
-        # one rule refuses amplitudes: the largest |part| of a row is finite and nonzero
-        ghz = canonical_vector(TripartiteClass.GHZ).amps
-        nan_imag, inf_imag, signed_zeros = ghz.copy(), ghz.copy(), np.full(8, complex(-0.0, -0.0))
-        nan_imag[2], inf_imag[5] = complex(1, np.nan), complex(0, -np.inf)
-        tiny, huge = np.zeros(8, dtype=complex), np.full(8, 1e308 + 1e308j)
-        tiny[3] = 5e-324
-        for bad in (nan_imag, inf_imag, signed_zeros):
-            with pytest.raises(SloccError) as alone:
-                make_state((2, 2, 2), bad)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(type(alone.value)) as batched:
-                    classify3_tags(np.array([ghz, tiny, huge, bad, np.full(8, np.nan)]))
-            assert str(batched.value) == str(alone.value)
-            strided = np.repeat(np.array([ghz, bad]), 2, axis=1)[:, ::2]  # last axis strided
-            with pytest.raises(type(alone.value)):
-                classify3_tags(strided)
+        with pytest.raises(InconsistentRanks) as first:
+            _classify3_rows(np.array([ghz, inconsistent, ghz]), loose)
+        with pytest.raises(InconsistentRanks) as single:
+            classify3(make_state((2, 2, 2), inconsistent), loose)
+        assert str(first.value) == str(single.value)
 
     def test_pivot_ratios_match_the_pivot_svds(self):
         # near-rank-1 pivots 2 and 3: a 0_2 or 0_3 orbit state plus noise of relative size r
