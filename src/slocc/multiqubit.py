@@ -25,7 +25,7 @@ class. For N = 4 the same readings name it: a pivot whose scale is within rank_r
 has rank 1 on the whole line; at ranks (2, 2, 2) the class is W where the quartic stays within
 1e-8 of the least pivot scale squared (both shrink as the squared distance to a biseparable
 line), else GHZ. Only the candidates, merged on Python scalars (or a one-dimensional line's
-generator), are decided, on one stacked pivot-1 SVD reading pencil kinds only; deeper lines
+generator), are decided, each on its own pivot-1 SVD reading pencil kinds only; deeper lines
 read their generic class at one probe point farthest from them all.
 """
 
@@ -113,7 +113,7 @@ def hyperdeterminant(amps) -> complex:
 
 def _point_classes(vecs, n_sub: int, pol: TolerancePolicy, max_qubits: int) -> list[str]:
     """Class names of the (N-1)-qubit states in the rows of ``vecs``, unit vectors
-    alpha w1 + beta w2 (orthonormal w, unit (alpha, beta)); for N = 4 on one stacked
+    alpha w1 + beta w2 (orthonormal w, unit (alpha, beta)); for N = 4 each on its own
     pivot-1 SVD (``tripartite._classify3_rows``)."""
     if n_sub == 3:
         return [tag.value for tag in _classify3_rows(vecs, pol)]

@@ -95,6 +95,7 @@ _svd_errstate = np.errstate(
 )
 
 
+@_svd_errstate
 def svd(matrix) -> SvdResult:
     """SVD with a pinned phase convention so results are deterministic.
 
@@ -109,32 +110,17 @@ def svd(matrix) -> SvdResult:
     finite complex 2-d array here; on matrices this small numpy's per-call
     conversions and checks would add about half of LAPACK's own time.
     """
-    return _pinned_svd(matrix, 2)
-
-
-def svd_stack(matrices) -> SvdResult:
-    """:func:`svd` of a stack (B, m, n) in one LAPACK call: field row i is byte for byte
-    ``svd(matrices[i])``'s (``residual`` reads a single matrix only)."""
-    return _pinned_svd(matrices, 3)
-
-
-@_svd_errstate
-def _pinned_svd(matrix, ndim: int) -> SvdResult:
     a = np.array(matrix, dtype=complex)
-    if a.ndim != ndim or a.size == 0:
-        raise NonFinite(f"expected a nonempty {ndim}-d array, got shape {a.shape}")
+    if a.ndim != 2 or a.size == 0:
+        raise NonFinite(f"expected a nonempty 2-d matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFinite("matrix contains non-finite entries")
 
     U, s, Vh = _lapack_svd(a, signature="D->DdD")
-    (m, n), k = a.shape[-2:], s.shape[-1]
-    if ndim == 2:
-        phases = np.array(_phases(U.T.tolist(), Vh[k:].tolist()))
-    else:  # one row of phases per matrix, broadcast over its rows
-        mats = zip(U.swapaxes(1, 2).tolist(), Vh[:, k:].tolist())
-        phases = np.array([_phases(cols, null) for cols, null in mats])[:, None]
-    V = U / phases[..., :m]
-    W = Vh.conj().swapaxes(-1, -2) / phases[..., :n]
+    (m, n), k = a.shape, s.size
+    phases = np.array(_phases(U.T.tolist(), Vh[k:].tolist()))
+    V = U / phases[:m]
+    W = Vh.conj().T / phases[:n]
     for arr in (a, V, W, s):
         arr.setflags(write=False)
     return SvdResult(V=V, sigma=s, W=W, matrix=a)

@@ -12,7 +12,7 @@ The report explains the decision only when read: the first access to its ``struc
 or ``pencil`` solves the roots from that reading (or takes 0_2's or 0_3's factor SVD).
 
 Pivot 1's rank comes from its one SVD, read as Python scalars by :func:`_decide`, which
-``descriptor``'s line points share through one stacked SVD. Pivots 2 and 3 read
+``descriptor``'s line points share, one SVD per point. Pivots 2 and 3 read
 sigma_2 / sigma_1 from their 2x2 minors, taken in pivot 1's singular basis.
 
 The reduction builds one invertible operator per qubit in Python scalars, from the report
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InconsistentRanks, ReductionFailed, SingularMatrix, SingularOperator
 from .errors import ToleranceBreakdown, WrongArity
-from .numerics import DEFAULT_POLICY, TolerancePolicy, inv2, svd, svd_stack
+from .numerics import DEFAULT_POLICY, TolerancePolicy, inv2, svd
 from .numerics import _exponent, _pivot_ratios, _top_direction
 from .states import (
     LocalOperatorSet,
@@ -217,13 +217,10 @@ def _decide(sigma: list, span: list, pol: TolerancePolicy) -> tuple:
 
 def _classify3_rows(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[TripartiteClass]:
     """Classes of the 3-qubit unit vectors in the rows of ``amps`` (B, 8), ``descriptor``'s
-    line points: one stacked pivot-1 SVD, then :func:`_decide` on each row, which reads a
-    GHZ/W pencil's kind, never its roots. The first failing row raises."""
-    if not len(amps):
-        return []
-    res = svd_stack(amps[:, _PIVOT_INDEX[0]])
-    spans = res.W[:, :, :2].swapaxes(1, 2).tolist()
-    return [_decide(sigma, span, pol)[0] for sigma, span in zip(res.sigma.tolist(), spans)]
+    line points: :func:`_decide` on each row's pivot-1 SVD, which reads a GHZ/W pencil's
+    kind, never its roots. The first failing row raises."""
+    pivots = map(svd, amps[:, _PIVOT_INDEX[0]])
+    return [_decide(r.sigma.tolist(), r.W[:, :2].T.tolist(), pol)[0] for r in pivots]
 
 
 def _classify3(state: PureState, pol: TolerancePolicy) -> tuple:
@@ -268,11 +265,12 @@ def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
 
 def _reducing_operators(report: ClassificationReport, V, sigma, W, amps, pol: TolerancePolicy):
     """F1, F2, F3 sending the state ``amps``, with pivot-1 SVD V diag(sigma) W^dagger, to the
-    canonical vector of its class, as the module docstring builds them, in Python scalars;
-    each becomes an array once, in :func:`inv2` or :class:`LocalOperatorSet`. A factored
+    canonical vector of its class, as the module docstring builds them, in Python scalars
+    (:class:`LocalOperatorSet` then holds its own read-only copy of each). A factored
     qubit's direction comes from :func:`numerics._top_direction`, so 000 takes no pivot-2 or
     pivot-3 SVD; GHZ's and W's witnesses alpha w1 + beta w2 come from the report's ``pencil``
-    roots, as :func:`span_structure` forms them. No class reads ``structure``."""
+    roots, as :func:`span_structure` forms them. No class reads ``structure``; a later
+    ``structure`` read forms the witnesses again, without a second pencil solve."""
     tag = report.tag
     if tag is TripartiteClass.C000:
         f2, f3 = (onto_e1(_top_direction(amps[_PIVOT_INDEX[p]].tolist())) for p in (1, 2))

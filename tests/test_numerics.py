@@ -16,7 +16,6 @@ from slocc.numerics import (
     numerical_rank,
     singular_values,
     svd,
-    svd_stack,
 )
 
 finite_complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -97,6 +96,11 @@ class TestSvd:
     def test_rejects_non_finite(self):
         with pytest.raises(NonFinite):
             svd([[np.nan, 0], [0, 1]])
+
+    def test_shapes_refused(self):
+        for bad in (np.zeros(2), np.zeros((0, 2)), np.zeros((1, 2, 2))):
+            with pytest.raises(NonFinite, match="nonempty 2-d matrix"):
+                svd(bad)
 
     def test_residual_is_lazy_reconstruction_error(self):
         g = RandomSource(8).generator()
@@ -446,28 +450,6 @@ class TestTolerancePolicy:
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
             TolerancePolicy(**{field: value})
-
-
-class TestSvdStack:
-    def test_rows_are_the_single_matrix_svds(self):
-        g = RandomSource(720).generator()
-        for trial in range(300):
-            m, n = [(2, 4), (2, 8), (3, 3), (4, 2), (2, 2)][trial % 5]
-            stack = random_complex(g, 7 * m * n).reshape(7, m, n)
-            stack[trial % 7] = np.outer(random_complex(g, m), random_complex(g, n))  # rank 1
-            stack[(trial + 3) % 7, 0] = 0.0
-            res = svd_stack(stack)
-            for i, matrix in enumerate(stack):
-                one = svd(matrix)
-                for field in ("V", "sigma", "W", "matrix"):
-                    assert getattr(res, field)[i].tobytes() == getattr(one, field).tobytes()
-
-    def test_shapes_refused(self):
-        for bad in (np.zeros((2, 2)), np.zeros((0, 2, 2)), np.zeros((1, 2, 2, 2))):
-            with pytest.raises(NonFinite):
-                svd_stack(bad)
-        with pytest.raises(NonFinite):
-            svd_stack([[[0, np.nan]]])
 
 
 class TestSingularValues:

@@ -18,7 +18,7 @@ from slocc.errors import (
     WrongArity,
 )
 from slocc.multiqubit import hyperdeterminant
-from slocc.numerics import TolerancePolicy, inv2, svd, svd_stack
+from slocc.numerics import TolerancePolicy, inv2, svd
 from slocc.states import (
     PureState,
     apply_local_operators,
@@ -160,7 +160,6 @@ class TestComputedOnce:
             return wrapper
 
         monkeypatch.setattr(slocc.tripartite, "svd", counting(svd))
-        monkeypatch.setattr(slocc.tripartite, "svd_stack", counting(svd_stack))
         for trial in range(20):
             state, _ = orbit_state(tag, RandomSource(2500 + trial))
             for fn in (classify3, reduce_to_canonical):
@@ -303,7 +302,6 @@ class TestFactoredClassesReadFromRanks:
             return wrapper
 
         monkeypatch.setattr(slocc.tripartite, "svd", counting(svd))
-        monkeypatch.setattr(slocc.tripartite, "svd_stack", counting(svd_stack))
         counts = count_calls(monkeypatch, ("product_factors",))
         for trial in range(20):
             state, _ = orbit_state(tag, RandomSource(2900 + trial))
@@ -747,7 +745,6 @@ class TestReductionFromDecisionNumbers:
 
         for module in (slocc.tripartite, slocc.subspaces):
             monkeypatch.setattr(module, "svd", counting(svd), raising=False)
-            monkeypatch.setattr(module, "svd_stack", counting(svd_stack), raising=False)
         monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
         for trial in range(20):
             state, _ = orbit_state(tag, RandomSource(5500 + trial))
@@ -817,7 +814,6 @@ class TestExplainedOnFirstRead:
             return wrapper
 
         monkeypatch.setattr(slocc.tripartite, "svd", counting(svd))
-        monkeypatch.setattr(slocc.tripartite, "svd_stack", counting(svd_stack))
         for trial in range(20):
             state, _ = orbit_state(tag, RandomSource(6000 + trial))
             calls.clear()
