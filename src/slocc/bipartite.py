@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongArity
-from .numerics import DEFAULT_POLICY, TolerancePolicy, numerical_rank, svd
-from .states import PureState, coefficient_matrix
+from .numerics import DEFAULT_POLICY, TolerancePolicy, _leading_svd, numerical_rank
+from .states import PureState, coefficient_matrix, make_state
+from .subspaces import _scaled
 
 
 @dataclass(frozen=True)
@@ -52,19 +53,28 @@ def schmidt(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> SchmidtF
 
     With C = V diag(sigma) W^dagger the state reconstructs as
     sum_k sigma_k v_k (x) conj(w_k), so the right basis is the conjugated
-    right singular vectors.
+    right singular vectors. The coefficients are the output, so a state whose
+    sigma_1 leaves the float range raises :class:`NonFinite`.
     """
     _require_bipartite(state)
-    res = svd(coefficient_matrix(state, 1).entries)
-    k = numerical_rank(res.sigma, pol)
+    V, sigma, W, _ = _leading_svd(coefficient_matrix(state, 1).entries)
+    k = numerical_rank(sigma, pol)
     return SchmidtForm(
-        coeffs=res.sigma[:k].copy(),
-        left_basis=res.V[:, :k].copy(),
-        right_basis=res.W[:, :k].conj(),
+        coeffs=sigma[:k].copy(), left_basis=V[:, :k].copy(), right_basis=W[:, :k].conj()
     )
 
 
 def classify_bipartite(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) -> BipartiteClass:
-    """Class Psi+_k with k the number of Schmidt coefficients."""
-    return BipartiteClass(schmidt_rank=schmidt(state, pol).coeffs.size)
+    """Class Psi+_k with k the number of Schmidt coefficients (:func:`_read_bipartite`)."""
+    return _read_bipartite(state, pol)[0]
+
+
+def _read_bipartite(state: PureState, pol: TolerancePolicy) -> tuple:
+    """The class and the singular values of the state read. A rank does not depend on scale,
+    so a state whose sigma_1 leaves the float range is read on its amplitudes times 2^-e."""
+    _require_bipartite(state)
+    sigma = _leading_svd(coefficient_matrix(state, 1).entries)[1]
+    if not np.isfinite(sigma[0]):
+        return _read_bipartite(make_state(state.dims, _scaled(state.amps)), pol)
+    return BipartiteClass(schmidt_rank=numerical_rank(sigma, pol)), sigma
 

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bipartite import BipartiteClass, schmidt
+from .bipartite import _read_bipartite
 from .errors import ReductionFailed, SloccError, StateFileError
 from .multiqubit import (
     class_count_bound,
@@ -167,12 +167,11 @@ def _complex_pairs(vec) -> list[list[float]]:
 
 
 def _classify_bipartite(state, pol, report):
-    form = schmidt(state, pol)
-    cls = BipartiteClass(schmidt_rank=form.coeffs.size)
+    cls, sigma = _read_bipartite(state, pol)
     report["mode"] = "bipartite"
     report["class"] = cls.label(state.dims)
     report["schmidt_rank"] = cls.schmidt_rank
-    report["sigma"] = [float(s) for s in form.coeffs]
+    report["sigma"] = sigma[: cls.schmidt_rank].tolist()
 
 
 def _classify_tripartite(state, pol, report, include_ilos):

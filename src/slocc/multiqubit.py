@@ -38,9 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
-from .numerics import (
-    DEFAULT_POLICY, TolerancePolicy, _exponent, numerical_rank, singular_values, svd
-)
+from .numerics import DEFAULT_POLICY, TolerancePolicy, _eigenvalues, _exponent, _leading_svd
+from .numerics import numerical_rank, singular_values
 from .states import PureState, make_state, minor_index, pivot_index
 from .subspaces import _scaled, minor_pencil, projective_quadratic_roots
 from .tripartite import TripartiteClass, _classify3_rows, _rank_class
@@ -161,7 +160,8 @@ def _tangle_quartic(table) -> np.ndarray:
 
 def _tangle_candidates(table, norm, quartic=None) -> list:
     """Unit roots of ``quartic``, the table's tangle quartic if None: (1, 0) if its degree in t
-    (points t*w1 + w2) is below 4, then (t, 1) for np.roots' t: companion eigenvalues, zeros."""
+    (points t*w1 + w2) is below 4, then (t, 1) for np.roots' t: companion eigenvalues (the
+    LAPACK gufunc, :func:`numerics._eigenvalues`), zeros."""
     h = (_tangle_quartic(table) if quartic is None else quartic)[::-1].tolist()  # h[k]: t^k
     s = max(map(abs, h))
     if s <= 1e-12 * norm**4:
@@ -171,7 +171,7 @@ def _tangle_candidates(table, norm, quartic=None) -> list:
     p = np.array(h[zeros : degree + 1][::-1])  # highest power first
     companion = np.eye(len(p) - 1, k=-1, dtype=complex)
     companion[:1] = -p[1:] / p[0]  # nothing to assign in a 0 x 0 companion
-    t = [*np.linalg.eigvals(companion).tolist(), *[0j] * zeros]
+    t = [*_eigenvalues(companion).tolist(), *[0j] * zeros]
     return list(map(_unit_point, [(1.0, 0.0)] * (degree < 4) + [(x, 1.0) for x in t]))
 
 
@@ -230,17 +230,16 @@ def descriptor(
             f"{n} qubits exceeds the configured recursion depth {max_qubits}"
         )
     n_sub = n - 1
-    res = svd(state.amps[pivot_index(state.dims, 1)])
-    if not math.isfinite(res.sigma[0]):  # sigma_1 overflowed: read the ray times 2^-exponent
+    _, sigma, W, _ = _leading_svd(state.amps[pivot_index(state.dims, 1)])
+    if not math.isfinite(sigma[0]):  # sigma_1 overflowed: read the ray times 2^-exponent
         return descriptor(make_state(state.dims, _scaled(state.amps)), pol, max_qubits)
-    dim_w = numerical_rank(res.sigma, pol)
+    dim_w = numerical_rank(sigma, pol)
 
     if dim_w == 1:
-        line = _point_classes(res.W[:, :1].T, n_sub, pol, max_qubits)[0]
+        line = _point_classes(W[:, :1].T, n_sub, pol, max_qubits)[0]
         return StructureDescriptor(n_qubits=n, dim_w=1, line_class=line)
 
-    w1 = res.W[:, 0]
-    w2 = res.W[:, 1]
+    w1, w2 = W.T
     merged, generic = _line(w1, w2, n_sub, pol)
     points = merged if generic else np.concatenate((_generic_point(merged)[None], merged))
     classes = _point_classes(points[:, :1] * w1 + points[:, 1:] * w2, n_sub, pol, max_qubits)
@@ -304,7 +303,7 @@ def factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
         if not math.isfinite(s1):  # an inf or NaN sigma_1 reads rank 1: read the ray at scale 1
             return factor_support(make_state(state.dims, _scaled(state.amps)), pol)
         c = pivots[p - 2]
-        factor = svd(c).V[:, 0]
+        factor = _leading_svd(c)[0][:, 0]
         # tensordot, not a product with c: its strided operand sets reduced's last bits
         reduced = np.tensordot(factor.conj(), state.tensor(), axes=(0, p - 1)).reshape(-1)
         f = f or math.ldexp(1.0, -_exponent(state.amps.tolist()))  # exact: no norm under- or overflows

@@ -3,7 +3,8 @@
 All rank and degeneracy decisions in the package go through the thresholds
 collected in :class:`TolerancePolicy`, so that classification is
 scale-invariant and the sensitivity to the cutoffs can be probed by running
-the same analysis under a different policy.
+the same analysis under a different policy. Every decomposition in the package
+is one kernel, :func:`_leading_svd`; the public :func:`svd` is built on it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg._umath_linalg import svd as _lapack_sigma, svd_f as _lapack_svd  # numpy >= 2.0
+from numpy.linalg._umath_linalg import eigvals as _lapack_eigvals  # numpy >= 2.0, as are svd, svd_f
+from numpy.linalg._umath_linalg import svd as _lapack_sigma, svd_f as _lapack_svd
 
 from .errors import EmptySpectrum, NonFinite, SingularMatrix
 
@@ -79,20 +81,32 @@ def _lead_phase(col) -> complex:
     return 1.0
 
 
-def _phases(cols, null_rows) -> list:
-    """Phases of U's columns, then of W's null columns (rows of Vh are conjugated
-    columns of W)."""
-    return [*map(_lead_phase, cols), *(_lead_phase(row).conjugate() for row in null_rows)]
+def _nonconvergence(message: str) -> np.errstate:
+    """The error state np.linalg calls its LAPACK gufuncs under: a failed convergence, which a
+    gufunc flags as an invalid operation, raises ``LinAlgError(message)``."""
+    def handler(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return np.errstate(call=handler, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
-def _svd_nonconvergence(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge")
+_svd_errstate = _nonconvergence("SVD did not converge")
+_eig_errstate = _nonconvergence("Eigenvalues did not converge")
 
 
-# the error state np.linalg.svd calls its gufuncs under
-_svd_errstate = np.errstate(
-    call=_svd_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
-)
+@_svd_errstate
+def _leading_svd(matrix) -> tuple:
+    """(V, sigma, W_k, Vh): :func:`svd`'s V, sigma and W[:, :k], k = min(m, n), byte for byte,
+    and LAPACK's Vh, whose rows past k are W's unpinned null columns conjugated. The package's
+    one decomposition: no null-space phase, read-only flag or :class:`SvdResult` is built."""
+    a = np.array(matrix, dtype=complex)
+    if a.ndim != 2 or a.size == 0:
+        raise NonFinite(f"expected a nonempty 2-d matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFinite("matrix contains non-finite entries")
+    U, s, Vh = _lapack_svd(a, signature="D->DdD")
+    phases = np.array([*map(_lead_phase, U.T.tolist())])
+    k = s.size
+    return U / phases, s, Vh[:k].conj().T / phases[:k], Vh
 
 
 @_svd_errstate
@@ -104,23 +118,16 @@ def svd(matrix) -> SvdResult:
     singular vector. Left-over null-space columns are phase-fixed on their
     own.
 
-    The decomposition calls ``svd_f``, the LAPACK gufunc that
-    ``np.linalg.svd(a, full_matrices=True)`` wraps, under the same error
-    state, so its output is byte for byte numpy's. The input is already a
-    finite complex 2-d array here; on matrices this small numpy's per-call
-    conversions and checks would add about half of LAPACK's own time.
+    It is :func:`_leading_svd`, which calls ``svd_f``, the LAPACK gufunc that
+    ``np.linalg.svd(a, full_matrices=True)`` wraps, under the same error state,
+    so its output is byte for byte numpy's, plus W's null columns, read-only
+    flags and the result, which no package caller reads.
     """
     a = np.array(matrix, dtype=complex)
-    if a.ndim != 2 or a.size == 0:
-        raise NonFinite(f"expected a nonempty 2-d matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFinite("matrix contains non-finite entries")
-
-    U, s, Vh = _lapack_svd(a, signature="D->DdD")
-    (m, n), k = a.shape, s.size
-    phases = np.array(_phases(U.T.tolist(), Vh[k:].tolist()))
-    V = U / phases[:m]
-    W = Vh.conj().T / phases[:n]
+    V, s, W, Vh = _leading_svd(a)
+    null = Vh[s.size :]  # W's null columns, each divided by its own phase
+    phases = np.array([_lead_phase(row).conjugate() for row in null.tolist()])
+    W = np.hstack((W, null.conj().T / phases))
     for arr in (a, V, W, s):
         arr.setflags(write=False)
     return SvdResult(V=V, sigma=s, W=W, matrix=a)
@@ -132,6 +139,12 @@ def singular_values(matrices) -> np.ndarray:
     gufunc that ``np.linalg.svd(a, compute_uv=False)`` wraps, under the same error state: byte
     for byte numpy's, without numpy's per-call conversions and checks."""
     return _lapack_sigma(matrices, signature="D->d")
+
+
+@_eig_errstate
+def _eigenvalues(matrix) -> np.ndarray:
+    """``np.linalg.eigvals`` of a finite complex square matrix, from its LAPACK gufunc."""
+    return _lapack_eigvals(matrix, signature="D->D")
 
 
 def numerical_rank(sigma, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
@@ -161,15 +174,16 @@ def _pivot_ratios(s1: float, s2: float, w1: list, w2: list) -> list[float]:
     no cancellation, and no under- or overflow among unit-vector components.
     """
     rho = s2 / s1
-    v = [rho * z for z in w2]
-    dets = abs(w1[0] * w1[3] - w1[1] * w1[2]) ** 2 + abs(v[0] * v[3] - v[1] * v[2]) ** 2
+    z = w1 + [rho * x for x in w2]  # entry (r, c) of W1 is z[2 r + c], of rho W2 z[4 + 2 r + c]
+    q = [abs(x) ** 2 for x in z]  # each squared modulus once, for both pivots' Gram diagonals
+    dets = abs(z[0] * z[3] - z[1] * z[2]) ** 2 + abs(z[4] * z[7] - z[5] * z[6]) ** 2
     ratios = []
-    for (i, j), (k, l) in (((0, 1), (2, 3)), ((0, 2), (1, 3))):  # rows of W_l, then of W_l^T
-        x0, x1, x2, x3, y0, y1, y2, y3 = w1[i], w1[j], v[i], v[j], w1[k], w1[l], v[k], v[l]
+    for i0, i1, i2, i3, j0, j1, j2, j3 in ((0, 1, 4, 5, 2, 3, 6, 7), (0, 2, 4, 6, 1, 3, 5, 7)):
+        x0, x1, x2, x3, y0, y1, y2, y3 = z[i0], z[i1], z[i2], z[i3], z[j0], z[j1], z[j2], z[j3]
         minors = dets + abs(x0 * y2 - x2 * y0) ** 2 + abs(x0 * y3 - x3 * y0) ** 2
         minors += abs(x1 * y2 - x2 * y1) ** 2 + abs(x1 * y3 - x3 * y1) ** 2
-        g11 = abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2 + abs(x3) ** 2
-        g22 = abs(y0) ** 2 + abs(y1) ** 2 + abs(y2) ** 2 + abs(y3) ** 2
+        g11 = q[i0] + q[i1] + q[i2] + q[i3]
+        g22 = q[j0] + q[j1] + q[j2] + q[j3]
         g12 = x0 * y0.conjugate() + x1 * y1.conjugate() + x2 * y2.conjugate()
         g12 = abs(g12 + x3 * y3.conjugate())
         ratios.append(2.0 * math.sqrt(minors) / (g11 + g22 + math.hypot(g11 - g22, 2.0 * g12)))

@@ -11,9 +11,9 @@ eigenvalue gap. The pencil is read once (``_span_pencil``): the decision keeps i
 The report explains the decision only when read: the first access to its ``structure``
 or ``pencil`` solves the roots from that reading (or takes 0_2's or 0_3's factor SVD).
 
-Pivot 1's rank comes from its one SVD, read as Python scalars by :func:`_decide`, which
-``descriptor``'s line points share, one SVD per point. Pivots 2 and 3 read
-sigma_2 / sigma_1 from their 2x2 minors, taken in pivot 1's singular basis.
+Pivot 1's rank comes from its one SVD (``numerics._leading_svd``), read as Python scalars
+by :func:`_decide`, which ``descriptor``'s line points share, one SVD per point. Pivots 2
+and 3 read sigma_2 / sigma_1 from their 2x2 minors, taken in pivot 1's singular basis.
 
 The reduction builds one invertible operator per qubit in Python scalars, from the report
 and pivot 1's SVD, and reads no ``structure``: GHZ and W read the report's ``pencil``. A
@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import InconsistentRanks, ReductionFailed, SingularMatrix, SingularOperator
 from .errors import ToleranceBreakdown, WrongArity
-from .numerics import DEFAULT_POLICY, TolerancePolicy, inv2, svd
-from .numerics import _exponent, _pivot_ratios, _top_direction
+from .numerics import DEFAULT_POLICY, TolerancePolicy, inv2
+from .numerics import _exponent, _leading_svd, _pivot_ratios, _top_direction
 from .states import (
     LocalOperatorSet,
     PureState,
@@ -122,10 +122,10 @@ class _Explanation:
         if self.tag is TripartiteClass.C01_PSI23:
             return SubspaceStructure(tag=StructureTag.ENTANGLED_LINE)
         if self.tag is TripartiteClass.C02_PSI13:
-            factor = svd(amps[_PIVOT_INDEX[1]]).V[:, 0].conj()
+            factor = _leading_svd(amps[_PIVOT_INDEX[1]])[0][:, 0].conj()
             return SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=factor)
         if self.tag is TripartiteClass.C03_PSI12:
-            factor = svd(amps[_PIVOT_INDEX[2]]).V[:, 0].conj()
+            factor = _leading_svd(amps[_PIVOT_INDEX[2]])[0][:, 0].conj()
             return SubspaceStructure(tag=StructureTag.RIGHT_FACTOR, factor=factor)
         roots, w1, w2, _ = self.pencil
         return span_structure(w1, w2, roots)
@@ -219,27 +219,28 @@ def _classify3_rows(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[Tripart
     """Classes of the 3-qubit unit vectors in the rows of ``amps`` (B, 8), ``descriptor``'s
     line points: :func:`_decide` on each row's pivot-1 SVD, which reads a GHZ/W pencil's
     kind, never its roots. The first failing row raises."""
-    pivots = map(svd, amps[:, _PIVOT_INDEX[0]])
-    return [_decide(r.sigma.tolist(), r.W[:, :2].T.tolist(), pol)[0] for r in pivots]
+    pivots = map(_leading_svd, amps[:, _PIVOT_INDEX[0]])
+    return [_decide(s.tolist(), W.T.tolist(), pol)[0] for _, s, W, _ in pivots]
 
 
 def _classify3(state: PureState, pol: TolerancePolicy) -> tuple:
-    """:func:`classify3`, also returning pivot 1's SVD and the state read: an inf or NaN
-    sigma_1, seen before any rank, reads the amplitudes times 2^-e instead."""
+    """:func:`classify3`, also returning pivot 1's SVD (V, sigma, W_k) and the state read: an
+    inf or NaN sigma_1, seen before any rank, reads the amplitudes times 2^-e instead."""
     if state.dims != (2, 2, 2):
         raise WrongArity(f"expected dims (2, 2, 2), got {state.dims}")
-    res = svd(state.amps[_PIVOT_INDEX[0]])
-    sigma = res.sigma.tolist()
+    V, s, W, _ = _leading_svd(state.amps[_PIVOT_INDEX[0]])
+    sigma = s.tolist()
     if not math.isfinite(sigma[0]):
         return _classify3(make_state(state.dims, _scaled(state.amps)), pol)
-    tag, ranks, pencil = _decide(sigma, res.W[:, :2].T.tolist(), pol)
+    W.flags.writeable = False  # the report's pencil hands out its columns w1, w2
+    tag, ranks, pencil = _decide(sigma, W.T.tolist(), pol)
     near = False
     if pencil is not None:
-        *_, disc, s = pencil[1][2]  # scaled by a power of two: the window reads as unscaled
-        threshold = pol.deg_tol * s * s
+        *_, disc, scale = pencil[1][2]  # scaled by a power of two: the window reads as unscaled
+        threshold = pol.deg_tol * scale * scale
         near = threshold / 100.0 < abs(disc) <= threshold * 100.0
-    report = ClassificationReport(tag, ranks, tuple(sigma), near, (state.amps, res.W, pencil, pol))
-    return report, res, state
+    report = ClassificationReport(tag, ranks, tuple(sigma), near, (state.amps, W, pencil, pol))
+    return report, (V, s, W), state
 
 
 def _pencil_spectrum(report: RootReport, n1, n2, pol) -> SpectrumInfo | None:
@@ -319,15 +320,14 @@ def reduce_to_canonical(
     never as |out|^2 - |z|^2 |c|^2, which cancels. A singular 2x2 matrix or a residual above
     ``residual_tol`` raises :class:`ReductionFailed`.
     """
-    report, res, state = _classify3(state, pol)
-    sigma = res.sigma
+    report, (V, sigma, W), state = _classify3(state, pol)
     s1, s2 = report.sigma  # |det F1| ~ 1 / (s1 s_r), s_r the last nonzero sigma
     if not 2.0**-1010 < s1 * (s2 if report.ranks[0] == 2 else s1) < 2.0**1010:
         f = 2.0 ** -_exponent(state.amps.tolist())
         sigma = sigma * f
         state = make_state(state.dims, state.amps * f)  # the operators and residual read it
     try:
-        ops = _reducing_operators(report, res.V, sigma, res.W, state.amps, pol)
+        ops = _reducing_operators(report, V, sigma, W, state.amps, pol)
         ops = LocalOperatorSet(ops)
     except (SingularMatrix, SingularOperator) as exc:
         raise ReductionFailed(f"reducing operators are numerically singular: {exc}") from exc

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from _kit import RandomSource, random_ilo, reconstruct
 from conftest import random_complex
 from slocc.bipartite import classify_bipartite, schmidt
-from slocc.errors import WrongArity
+from slocc.errors import NonFinite, WrongArity
 from slocc.states import apply_local_operators, make_state
 
 BELL = make_state([2, 2], [1, 0, 0, 1])
@@ -89,3 +91,38 @@ class TestClassify:
             g = RandomSource(700 + trial).generator()
             st = make_state([4, 5], random_complex(g, 20))
             assert classify_bipartite(st).schmidt_rank == schmidt(st).coeffs.size
+
+
+def overflowing_states():
+    """(scale-1 state, the same ray at largest part 1.5e308) on 2x2, 3x3 and 4x6, at every
+    Schmidt rank."""
+    g = RandomSource(7500).generator()
+    for dims in ((2, 2), (3, 3), (4, 6)):
+        for rank in range(1, min(dims) + 1):
+            for _ in range(4):
+                terms = [np.kron(*(random_complex(g, d) for d in dims)) for _ in range(rank)]
+                state = make_state(dims, sum(terms))
+                assert classify_bipartite(state).schmidt_rank == rank
+                amps = state.amps / np.abs(state.amps.view(float)).max() * 1.5e308
+                yield state, make_state(dims, amps)
+
+
+class TestOverflowingSchmidtCoefficients:
+    """A rank does not depend on scale: classify_bipartite reads a state whose sigma_1 leaves
+    the float range on its amplitudes times 2^-e. schmidt, whose output is the coefficients,
+    refuses it."""
+
+    def test_scale_1_class(self):
+        refused = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for state, big in overflowing_states():
+                assert classify_bipartite(big) == classify_bipartite(state)
+                sigma_1 = np.linalg.svd(big.amps.reshape(big.dims), compute_uv=False)[0]
+                if np.isfinite(sigma_1):
+                    assert schmidt(big).coeffs[0] == sigma_1
+                    continue
+                refused.add(big.dims)
+                with pytest.raises(NonFinite, match="leave the float range"):
+                    schmidt(big)
+        assert refused == {(2, 2), (3, 3), (4, 6)}

@@ -125,6 +125,24 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", path, "--json")
         assert json.loads(out)["class"] == "Psi+_3"
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 6)])
+    def test_bipartite_sigma_past_the_float_range(self, dims, tmp_path, capsys):
+        # read on the amplitudes times 2^-e, e = 1024 here: the scale-1 class, exit 0
+        g = np.random.default_rng(sum(dims))
+        amps = g.standard_normal(dims[0] * dims[1]) + 1j * g.standard_normal(dims[0] * dims[1])
+        amps /= np.abs(amps.view(float)).max()
+        big = make_state(dims, amps * 1.5e308)
+        assert np.linalg.svd(big.amps.reshape(dims), compute_uv=False)[0] == np.inf
+        _, out, _ = run(capsys, "classify", write_state(tmp_path, make_state(dims, amps)), "--json")
+        want = json.loads(out)
+        path = write_state(tmp_path, big, name="big.txt")
+        code, out, err = run(capsys, "classify", path, "--json")
+        assert code == 0 and err == ""
+        got = json.loads(out)
+        assert (got["class"], got["schmidt_rank"]) == (want["class"], want["schmidt_rank"])
+        scaled = np.array(want["sigma"]) * (1.5e308 * 2.0**-1024)
+        assert np.allclose(got["sigma"], scaled, rtol=1e-13)
+
     def test_five_qubits_unsupported(self, tmp_path, capsys):
         path = write_state(tmp_path, ghz_state(5))
         code, _, err = run(capsys, "classify", path)

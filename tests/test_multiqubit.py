@@ -283,19 +283,26 @@ class TestFactorSupportReadsPivots:
     @pytest.mark.parametrize("name", ["GHZ4", "cluster", "factored"])
     def test_one_svd_per_non_pivot_qubit(self, name, monkeypatch):
         state = {"GHZ4": GHZ4, "cluster": CLUSTER, "factored": self.factored_state()[0]}[name]
-        calls = []
+        calls, public = [], []
 
-        def recording(matrix):
-            calls.append(np.array(matrix))
-            return slocc.numerics.svd(matrix)
+        def recording(fn, log):
+            def wrapper(matrix):
+                log.append(np.array(matrix))
+                return fn(matrix)
 
-        monkeypatch.setattr(slocc.multiqubit, "svd", recording)
+            return wrapper
+
+        kernel, svd = slocc.numerics._leading_svd, slocc.numerics.svd
+        monkeypatch.setattr(slocc.multiqubit, "_leading_svd", recording(kernel, calls))
+        for module in (slocc.numerics, slocc.multiqubit):
+            monkeypatch.setattr(module, "svd", recording(svd, public), raising=False)
         support = factor_support(state)
         assert (support is None) == (name != "factored")
         # ranks come from the minors; only the rank-1 pivot 4 of the factored state takes an SVD
         assert len(calls) == (1 if name == "factored" else 0)
         for matrix in calls:
             assert np.array_equal(matrix, coefficient_matrix(state, 4).entries)
+        assert public == []
 
     def test_factor_on_last_qubit(self):
         state, phi = self.factored_state()
@@ -553,6 +560,20 @@ class TestTangleRootsFromTheCompanion:
             assert np.array(got, dtype=complex).tobytes() == np.array(want, dtype=complex).tobytes()
             shapes.add((len(want), (1.0, 0.0) in want, any(t == 0 for t, _ in want[1:])))
         assert {(4, False, False), (4, True, False), (4, False, True), (3, True, True)} <= shapes
+
+    @pytest.mark.parametrize("outer", ["ignore", "warn", "raise"])
+    def test_nonconvergence_is_linalg_error(self, monkeypatch, outer):
+        # numpy's eigenvalue gufunc reports a failed convergence as an invalid operation
+        from slocc.multiqubit import _minor_table, _tangle_candidates
+
+        def not_converged(a, signature):
+            return np.full(a.shape[:-1], np.subtract(np.inf, np.inf), complex)
+
+        monkeypatch.setattr(slocc.numerics, "_lapack_eigvals", not_converged)
+        w1, w2 = _line(GHZ4)
+        table, norm = _minor_table(w1, w2, 3), np.linalg.norm(w1) + np.linalg.norm(w2)
+        with np.errstate(all=outer), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            _tangle_candidates(table, norm)
 
 
 def _census_images(count):

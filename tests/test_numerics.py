@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 
 import slocc.numerics
 from _kit import RandomSource, eig2, is_degenerate, random_ilo
-from conftest import random_complex
+from conftest import orbit_state, random_complex
 from slocc.errors import EmptySpectrum, NonFinite, SingularMatrix
 from slocc.numerics import (
     SvdResult,
     TolerancePolicy,
+    _leading_svd,
     inv2,
     numerical_rank,
     singular_values,
@@ -282,6 +284,135 @@ class TestSvdMatchesNumpy:
         for arr in (res.V, res.sigma, res.W, res.matrix):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+def svd_inputs(shape):
+    """The matrices TestSvdMatchesNumpy decomposes at one shape: random and rank-deficient,
+    every scale, four memory layouts, real and integer inputs."""
+    g = RandomSource(17).generator()
+    m, n = shape
+    for trial in range(40):
+        a = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        if trial % 4 == 1:
+            a = np.outer(a[:, 0], a[0])
+        elif trial % 4 == 2 and m > 1:
+            a[1:] = 0
+        elif trial % 4 == 3 and n > 1:
+            a[:, -1] = a[:, 0]
+        yield a
+    a = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    yield from (a * 10.0**k for k in range(-300, 301, 25))
+    yield np.zeros(shape)
+    big = g.standard_normal((8, 24)) + 1j * g.standard_normal((8, 24))
+    yield np.asfortranarray(big[:m, :n])
+    yield big[: 2 * m : 2, : 3 * n : 3]
+    yield big[:n, :m].T
+    yield big[m - 1 :: -1, :n] if m > 1 else big[:1, n - 1 :: -1]
+    ints = g.integers(-5, 6, shape)
+    yield from (g.standard_normal(shape), ints, ints.astype(np.int8), ints.tolist())
+
+
+class TestLeadingSvdMatchesNumpy:
+    """The kernel every package caller reads returns svd()'s V, sigma and W[:, :k] byte for
+    byte, k = min(m, n), and LAPACK's Vh, with svd()'s refusals and nonconvergence error."""
+
+    @staticmethod
+    def assert_same_bytes(matrix):
+        U, s, W = pinned_reference(matrix)
+        before = np.array(matrix, dtype=complex)
+        V, sigma, Wk, Vh = _leading_svd(matrix)
+        for got, want in ((V, U), (sigma, s), (Wk, W[:, : s.size])):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert Vh.shape == (W.shape[0],) * 2
+        assert np.array_equal(np.asarray(matrix, dtype=complex), before)
+
+    @pytest.mark.parametrize("shape", SVD_SHAPES)
+    def test_every_input_of_svd(self, shape):
+        for a in svd_inputs(shape):
+            self.assert_same_bytes(a)
+
+    @pytest.mark.parametrize("entry", [1e-310, 1e307])
+    def test_inside_raising_error_state(self, entry):
+        g = RandomSource(21).generator()
+        for m, n in SVD_SHAPES:
+            a = entry * (g.integers(-3, 4, (m, n)) + 1j * g.integers(-3, 4, (m, n)))
+            a[0, 0] = entry
+            with np.errstate(all="raise"):
+                _leading_svd(a)
+            self.assert_same_bytes(a)
+
+    @pytest.mark.parametrize("outer", ["ignore", "warn", "raise"])
+    def test_nonconvergence_is_linalg_error(self, monkeypatch, outer):
+        def not_converged(a, signature):
+            nan = np.subtract(np.inf, np.inf)
+            m, n = a.shape
+            U, Vh = np.full((m, m), nan, complex), np.full((n, n), nan, complex)
+            return U, np.full(min(m, n), nan), Vh
+
+        monkeypatch.setattr(slocc.numerics, "_lapack_svd", not_converged)
+        with np.errstate(all=outer), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            _leading_svd([[1, 2], [3, 4]])
+
+    def test_non_finite_and_bad_shapes_refused(self):
+        bad = [[[1e308 * 10, 0]], [[0, np.nan]], [[complex(0, np.inf)]], [], [1, 2]]
+        for a in (*bad, np.zeros((2, 0)), np.zeros((2, 2, 2))):
+            with pytest.raises(NonFinite):
+                _leading_svd(a)
+
+
+def parent_pivot_ratios(s1, s2, w1, w2):
+    """The earlier _pivot_ratios, which read each squared modulus once per pivot."""
+    rho = s2 / s1
+    v = [rho * z for z in w2]
+    dets = abs(w1[0] * w1[3] - w1[1] * w1[2]) ** 2 + abs(v[0] * v[3] - v[1] * v[2]) ** 2
+    ratios = []
+    for (i, j), (k, l) in (((0, 1), (2, 3)), ((0, 2), (1, 3))):
+        x0, x1, x2, x3, y0, y1, y2, y3 = w1[i], w1[j], v[i], v[j], w1[k], w1[l], v[k], v[l]
+        minors = dets + abs(x0 * y2 - x2 * y0) ** 2 + abs(x0 * y3 - x3 * y0) ** 2
+        minors += abs(x1 * y2 - x2 * y1) ** 2 + abs(x1 * y3 - x3 * y1) ** 2
+        g11 = abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2 + abs(x3) ** 2
+        g22 = abs(y0) ** 2 + abs(y1) ** 2 + abs(y2) ** 2 + abs(y3) ** 2
+        g12 = x0 * y0.conjugate() + x1 * y1.conjugate() + x2 * y2.conjugate()
+        g12 = abs(g12 + x3 * y3.conjugate())
+        ratios.append(2.0 * math.sqrt(minors) / (g11 + g22 + math.hypot(g11 - g22, 2.0 * g12)))
+    return ratios
+
+
+class TestPivotRatiosBitIdentical:
+    """_pivot_ratios reads each squared modulus once and keeps every operation and its order:
+    its ratios are the earlier formula's, bit for bit."""
+
+    @staticmethod
+    def assert_identical(s1, s2, w1, w2):
+        got = slocc.numerics._pivot_ratios(s1, s2, w1, w2)
+        want = parent_pivot_ratios(s1, s2, w1, w2)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_random_orthonormal_pairs(self):
+        g = RandomSource(7200).generator()
+        for trial in range(2000):
+            q = np.linalg.qr(random_complex(g, 8).reshape(4, 2))[0]
+            s1, s2 = sorted(np.abs(g.standard_normal(2)) * 10.0 ** g.uniform(-300, 300, 2))[::-1]
+            self.assert_identical(s1, s2 if trial % 5 else 0.0, *q.T.tolist())  # s2 = 0: rank 1
+
+    def test_pivot_1_of_every_class(self):
+        from slocc.tripartite import TripartiteClass
+
+        for k, tag in enumerate(TripartiteClass):  # rank-1 pivots 1, 2 or 3 in the factored classes
+            for trial in range(100):
+                state, _ = orbit_state(tag, RandomSource(7300 + 100 * k + trial))
+                _, s, W, _ = _leading_svd(state.amps.reshape(2, 4))
+                self.assert_identical(*s.tolist(), *W.T.tolist())
+
+    def test_factor_sides_of_a_span(self):
+        # classify_span's reading: unit generators f (x) x_l or x_l (x) f, s1 = s2 = 1
+        g = RandomSource(7400).generator()
+        for trial in range(500):
+            f, x1, x2 = (random_complex(g, 2) for _ in range(3))
+            pair = [np.kron(f, x) if trial % 2 else np.kron(x, f) for x in (x1, x2)]
+            w1, w2 = (v / np.linalg.norm(v) for v in pair)
+            self.assert_identical(1.0, 1.0, w1.tolist(), w2.tolist())
 
 
 class TestNumericalRank:

@@ -18,7 +18,7 @@ from slocc.errors import (
     WrongArity,
 )
 from slocc.multiqubit import hyperdeterminant
-from slocc.numerics import TolerancePolicy, inv2, svd
+from slocc.numerics import TolerancePolicy, _leading_svd, inv2, svd
 from slocc.states import (
     PureState,
     apply_local_operators,
@@ -150,22 +150,25 @@ class TestComputedOnce:
 
     @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
     def test_three_svds_per_call(self, tag, monkeypatch):
-        calls = []
+        calls, public = [], []
 
-        def counting(fn):
+        def counting(fn, log):
             def wrapper(matrix):
-                calls.append(np.shape(matrix))
+                log.append(np.shape(matrix))
                 return fn(matrix)
 
             return wrapper
 
-        monkeypatch.setattr(slocc.tripartite, "svd", counting(svd))
+        monkeypatch.setattr(slocc.tripartite, "_leading_svd", counting(_leading_svd, calls))
+        for module in (slocc.numerics, slocc.tripartite, slocc.subspaces):
+            monkeypatch.setattr(module, "svd", counting(svd, public), raising=False)
         for trial in range(20):
             state, _ = orbit_state(tag, RandomSource(2500 + trial))
             for fn in (classify3, reduce_to_canonical):
                 calls.clear()
                 fn(state)
                 assert calls == [(2, 4)]  # the pivot-1 SVD; pivots 2, 3 read minors
+        assert public == []  # the package reads the kernel, never the public svd
 
     @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
     def test_pencil_solved_once_per_call(self, tag, monkeypatch):
@@ -292,16 +295,18 @@ class TestFactoredClassesReadFromRanks:
 
     @pytest.mark.parametrize("tag", [FACTORED[0], FACTORED[2], FACTORED[3]])
     def test_reduction_takes_factors_from_the_pivots(self, tag, monkeypatch):
-        calls = []
+        calls, public = [], []
 
-        def counting(fn):
+        def counting(fn, log):
             def wrapper(matrix):
-                calls.append(np.shape(matrix))
+                log.append(np.shape(matrix))
                 return fn(matrix)
 
             return wrapper
 
-        monkeypatch.setattr(slocc.tripartite, "svd", counting(svd))
+        monkeypatch.setattr(slocc.tripartite, "_leading_svd", counting(_leading_svd, calls))
+        for module in (slocc.numerics, slocc.tripartite, slocc.subspaces):
+            monkeypatch.setattr(module, "svd", counting(svd, public), raising=False)
         counts = count_calls(monkeypatch, ("product_factors",))
         for trial in range(20):
             state, _ = orbit_state(tag, RandomSource(2900 + trial))
@@ -311,6 +316,7 @@ class TestFactoredClassesReadFromRanks:
             # the pivot-1 SVD only: a rank-1 pivot's direction is read from its Gram matrix
             assert calls == [(2, 4)]
         assert counts == {}
+        assert public == []
 
     @pytest.mark.parametrize("tag", [FACTORED[2], FACTORED[3]])
     def test_factor_lies_in_the_span(self, tag):
@@ -730,11 +736,11 @@ class TestReductionFromDecisionNumbers:
 
     @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
     def test_three_pivot_svds_and_no_lstsq(self, tag, monkeypatch):
-        calls, lstsq_calls, lstsq = [], [], np.linalg.lstsq
+        calls, public, lstsq_calls, lstsq = [], [], [], np.linalg.lstsq
 
-        def counting(fn):
+        def counting(fn, log):
             def wrapper(matrix):
-                calls.append(np.shape(matrix))
+                log.append(np.shape(matrix))
                 return fn(matrix)
 
             return wrapper
@@ -743,8 +749,11 @@ class TestReductionFromDecisionNumbers:
             lstsq_calls.append(args)
             return lstsq(*args, **kwargs)
 
+        kernel = counting(_leading_svd, calls)
         for module in (slocc.tripartite, slocc.subspaces):
-            monkeypatch.setattr(module, "svd", counting(svd), raising=False)
+            monkeypatch.setattr(module, "_leading_svd", kernel, raising=False)
+        for module in (slocc.numerics, slocc.tripartite, slocc.subspaces):
+            monkeypatch.setattr(module, "svd", counting(svd, public), raising=False)
         monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
         for trial in range(20):
             state, _ = orbit_state(tag, RandomSource(5500 + trial))
@@ -753,6 +762,7 @@ class TestReductionFromDecisionNumbers:
             assert report.tag is tag and ilos.residual <= 1e-8
             assert calls == [(2, 4)]
         assert lstsq_calls == []
+        assert public == []
 
 
 class TestSpectrumOnFirstAccess:
@@ -804,16 +814,18 @@ class TestExplainedOnFirstRead:
 
     @pytest.mark.parametrize("tag", [TripartiteClass.C02_PSI13, TripartiteClass.C03_PSI12])
     def test_factor_svd_on_first_read(self, tag, monkeypatch):
-        calls = []
+        calls, public = [], []
 
-        def counting(fn):
+        def counting(fn, log):
             def wrapper(matrix):
-                calls.append(np.shape(matrix))
+                log.append(np.shape(matrix))
                 return fn(matrix)
 
             return wrapper
 
-        monkeypatch.setattr(slocc.tripartite, "svd", counting(svd))
+        monkeypatch.setattr(slocc.tripartite, "_leading_svd", counting(_leading_svd, calls))
+        for module in (slocc.numerics, slocc.tripartite, slocc.subspaces):
+            monkeypatch.setattr(module, "svd", counting(svd, public), raising=False)
         for trial in range(20):
             state, _ = orbit_state(tag, RandomSource(6000 + trial))
             calls.clear()
@@ -826,6 +838,7 @@ class TestExplainedOnFirstRead:
             report, _ = reduce_to_canonical(state)
             report.structure
             assert calls == [(2, 4), (2, 4)]
+        assert public == []
 
     @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
     def test_roots_solved_on_first_read(self, tag, monkeypatch):
