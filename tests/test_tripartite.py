@@ -857,6 +857,18 @@ class TestExplainedOnFirstRead:
             report.structure, report.pencil, report.spectrum_used
             assert counts == {"_solve": 1, "span_structure": 1}
 
+    @pytest.mark.parametrize("tag", [TripartiteClass.GHZ, TripartiteClass.W])
+    def test_pencil_vectors_read_only(self, tag):
+        # the pencil hands out pivot 1's right singular vectors w1, w2 themselves
+        state, _ = orbit_state(tag, RandomSource(6150))
+        for report in (classify3(state), reduce_to_canonical(state)[0]):
+            _, w1, w2, _ = report.pencil
+            want = svd(coefficient_matrix(state, 1).entries).W[:, :2].T
+            assert np.array(w1).tobytes() + np.array(w2).tobytes() == want.tobytes()
+            for w in (w1, w2):
+                with pytest.raises(ValueError):
+                    w[0] = 0
+
 
 class TestReportEquality:
     """Reports are values: equal readings compare equal and hash alike."""
