@@ -126,8 +126,9 @@ def svd(matrix) -> SvdResult:
     a = np.array(matrix, dtype=complex)
     V, s, W, Vh = _leading_svd(a)
     null = Vh[s.size :]  # W's null columns, each divided by its own phase
-    phases = np.array([_lead_phase(row).conjugate() for row in null.tolist()])
-    W = np.hstack((W, null.conj().T / phases))
+    if null.size:
+        phases = np.array([_lead_phase(row).conjugate() for row in null.tolist()])
+        W = np.concatenate((W, null.conj().T / phases), axis=1)
     for arr in (a, V, W, s):
         arr.setflags(write=False)
     return SvdResult(V=V, sigma=s, W=W, matrix=a)
