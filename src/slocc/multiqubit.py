@@ -25,8 +25,10 @@ class. For N = 4 the same readings name it: a pivot whose scale is within rank_r
 has rank 1 on the whole line; at ranks (2, 2, 2) the class is W where the quartic stays within
 1e-8 of the least pivot scale squared (both shrink as the squared distance to a biseparable
 line), else GHZ. Only the candidates, merged on Python scalars (or a one-dimensional line's
-generator), are decided, each on its own pivot-1 SVD reading pencil kinds only; deeper lines
-read their generic class at one probe point farthest from them all.
+generator), are decided. For N = 4 the table names each kept rank drop (at a unit point a
+pivot's squared minors sum to sigma_1^2 sigma_2^2); a drop of ranks (2, 2, 2) and a tangle root
+far from every drop are decided on their own pivot-1 SVD, reading pencil kinds only. Deeper
+lines decide every candidate, and read their generic class at one probe point farthest from all.
 """
 
 from __future__ import annotations
@@ -112,8 +114,8 @@ def hyperdeterminant(amps) -> complex:
 
 def _point_classes(vecs, n_sub: int, pol: TolerancePolicy, max_qubits: int) -> list[str]:
     """Class names of the (N-1)-qubit states in the rows of ``vecs``, unit vectors
-    alpha w1 + beta w2 (orthonormal w, unit (alpha, beta)); for N = 4 each on its own
-    pivot-1 SVD (``tripartite._classify3_rows``)."""
+    alpha w1 + beta w2 (orthonormal w, unit (alpha, beta)); for N = 4, the points the line's
+    table does not name, each on its own pivot-1 SVD (``tripartite._classify3_rows``)."""
     if n_sub == 3:
         return [tag.value for tag in _classify3_rows(vecs, pol)]
     return [descriptor(make_state((2,) * n_sub, v), pol, max_qubits).signature() for v in vecs]
@@ -175,19 +177,33 @@ def _tangle_candidates(table, norm, quartic=None) -> list:
     return list(map(_unit_point, [(1.0, 0.0)] * (degree < 4) + [(x, 1.0) for x in t]))
 
 
-def _line_candidates(w1, w2, n_sub: int, pol: TolerancePolicy) -> np.ndarray:
-    """The merged candidates of :func:`_line`."""
-    return _line(w1, w2, n_sub, pol)[0]
+def _table_classes(table, points, tol: float) -> list:
+    """Class names of unit points of an orthonormal 3-qubit line from its minor table, None at
+    ranks (2, 2, 2). Pivot k's 2x4 matrix has unit norm, so its squared minors sum to
+    M = sigma_1^2 sigma_2^2 (Cauchy-Binet) and sigma_2 / sigma_1 = 2 sqrt(M) / (1 + sqrt(1 - 4M)),
+    ``_pivot_ratios`` at tr G = 1, with 1 - 4M clamped at 0 (an EPR-type pivot's M is 1/4)."""
+    a, b, c = (x.tolist() for x in table)
+    classes = []
+    for u, v in points:
+        uu, uv, vv, ranks = u * u, u * v, v * v, []
+        for ak, bk, ck in zip(a, b, c):  # pivot k: one entry per minor
+            m = sum([abs(x * uu + y * uv + z * vv) ** 2 for x, y, z in zip(ak, bk, ck)])
+            ratio = 2.0 * math.sqrt(m) / (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * m)))
+            ranks.append(1 + (ratio > tol))
+        tag = _rank_class(tuple(ranks))
+        classes.append(tag and tag.value)
+    return classes
 
 
 def _line(w1, w2, n_sub: int, pol: TolerancePolicy):
     """Merged rank drops, then (N = 4) tangle roots, a root within _SNAP_DISTANCE (chordal) of
-    a drop being that drop, and the N = 4 generic class (None above), each read once."""
+    a drop being that drop; for N = 4 the generic class and the :func:`_table_classes` of the
+    kept drops, the merge's prefix (None and [] above), each read once."""
     table, norm = _minor_table(w1, w2, n_sub), np.linalg.norm(w1) + np.linalg.norm(w2)
     scales = []  # each pivot's largest minor coefficient, read by the rank-drop pass
     drops = _rank_drop_candidates(table, norm, pol, scales)
     if n_sub > 3:
-        return _merge(drops), None
+        return _merge(drops), None, []
     quartic = _tangle_quartic(table)  # one per line: its roots and the GHZ/W test
     tangle = _tangle_candidates(table, norm, quartic)
     overlaps = [[abs(a.conjugate() * x + b.conjugate() * y) for x, y in drops] for a, b in tangle]
@@ -196,7 +212,8 @@ def _line(w1, w2, n_sub: int, pol: TolerancePolicy):
     if tag is None:  # ranks (2, 2, 2): GHZ or W (module docstring)
         ghz = max(map(abs, quartic.tolist())) > 1e-8 * min(scales) ** 2
         tag = TripartiteClass.GHZ if ghz else TripartiteClass.W
-    return _merge(drops + far), tag.value
+    kept = _merge(drops).tolist()  # drops enter the merge first, so they stay its prefix
+    return _merge(kept + far), tag.value, kept and _table_classes(table, kept, pol.rank_rel_tol)
 
 
 def _merge(candidates) -> np.ndarray:
@@ -240,9 +257,14 @@ def descriptor(
         return StructureDescriptor(n_qubits=n, dim_w=1, line_class=line)
 
     w1, w2 = W.T
-    merged, generic = _line(w1, w2, n_sub, pol)
+    merged, generic, named = _line(w1, w2, n_sub, pol)
     points = merged if generic else np.concatenate((_generic_point(merged)[None], merged))
-    classes = _point_classes(points[:, :1] * w1 + points[:, 1:] * w2, n_sub, pol, max_qubits)
+    classes = named + [None] * (len(points) - len(named))
+    rows = [i for i, cls in enumerate(classes) if cls is None]  # the points the table leaves
+    if rows:
+        vecs = points[rows]
+        read = iter(_point_classes(vecs[:, :1] * w1 + vecs[:, 1:] * w2, n_sub, pol, max_qubits))
+        classes = [cls or next(read) for cls in classes]
     generic = generic or classes.pop(0)  # N >= 5 reads its generic class at the probe point
     exceptional = sorted(
         (cls, *[round(x, 9) for z in point for x in (z.real, z.imag)], i)

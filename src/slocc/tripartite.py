@@ -12,8 +12,8 @@ The report explains the decision only when read: the first access to its ``struc
 or ``pencil`` solves the roots from that reading (or takes 0_2's or 0_3's factor SVD).
 
 Pivot 1's rank comes from its one SVD (``numerics._leading_svd``), read as Python scalars
-by :func:`_decide`, which ``descriptor``'s line points share, one SVD per point. Pivots 2
-and 3 read sigma_2 / sigma_1 from their 2x2 minors, taken in pivot 1's singular basis.
+by :func:`_decide`, which the line points ``descriptor``'s minor table leaves share, one SVD
+per point. Pivots 2 and 3 read sigma_2 / sigma_1 from their 2x2 minors in pivot 1's basis.
 
 The reduction builds one invertible operator per qubit in Python scalars, from the report
 and pivot 1's SVD, and reads no ``structure``: GHZ and W read the report's ``pencil``. A
@@ -216,9 +216,9 @@ def _decide(sigma: list, span: list, pol: TolerancePolicy) -> tuple:
 
 
 def _classify3_rows(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[TripartiteClass]:
-    """Classes of the 3-qubit unit vectors in the rows of ``amps`` (B, 8), ``descriptor``'s
-    line points: :func:`_decide` on each row's pivot-1 SVD, which reads a GHZ/W pencil's
-    kind, never its roots. The first failing row raises."""
+    """Classes of the 3-qubit unit vectors in the rows of ``amps`` (B, 8), the line points
+    ``descriptor``'s minor table leaves: :func:`_decide` on each row's pivot-1 SVD, which
+    reads a GHZ/W pencil's kind, never its roots. The first failing row raises."""
     pivots = map(_leading_svd, amps[:, _PIVOT_INDEX[0]])
     return [_decide(s.tolist(), W.T.tolist(), pol)[0] for _, s, W, _ in pivots]
 

@@ -358,7 +358,7 @@ def reference_descriptor(
 
     w1 = res.W[:, 0]
     w2 = res.W[:, 1]
-    merged = multiqubit._line_candidates(w1, w2, n_sub, pol)
+    merged = multiqubit._line(w1, w2, n_sub, pol)[0]
     generic, *classes = (
         _point_class(point[0] * w1 + point[1] * w2, n_sub, pol, max_qubits)
         for point in (multiqubit._generic_point(merged), *merged)

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 import slocc.multiqubit
 import slocc.numerics
 import slocc.states
+import slocc.tripartite
 from _kit import (
     RandomSource,
     cayley_hyperdeterminant,
@@ -157,7 +159,7 @@ class TestDescriptor:
 class TestGenericProbe:
     @pytest.mark.parametrize("state", [GHZ4, CLUSTER], ids=["GHZ4", "cluster"])
     def test_generic_class_read_once(self, state, monkeypatch):
-        # the two exceptional candidates in one batched call; the line gives the generic class
+        # the line's minor table names the generic class and both exceptional rank drops
         calls = []
 
         def counting(points, *args, **kwargs):
@@ -166,15 +168,17 @@ class TestGenericProbe:
 
         monkeypatch.setattr(slocc.multiqubit, "_classify3_rows", counting)
         descriptor(state)
-        assert len(calls) == 1 and len(calls[0]) == 2
+        assert calls == []
 
     def test_probe_error_propagates(self, monkeypatch):
         def failing(points, *args, **kwargs):
             raise SingularMatrix("probe")
 
+        # a random line's tangle roots lie far from any rank drop: they take a row decision
+        state = make_state((2,) * 4, random_complex(RandomSource(790).generator(), 16))
         monkeypatch.setattr(slocc.multiqubit, "_classify3_rows", failing)
         with pytest.raises(SingularMatrix):
-            descriptor(GHZ4)
+            descriptor(state)
 
     def test_farthest_probe_matches_chordal_reference(self):
         from _kit import _chordal_distance
@@ -1071,3 +1075,139 @@ class TestLooseToleranceRankDrops:
         state = four_qubit_orbit(CENSUS["000 + W"], RandomSource(5016))
         expected = descriptor(state).signature()
         assert descriptor(state, TolerancePolicy(1e-3, 1e-2)).signature() == expected
+
+
+def _kept_drops(state, pol):
+    """``descriptor``'s line of a 4-qubit state (w1, w2), its minor table and its kept rank
+    drops, the merge's prefix; None where the line is one-dimensional."""
+    from slocc.multiqubit import _merge, _minor_table, _rank_drop_candidates
+    from slocc.numerics import _leading_svd, numerical_rank
+
+    _, sigma, W, _ = _leading_svd(state.amps[pivot_index(state.dims, 1)])
+    if numerical_rank(sigma, pol) == 1:
+        return None
+    w1, w2 = W.T
+    table = _minor_table(w1, w2, 3)
+    drops = _rank_drop_candidates(table, np.linalg.norm(w1) + np.linalg.norm(w2), pol)
+    return w1, w2, table, _merge(drops)
+
+
+def _noisy(state, size, g):
+    kick = random_complex(g, state.amps.size)
+    amps = state.amps + size * np.linalg.norm(state.amps) / np.linalg.norm(kick) * kick
+    return make_state(state.dims, amps)
+
+
+class TestDropClassesFromTheTable:
+    """At N = 4 the class of each kept rank drop is read on the line's minor table: pivot k's
+    sigma_2 / sigma_1 is 2 sqrt(M) / (1 + sqrt(1 - 4M)), M the sum of its squared minors at the
+    unit point. Only drops of table ranks (2, 2, 2) and far tangle roots take a row decision."""
+
+    @staticmethod
+    def lines():
+        states = _census_image_set()
+        for k, rep in enumerate(quad_representatives().values()):
+            states += [four_qubit_orbit(rep, RandomSource(820 + 12 * k + j)) for j in range(12)]
+        g = RandomSource(821).generator()
+        return states + [_noisy(s, size, g) for size in (1e-8, 1e-6, 1e-4) for s in states]
+
+    def test_table_class_is_the_row_decision(self):
+        from slocc.multiqubit import _table_classes
+
+        read = collections.Counter()
+        for state in self.lines():
+            for pol in SEVEN_POLICIES:
+                line = _kept_drops(state, pol)
+                if line is None:
+                    continue
+                w1, w2, table, kept = line
+                for point in kept:
+                    got = outcome(lambda: _table_classes(table, [point.tolist()], pol.rank_rel_tol))
+                    row = point[None, :1] * w1 + point[None, 1:] * w2  # as descriptor forms it
+                    want = outcome(lambda: [_classify3_rows(row, pol)[0].value])
+                    if got == [None]:  # ranks (2, 2, 2): GHZ and W are the row decision's
+                        assert want in (["GHZ"], ["W"])
+                        read["(2, 2, 2)"] += 1
+                    else:
+                        assert got == want
+                        read[got[0] if isinstance(got, list) else got[0].__name__] += 1
+        assert read["(2, 2, 2)"] >= 1 and read["InconsistentRanks"] >= 1
+        assert all(read[tag.value] >= 50 for tag in list(TripartiteClass)[:4])
+
+    def test_epr_type_points_read_without_a_domain_error(self):
+        # at the 0_1 Psi+_23 point of these lines pivots 2 and 3 read sigma_1 = sigma_2, so M
+        # is 1/4 and 1 - 4M may round below 0; on the noisy lines of every Psi+ generator
+        # (RandomSource(824)) some readings round M to 0.2500000000000003
+        from slocc.multiqubit import _table_classes
+
+        states = [
+            s
+            for i, (name, rep) in enumerate(CENSUS.items())
+            if name.startswith("0_1 Psi+_23 + ")
+            for s in [rep, *(four_qubit_orbit(rep, RandomSource(5000 + 3 * i + j)) for j in range(3))]
+        ]
+        assert len(states) == 20
+        g = RandomSource(824).generator()
+        states += [_noisy(rep, 1e-8, g) for name, rep in CENSUS.items() if "Psi+" in name]
+        epr = 0
+        for state in states:
+            for pol in SEVEN_POLICIES:
+                w1, w2, table, kept = _kept_drops(state, pol)
+                assert len(_table_classes(table, kept.tolist(), pol.rank_rel_tol)) == len(kept)
+                a, b, c = table
+                for u, v in kept.tolist():
+                    m = (np.abs(a * u * u + b * u * v + c * v * v) ** 2).sum(axis=1)
+                    epr += bool(np.any(np.abs(m - 0.25) <= 1e-15))
+                assert descriptor(state, pol).signature() == reference_descriptor(state, pol).signature()
+        assert epr >= 5 * 7
+
+    def test_m_rounded_above_a_quarter_reads_rank_2(self):
+        from slocc.multiqubit import _table_classes
+
+        x = 0.5000000000000001
+        assert 1.0 - 4.0 * x * x < 0.0
+        table = [np.zeros((3, 6), dtype=complex) for _ in range(3)]
+        for pivot in (1, 2):
+            table[0][pivot, 0] = x  # at the point (1, 0) only the alpha^2 coefficients count
+        assert _table_classes(table, [(1 + 0j, 0j)], 1e-9) == ["0_1 Psi+_23"]
+
+    @pytest.mark.parametrize("name", ["GHZ4", "Phi4"])
+    def test_images_decide_no_row_and_no_point_svd(self, name, monkeypatch):
+        rows, shapes = [], []
+        classify3_rows, leading_svd = _classify3_rows, slocc.numerics._leading_svd
+
+        def counting(points, *args, **kwargs):
+            rows.append(len(points))
+            return classify3_rows(points, *args, **kwargs)
+
+        def recording(matrix):
+            shapes.append(matrix.shape)
+            return leading_svd(matrix)
+
+        monkeypatch.setattr(slocc.multiqubit, "_classify3_rows", counting)
+        monkeypatch.setattr(slocc.multiqubit, "_leading_svd", recording)
+        monkeypatch.setattr(slocc.tripartite, "_leading_svd", recording)
+        for trial in range(6):
+            state = four_qubit_orbit(quad_representatives()[name], RandomSource(650 + trial))
+            rows.clear()
+            shapes.clear()
+            assert descriptor(state).exceptional_classes  # rank drops, each named by the table
+            assert rows == [] and shapes == [(2, 8)]
+
+    @pytest.mark.parametrize("seed", range(830, 835))
+    def test_random_state_takes_one_row_per_far_tangle_root(self, seed, monkeypatch):
+        from slocc.multiqubit import _merge, _tangle_candidates
+
+        state = make_state((2,) * 4, random_complex(RandomSource(seed).generator(), 16))
+        w1, w2, table, kept = _kept_drops(state, TolerancePolicy())
+        assert kept.size == 0
+        far = _merge(_tangle_candidates(table, np.linalg.norm(w1) + np.linalg.norm(w2)))
+        rows = []
+
+        def counting(points, *args, **kwargs):
+            rows.append(len(points))
+            return _classify3_rows(points, *args, **kwargs)
+
+        monkeypatch.setattr(slocc.multiqubit, "_classify3_rows", counting)
+        d = descriptor(state)
+        assert rows == [len(far)] and d.exceptional_classes == ("W",) * len(far)
