@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _eigenvalues, _exponent, _leading_svd
 from .numerics import numerical_rank, singular_values
-from .states import PureState, make_state, minor_index, pivot_index
+from .states import PureState, _checked_state, make_state, minor_index, pivot_index
 from .subspaces import _scaled, minor_pencil, projective_quadratic_roots
 from .tripartite import TripartiteClass, _classify3_rows, _rank_class
 
@@ -303,17 +303,16 @@ def _factor_index(n: int) -> np.ndarray:
 def factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
     """Detect a single-qubit tensor factor at a non-pivot position.
 
-    Qubit p >= 2 factors out exactly when its pivot matrix C (the entries of
-    ``coefficient_matrix(state, p)``) has numerical rank 1, read as
-    ``sigma_2 <= rank_rel_tol * sigma_1`` from one ``singular_values`` call over
-    pivots 2..N, gathered through one cached index. The factor is C's first left
-    singular vector, so only a rank-1 pivot takes a full SVD. The rebuild test
-    compares factor (x) reduced with C in C's own layout, both scaled by the
-    exact power of two of the state's largest part. Returns ``(p, factor,
-    reduced_state)`` for the first such p whose factor rebuilds the state within
-    ``residual_tol``, else ``None``; if sigma_1 leaves the float range, factor (x) reduced_state
-    rebuilds the state times 2^-e, e the exponent of its largest part (the same ray).
-    A pivot-qubit factor shows up as dim_w = 1 in :func:`descriptor` instead.
+    Qubit p >= 2 factors out exactly when its pivot matrix C, ``coefficient_matrix(state, p)``'s
+    entries, has numerical rank 1, read as ``sigma_2 <= rank_rel_tol * sigma_1`` from one
+    ``singular_values`` call over pivots 2..N, gathered through one cached index. The factor is C's
+    first left singular vector, so only a rank-1 pivot takes a full SVD; reduced is factor^H C, the
+    one ``np.dot`` that ``np.tensordot`` makes (its bytes), frozen uncopied. The rebuild test
+    compares factor (x) reduced with C in C's own layout, both scaled by the exact power of two of
+    the state's largest part. Returns ``(p, factor, reduced_state)`` for the first such p whose
+    factor rebuilds the state within ``residual_tol``, else ``None``; if sigma_1 leaves the float
+    range, factor (x) reduced_state rebuilds the state times 2^-e, e the exponent of its largest
+    part (the same ray). A pivot-qubit factor shows up as dim_w = 1 in :func:`descriptor` instead.
     """
     _require_qubits(state, 3)
     n = state.n_subsystems
@@ -326,13 +325,14 @@ def factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
             return factor_support(make_state(state.dims, _scaled(state.amps)), pol)
         c = pivots[p - 2]
         factor = _leading_svd(c)[0][:, 0]
-        # tensordot, not a product with c: its strided operand sets reduced's last bits
-        reduced = np.tensordot(factor.conj(), state.tensor(), axes=(0, p - 1)).reshape(-1)
+        # tensordot's one np.dot (its (1, 2) row and a 1-D factor^H take the same gemv) on C, its
+        # C-order copy for p < N; at p = N its strided view of the amplitudes sets the last bits
+        reduced = np.dot(factor.conj(), c if p < n else state.amps.reshape(-1, 2).T)
         f = f or math.ldexp(1.0, -_exponent(state.amps.tolist()))  # exact: no norm under- or overflows
         residual = np.linalg.norm((factor[:, None] * reduced - c) * f)
         if residual > pol.residual_tol * np.linalg.norm(c * f):
             continue
-        return p, factor, make_state((2,) * (n - 1), reduced)
+        return p, factor, _checked_state((2,) * (n - 1), reduced)
     return None
 
 

@@ -1211,3 +1211,37 @@ class TestDropClassesFromTheTable:
         monkeypatch.setattr(slocc.multiqubit, "_classify3_rows", counting)
         d = descriptor(state)
         assert rows == [len(far)] and d.exceptional_classes == ("W",) * len(far)
+
+
+class TestReducedFromOneProduct:
+    """factor_support's reduced state is the one product np.tensordot makes, frozen as a new
+    array: position, factor and reduced bytes equal the np.tensordot + make_state reference
+    (``reference_factor_support``) at every factor position, including p = N, whose operand is a
+    strided view of the amplitudes, and at scales that take the overflow re-read."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_every_position_and_scale(self, n):
+        from slocc.numerics import singular_values
+        from slocc.subspaces import _scaled
+
+        src = RandomSource(850 + n)
+        g = src.generator()
+        for p in range(2, n + 1):
+            rest = random_complex(g, 2 ** (n - 1)).reshape((2,) * (n - 1))
+            tensor = np.moveaxis(np.multiply.outer(rest, random_complex(g, 2)), n - 1, p - 1)
+            ops = [random_ilo(2, src.split(10 * p + k)) for k in range(n)]
+            state = apply_local_operators(make_state((2,) * n, tensor.ravel()), ops)
+            top = np.abs(state.amps.view(float)).max()
+            for scale in (1.0, 1e-300, 1e300, 1.5e308 / top):
+                scaled = read = make_state(state.dims, state.amps * scale)
+                if scale > 1e300:  # sigma_1 overflows: the call reads the ray times 2^-e
+                    assert not math.isfinite(singular_values(coefficient_matrix(scaled, p).entries)[0])
+                    read = make_state(state.dims, _scaled(scaled.amps))
+                for pol in POLICIES.values():
+                    support = factor_support(scaled, pol)
+                    assert support is not None and support[0] == p
+                    assert support_fields(support) == support_fields(reference_factor_support(read, pol))
+                    reduced = support[2].amps
+                    assert not reduced.flags.writeable
+                    assert not np.shares_memory(reduced, scaled.amps)
+                    assert not np.shares_memory(reduced, read.amps)
