@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _eigenvalues, _exponent, _leading_svd
-from .numerics import numerical_rank, singular_values
+from .numerics import _entries, numerical_rank, singular_values
 from .states import PureState, _checked_state, make_state, minor_index, pivot_index
 from .subspaces import _scaled, minor_pencil, projective_quadratic_roots
 from .tripartite import TripartiteClass, _classify3_rows, _rank_class
@@ -106,9 +106,10 @@ def _require_qubits(state: PureState, minimum: int):
 
 def hyperdeterminant(amps) -> complex:
     """Cayley hyperdeterminant of a 2x2x2 amplitude tensor (vanishes off GHZ): b^2 - 4ac of
-    the pencil of the qubit-1 slices, (m03 - m12)^2 - 4 m01 m23 over the pivot-2 minors."""
-    t = np.asarray(amps, dtype=complex).reshape(2, 2, 2).tolist()
-    a, b, c = minor_pencil(t[0], t[1])
+    the pencil of the qubit-1 slices, (m03 - m12)^2 - 4 m01 m23 over the pivot-2 minors. Eight
+    finite amplitudes only (:func:`numerics._entries`)."""
+    t = _entries(amps, 8)
+    a, b, c = minor_pencil((t[0:2], t[2:4]), (t[4:6], t[6:8]))
     return complex(b * b - 4.0 * a * c)
 
 

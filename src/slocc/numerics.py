@@ -9,6 +9,7 @@ is one kernel, :func:`_leading_svd`; the public :func:`svd` is built on it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -17,7 +18,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigvals as _lapack_eigvals  # numpy >= 2.0, as are svd, svd_f
 from numpy.linalg._umath_linalg import svd as _lapack_sigma, svd_f as _lapack_svd
 
-from .errors import EmptySpectrum, NonFinite, SingularMatrix
+from .errors import DimensionMismatch, EmptySpectrum, NonFinite, SingularMatrix
 
 
 @dataclass(frozen=True)
@@ -152,12 +153,12 @@ def numerical_rank(sigma, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
     """Count singular values above ``rank_rel_tol`` times the first (the largest).
 
     Raises :class:`EmptySpectrum` unless the first value is positive, and
-    :class:`NonFinite` unless it is finite: for a finite matrix whose sigma_1
+    :class:`NonFinite` unless all are finite: for a finite matrix whose sigma_1
     nears or leaves the float range's end, LAPACK returns inf or NaN without error."""
     s = np.asarray(sigma, dtype=float).tolist()  # Python floats: numpy's results, half its cost
     if not s or s[0] <= 0.0:
         raise EmptySpectrum("rank needs at least one positive singular value")
-    if not math.isfinite(s[0]):
+    if not all(map(math.isfinite, s)):
         raise NonFinite("singular values leave the float range")
     return sum(x > pol.rank_rel_tol * s[0] for x in s)
 
@@ -207,6 +208,17 @@ def _top_direction(rows) -> list:
     return [z / phase for z in v]
 
 
+def _entries(values, size: int) -> list:
+    """The ``size`` entries of an array-like, flat, as Python complex scalars: raises
+    :class:`DimensionMismatch` for another count, :class:`NonFinite` for an inf or NaN part."""
+    flat = np.asarray(values, dtype=complex).reshape(-1).tolist()
+    if len(flat) != size:
+        raise DimensionMismatch(f"expected a {size}-vector, got length {len(flat)}")
+    if not all(map(cmath.isfinite, flat)):
+        raise NonFinite("vector contains non-finite entries")
+    return flat
+
+
 def _exponent(parts) -> int:
     """Binary exponent e with every real and imaginary part below 2**e in size, at
     least -1023 so that 2**-e is finite: scaling by 2**-e is exact in every part
@@ -216,28 +228,22 @@ def _exponent(parts) -> int:
 
 
 def inv2(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Adjugate-over-determinant inverse of a 2x2 matrix, :func:`_inv2` of its entries read as
-    Python complex scalars. Raises :class:`SingularMatrix` when |det| is at most
-    ``rank_rel_tol`` times the squared Frobenius norm, a test independent of the matrix scale,
-    or when the inverse could leave the float range. The test and the adjugate run on the
-    matrix scaled by the power of two that puts its largest real or imaginary part in
-    [0.5, 1): the scaling is exact, so neither |det| nor the norm under- or overflows."""
-    return np.array(_inv2(np.asarray(matrix, dtype=complex).tolist(), pol))
-
-
-def _inv2(rows, pol: TolerancePolicy) -> list[list]:
-    """:func:`inv2` of the nested lists ((p, q), (r, s)) of Python scalars, as nested lists."""
-    (p, q), (r, s) = rows
+    """Adjugate-over-determinant inverse of a 2x2 matrix, in Python complex scalars. Raises
+    :class:`SingularMatrix` unless |det| exceeds ``rank_rel_tol`` times the squared Frobenius
+    norm, a scale-independent test that a NaN or inf entry fails, or when the inverse could
+    leave the float range. Both run on the matrix times the exact power of two that puts its
+    largest real or imaginary part in [0.5, 1): neither |det| nor the norm under- or overflows."""
+    (p, q), (r, s) = np.asarray(matrix, dtype=complex).tolist()
     e = _exponent((p, q, r, s))
     f = math.ldexp(1.0, -e)
     p, q, r, s = p * f, q * f, r * f, s * f
     det = p * s - q * r
     scale = abs(p) ** 2 + abs(q) ** 2 + abs(r) ** 2 + abs(s) ** 2
-    if abs(det) <= pol.rank_rel_tol * scale:
+    if not abs(det) > pol.rank_rel_tol * scale:  # a NaN or inf det or scale fails
         with np.errstate(over="ignore"):  # report the unscaled values
             det_abs, scale = np.ldexp([abs(det), scale], 2 * e)
         raise SingularMatrix(f"|det| = {det_abs:.3e} at matrix scale {scale:.3e}")
     if math.frexp(abs(det))[1] + e < -1022:  # |inverse| < 2^(0.5-e)/|det| may pass 2^1024
         raise SingularMatrix(f"inverse outside the float range, entries below 2^{e}")
     g = f / det  # the inverse of the unscaled matrix is adj(m * 2**-e) * 2**-e / det
-    return [[s * g, -q * g], [-r * g, p * g]]
+    return np.array([[s * g, -q * g], [-r * g, p * g]])

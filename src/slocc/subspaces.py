@@ -13,6 +13,7 @@ direction, which is what makes the structure analysis exhaustive.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -20,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DependentGenerators, DimensionMismatch, NonFinite, ToleranceBreakdown, ZeroVector
-from .numerics import (
-    DEFAULT_POLICY, TolerancePolicy, _exponent, _pivot_ratios, numerical_rank, singular_values
-)
+from .numerics import DEFAULT_POLICY, TolerancePolicy, _entries, _exponent, _pivot_ratios
+from .numerics import numerical_rank, singular_values
 
 _EPS = 1e-13
 
@@ -145,7 +145,9 @@ def projective_quadratic_roots(a, b, c, deg_tol: float):
     """Roots of ``a*x^2 + b*x*y + c*y^2`` on the projective line, ``(RootKind, roots)``:
     :func:`_solve` of the :func:`_root_kind` reading. The double root comes from the stable
     vertex formula, so its position is first-order accurate even though the two split roots
-    would each carry sqrt-of-noise error."""
+    would each carry sqrt-of-noise error. An inf or NaN part raises :class:`NonFinite`."""
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
+        raise NonFinite("quadratic coefficients contain non-finite values")
     return _solve(_root_kind(a, b, c, deg_tol))
 
 
@@ -176,8 +178,12 @@ def minor_pencil(A, B):
 
 
 def pencil_quadratic(W1, W2) -> tuple[complex, complex, complex]:
-    """Coefficients (a, b, c) of ``det(alpha*W1 + beta*W2)``: one :func:`minor_pencil`."""
-    return minor_pencil(*(np.asarray(W, dtype=complex).tolist() for W in (W1, W2)))
+    """Coefficients (a, b, c) of ``det(alpha*W1 + beta*W2)``: one :func:`minor_pencil` of two
+    finite 2x2 matrices (:class:`DimensionMismatch`, :class:`NonFinite` otherwise)."""
+    if np.shape(W1) != (2, 2) or np.shape(W2) != (2, 2):
+        raise DimensionMismatch(f"expected 2x2 slices, got {np.shape(W1)} and {np.shape(W2)}")
+    (p1, q1, r1, s1), (p2, q2, r2, s2) = _entries(W1, 4), _entries(W2, 4)
+    return minor_pencil(((p1, q1), (r1, s1)), ((p2, q2), (r2, s2)))
 
 
 def _span_pencil(v1, v2, deg_tol: float):
@@ -189,25 +195,24 @@ def _span_pencil(v1, v2, deg_tol: float):
 def product_roots(W1, W2, pol: TolerancePolicy = DEFAULT_POLICY) -> RootReport:
     """Classify the product directions of span{w1, w2} from the slice pencil.
 
-    The public entry: it refuses dependent generators and coefficients beyond the float
-    range (:class:`NonFinite`, after numpy's overflow warning), checks on outside input that
-    the package's own spans, read once by :func:`_span_pencil`, skip. The pencil is read on
-    its own scale: the roots and the discriminant test scale with its coefficients, and it
-    counts as vanishing only when all three are exactly zero. A common-factor span is named
-    from ranks (:func:`classify_span`), not from its pencil.
+    The public entry: it refuses slices other than finite 2x2 matrices first
+    (:func:`pencil_quadratic`), then dependent generators and coefficients beyond the float
+    range (:class:`NonFinite`), checks on outside input that the package's own spans, read
+    once by :func:`_span_pencil`, skip. The pencil is read on its own scale: the roots and the
+    discriminant test scale with its coefficients, and it counts as vanishing only when all
+    three are exactly zero. A common-factor span is named from ranks (:func:`classify_span`),
+    not from its pencil.
     """
-    W1 = np.asarray(W1, dtype=complex)
-    W2 = np.asarray(W2, dtype=complex)
-    _check_independent(unslice(W1), unslice(W2), pol)
     a, b, c = pencil_quadratic(W1, W2)
+    _check_independent(unslice(W1), unslice(W2), pol)
     if not math.isfinite(abs(a) + abs(b) + abs(c)):
         raise NonFinite("slice pencil coefficients leave the float range")
     return RootReport(*projective_quadratic_roots(a, b, c, pol.deg_tol), coeffs=(a, b, c))
 
 
 def product_factors(w) -> tuple[np.ndarray, np.ndarray]:
-    """Split a (near-)product 4-vector as a (x) b with a of unit norm (:func:`_factors`)."""
-    a, b = _factors(np.asarray(w, dtype=complex).reshape(-1).tolist())
+    """Split a finite (near-)product 4-vector as a (x) b, a of unit norm (:func:`_factors`)."""
+    a, b = _factors(_entries(w, 4))
     return np.array(a), np.array(b)
 
 
@@ -226,16 +231,12 @@ def _factors(w) -> tuple[list, list]:
 
 def classify_line(w, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStructure:
     """Name a one-dimensional subspace: product line or entangled line."""
-    v = np.asarray(w, dtype=complex).reshape(-1)
-    if v.size != 4:
-        raise DimensionMismatch(f"expected a 4-vector, got length {v.size}")
-    if not np.isfinite(v).all():
-        raise NonFinite("vector contains non-finite entries")
+    v = np.array(_entries(w, 4))
     if np.abs(v).max() == 0.0:
         raise ZeroVector("the zero vector spans no line")
     rank = numerical_rank(singular_values(slice_matrix(v)), pol)
     if rank == 1:
-        return SubspaceStructure(tag=StructureTag.PRODUCT_LINE, witnesses=(v.copy(),))
+        return SubspaceStructure(tag=StructureTag.PRODUCT_LINE, witnesses=(v,))  # v: a new array
     return SubspaceStructure(tag=StructureTag.ENTANGLED_LINE)
 
 
@@ -251,10 +252,7 @@ def classify_span(w1, w2, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStru
     its unit generators (:func:`span_structure`), so a generator's size does not
     change the reading. The generators pass one Gram test, the one on ``w1``, ``w2``.
     """
-    v1 = np.asarray(w1, dtype=complex).reshape(-1)
-    v2 = np.asarray(w2, dtype=complex).reshape(-1)
-    if not (np.isfinite(v1).all() and np.isfinite(v2).all()):
-        raise NonFinite("generators contain non-finite entries")
+    v1, v2 = (np.array(_entries(w, 4)) for w in (w1, w2))  # finite 4-vectors only
     _check_independent(v1, v2, pol)  # zero generators are refused before the division
     u1, u2 = (v / np.linalg.norm(v) for v in map(_scaled, (v1, v2)))
     l1, l2 = u1.tolist(), u2.tolist()
@@ -322,8 +320,9 @@ def one_product_span_basis(w1, w2, witness) -> AdaptedSpanBasis:
     the product basis {a, a_perp} (x) {b, b_perp}, H its 2x2 matrix. The witness is
     coordinate (0, 0); of the generator farther from it, coordinate (1, 1) must vanish
     (``leak``) and the cross ones fold into the complements, so the entangled generator
-    reads a (x) b' + a' (x) b. :func:`_span_basis` reads the fields in Python scalars."""
-    flat = (np.asarray(v, dtype=complex).reshape(-1).tolist() for v in (w1, w2, witness))
+    reads a (x) b' + a' (x) b. :func:`_span_basis` reads the fields in Python scalars, from
+    three finite 4-vectors (:class:`DimensionMismatch`, :class:`NonFinite` otherwise)."""
+    flat = (_entries(v, 4) for v in (w1, w2, witness))
     *fields, leak = _span_basis(*flat)
     return AdaptedSpanBasis(*map(np.array, fields), leak=leak)
 

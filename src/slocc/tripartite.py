@@ -89,23 +89,12 @@ class SpectrumInfo:
     eigenvalues: tuple[complex, complex]
 
 
-class _cached(functools.cached_property):
-    """:class:`functools.cached_property` without its lock or a ``__dict__`` built for it: the
-    first read stores the value as an instance attribute, where later reads find it."""
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.func(obj)
-        object.__setattr__(obj, self.attrname, value)  # past a frozen dataclass's guard
-        return value
-
-
 class _Explanation:
-    """A report's explanation, each part a cached read from its ``_source``: (amplitudes,
-    pivot 1's right singular vectors, the :func:`_span_pencil` reading or None, policy)."""
+    """A report's explanation, each part a cached read from its ``_source``: (amplitudes, pivot
+    1's right singular vectors, the :func:`_span_pencil` reading or None, policy), stored in the
+    instance ``__dict__``, not through ``__setattr__``, so the frozen report takes it."""
 
-    @_cached
+    @functools.cached_property
     def pencil(self) -> tuple | None:
         _, W, reading, pol = self._source
         if reading is None:
@@ -113,7 +102,7 @@ class _Explanation:
         coeffs, reading = reading
         return RootReport(*_solve(reading), coeffs), W[:, 0], W[:, 1], pol
 
-    @_cached
+    @functools.cached_property
     def structure(self) -> SubspaceStructure:
         # a factored qubit is a rank-1 pivot; the conjugate of its factor lies in span{w1, w2}
         amps, W, _, _ = self._source
@@ -130,7 +119,7 @@ class _Explanation:
         roots, w1, w2, _ = self.pencil
         return span_structure(w1, w2, roots)
 
-    @_cached
+    @functools.cached_property
     def spectrum_used(self) -> SpectrumInfo | None:
         if self.pencil is None:
             return None
@@ -142,9 +131,9 @@ class _Explanation:
 class ClassificationReport(_Explanation):
     """Class of a 3-qubit state and the readings that decided it. ``structure`` and ``pencil``
     ((roots, w1, w2, policy) where the slice pencil decided GHZ or W, else None) take no
-    argument and no class default: a read reaches :class:`_Explanation`, which computes them.
-    Where the ray's sigma_1 leaves the float range, ``sigma`` is its sigma times 2^-e, the
-    power of two of the largest amplitude part."""
+    argument and no class default: a read reaches :class:`_Explanation`, which computes them;
+    their fields keep ``structure`` in ``==``, hash and repr. Where the ray's sigma_1 leaves the
+    float range, ``sigma`` is its sigma times 2^-e, the power of two of the largest part."""
 
     tag: TripartiteClass
     ranks: tuple[int, int, int]
