@@ -106,11 +106,16 @@ def _require_qubits(state: PureState, minimum: int):
 
 def hyperdeterminant(amps) -> complex:
     """Cayley hyperdeterminant of a 2x2x2 amplitude tensor (vanishes off GHZ): b^2 - 4ac of
-    the pencil of the qubit-1 slices, (m03 - m12)^2 - 4 m01 m23 over the pivot-2 minors. Eight
-    finite amplitudes only (:func:`numerics._entries`)."""
+    the pencil of the qubit-1 slices, (m03 - m12)^2 - 4 m01 m23 over the pivot-2 minors, on the
+    eight finite amplitudes (:func:`numerics._entries`) times 2^-e, as :func:`numerics.inv2`
+    reads, scaled back by 2^(4e): inf only where the value leaves the float range."""
     t = _entries(amps, 8)
+    e = _exponent(t)
+    f, g = math.ldexp(1.0, -e), 2.0 ** (e - 1)  # 2^(4e) = 16 g^4, each factor a finite float
+    t = [z * f for z in t]
     a, b, c = minor_pencil((t[0:2], t[2:4]), (t[4:6], t[6:8]))
-    return complex(b * b - 4.0 * a * c)
+    h = b * b - 4.0 * a * c  # real and imaginary parts scaled apart: inf * 0 never forms
+    return complex(h.real * 16.0 * g * g * g * g, h.imag * 16.0 * g * g * g * g)
 
 
 def _point_classes(vecs, n_sub: int, pol: TolerancePolicy, max_qubits: int) -> list[str]:

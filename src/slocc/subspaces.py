@@ -111,7 +111,10 @@ def _root_kind(a, b, c, deg_tol: float):
     the coefficients scaled by the power of two that puts the largest modulus s in [0.5, 1):
     exact, so b^2 neither under- nor overflows. ``pole``: |a| <= _EPS s put a root at (1, 0)."""
     a, b, c = complex(a), complex(b), complex(c)
-    s = max(abs(a), abs(b), abs(c))
+    try:
+        s = max(abs(a), abs(b), abs(c))
+    except OverflowError:  # finite parts, a modulus past 2^1024: read the exact halves once
+        return _root_kind(a * 0.5, b * 0.5, c * 0.5, deg_tol)
     if s == 0.0:
         return RootKind.INFINITELY_MANY, False, (a, b, c, 0j, s)
     f = math.ldexp(1.0, -max(math.frexp(s)[1], -1022))
@@ -147,7 +150,7 @@ def projective_quadratic_roots(a, b, c, deg_tol: float):
     vertex formula, so its position is first-order accurate even though the two split roots
     would each carry sqrt-of-noise error. An inf or NaN part raises :class:`NonFinite`."""
     if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
-        raise NonFinite("quadratic coefficients contain non-finite values")
+        raise NonFinite("quadratic coefficients leave the float range (an inf or NaN part)")
     return _solve(_root_kind(a, b, c, deg_tol))
 
 
@@ -196,17 +199,15 @@ def product_roots(W1, W2, pol: TolerancePolicy = DEFAULT_POLICY) -> RootReport:
     """Classify the product directions of span{w1, w2} from the slice pencil.
 
     The public entry: it refuses slices other than finite 2x2 matrices first
-    (:func:`pencil_quadratic`), then dependent generators and coefficients beyond the float
-    range (:class:`NonFinite`), checks on outside input that the package's own spans, read
-    once by :func:`_span_pencil`, skip. The pencil is read on its own scale: the roots and the
-    discriminant test scale with its coefficients, and it counts as vanishing only when all
-    three are exactly zero. A common-factor span is named from ranks (:func:`classify_span`),
-    not from its pencil.
+    (:func:`pencil_quadratic`), then dependent generators, and :func:`projective_quadratic_roots`
+    refuses coefficients beyond the float range (:class:`NonFinite`): checks on outside input
+    that the package's own spans, read once by :func:`_span_pencil`, skip. The pencil is read
+    on its own scale: the roots and the discriminant test scale with its coefficients, and it
+    counts as vanishing only when all three are exactly zero. A common-factor span is named
+    from ranks (:func:`classify_span`), not from its pencil.
     """
     a, b, c = pencil_quadratic(W1, W2)
     _check_independent(unslice(W1), unslice(W2), pol)
-    if not math.isfinite(abs(a) + abs(b) + abs(c)):
-        raise NonFinite("slice pencil coefficients leave the float range")
     return RootReport(*projective_quadratic_roots(a, b, c, pol.deg_tol), coeffs=(a, b, c))
 
 

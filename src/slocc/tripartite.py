@@ -52,7 +52,6 @@ from .subspaces import (
     StructureTag,
     SubspaceStructure,
     _factors,
-    _scaled,
     _solve,
     _span_basis,
     _span_pencil,
@@ -132,8 +131,8 @@ class ClassificationReport(_Explanation):
     """Class of a 3-qubit state and the readings that decided it. ``structure`` and ``pencil``
     ((roots, w1, w2, policy) where the slice pencil decided GHZ or W, else None) take no
     argument and no class default: a read reaches :class:`_Explanation`, which computes them;
-    their fields keep ``structure`` in ``==``, hash and repr. Where the ray's sigma_1 leaves the
-    float range, ``sigma`` is its sigma times 2^-e, the power of two of the largest part."""
+    their fields keep ``structure`` in ``==``, hash and repr. Where :func:`_classify3` reads the
+    amplitudes times 2^-e, ``sigma`` and every other reading are that scaled ray's."""
 
     tag: TripartiteClass
     ranks: tuple[int, int, int]
@@ -213,14 +212,17 @@ def _classify3_rows(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[Tripart
 
 
 def _classify3(state: PureState, pol: TolerancePolicy) -> tuple:
-    """:func:`classify3`, also returning pivot 1's SVD (V, sigma, W_k) and the state read: an
-    inf or NaN sigma_1, seen before any rank, reads the amplitudes times 2^-e instead."""
+    """:func:`classify3`, also returning pivot 1's SVD (V, sigma, W_k) and the state read. Where
+    s1 s_r ~ 1 / |det F1| (s_r = s2 at pivot-1 rank 2, else s1) leaves (2^-1010, 2^1010), as an
+    inf or NaN sigma_1 does, the amplitudes times 2^-e (e: their largest part's) are read once."""
     if state.dims != (2, 2, 2):
         raise WrongArity(f"expected dims (2, 2, 2), got {state.dims}")
     V, s, W, _ = _leading_svd(state.amps[_PIVOT_INDEX[0]])
-    sigma = s.tolist()
-    if not math.isfinite(sigma[0]):
-        return _classify3(make_state(state.dims, _scaled(state.amps)), pol)
+    s1, s2 = sigma = s.tolist()
+    if not 2.0**-1010 < s1 * (s2 if s2 > pol.rank_rel_tol * s1 else s1) < 2.0**1010:
+        state = make_state(state.dims, state.amps * 2.0 ** -_exponent(state.amps.tolist()))
+        V, s, W, _ = _leading_svd(state.amps[_PIVOT_INDEX[0]])
+        sigma = s.tolist()
     W.flags.writeable = False  # the report's pencil hands out its columns w1, w2
     tag, ranks, pencil = _decide(sigma, W.T.tolist(), pol)
     near = False
@@ -301,23 +303,15 @@ def reduce_to_canonical(
 
     The construction works on the conjugated right singular vectors u_k = conj(w_k), because
     the state decomposes exactly as sum_k sigma_k v_k (x) u_k. The operators and the residual
-    are read on the state :func:`classify3` read, and where |det F1| ~ 1 / (sigma_1 sigma_r)
-    nears the float range's end, on the amplitudes times the exact power of two 2^-e that
-    brings their largest part near 1: the operators then send the state to 2^e times the
-    canonical vector, up to scale. The residual |out - z c| / |out| of the image out, z its
-    mean on the support of the 0/1 canonical c, is summed term by term (``math.hypot``),
-    never as |out|^2 - |z|^2 |c|^2, which cancels. A singular 2x2 matrix or a residual above
-    ``residual_tol`` raises :class:`ReductionFailed`.
+    are read on the state and SVD :func:`_classify3` decided on (read at 2^-e, the operators
+    send the state to 2^e times the canonical vector, up to scale). The residual |out - z c| /
+    |out| of the image out, z its mean on the support of the 0/1 canonical c, is summed term by
+    term (``math.hypot``), never as |out|^2 - |z|^2 |c|^2, which cancels. A singular 2x2
+    matrix or a residual above ``residual_tol`` raises :class:`ReductionFailed`.
     """
     report, (V, sigma, W), state = _classify3(state, pol)
-    s1, s2 = report.sigma  # |det F1| ~ 1 / (s1 s_r), s_r the last nonzero sigma
-    if not 2.0**-1010 < s1 * (s2 if report.ranks[0] == 2 else s1) < 2.0**1010:
-        f = 2.0 ** -_exponent(state.amps.tolist())
-        sigma = sigma * f
-        state = make_state(state.dims, state.amps * f)  # the operators and residual read it
     try:
-        ops = _reducing_operators(report, V, sigma, W, state.amps, pol)
-        ops = LocalOperatorSet(ops)
+        ops = LocalOperatorSet(_reducing_operators(report, V, sigma, W, state.amps, pol))
     except (SingularMatrix, SingularOperator) as exc:
         raise ReductionFailed(f"reducing operators are numerically singular: {exc}") from exc
 

@@ -87,6 +87,23 @@ class TestHyperdeterminant:
     def test_degenerate_class_zero(self):
         assert hyperdeterminant(canonical_vector(TripartiteClass.C01_PSI23).amps) == pytest.approx(0.0)
 
+    def test_read_at_its_own_scale(self):
+        # the entries are read at 2^-e and the value scaled back by 2^(4e), exactly: finite
+        # input reads inf only where the value leaves the float range
+        ghz = canonical_vector(TripartiteClass.GHZ).amps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hyperdeterminant([1e200] * 8) == 0  # a product tensor
+            for k in (-200, 200):
+                assert hyperdeterminant(ghz * 2.0**k) == 2.0 ** (4 * k) * hyperdeterminant(ghz)
+            g = RandomSource(616).generator()
+            for _ in range(50):
+                v = random_complex(g, 8)
+                for k in (-200, 200):
+                    assert hyperdeterminant(v * 2.0**k) == 2.0 ** (4 * k) * hyperdeterminant(v)
+            assert hyperdeterminant(ghz * 2.0**255) == 2.0**1020
+            assert hyperdeterminant(ghz * 2.0**256) == math.inf
+
     def test_minor_form_and_line_quartic_match_cayley(self):
         from slocc.multiqubit import _minor_table, _tangle_quartic
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from slocc.states import coefficient_matrix, make_state
 from slocc.subspaces import (
     _EPS,
     RootKind,
+    RootReport,
     _root_kind,
     StructureTag,
     classify_line,
@@ -28,6 +30,7 @@ from slocc.subspaces import (
     product_factors,
     product_roots,
     slice_matrix,
+    span_structure,
     unslice,
 )
 from slocc.tripartite import TripartiteClass, classify3
@@ -82,6 +85,13 @@ class TestProductRoots:
     def test_dependent_generators(self):
         with pytest.raises(DependentGenerators):
             product_roots(slice_matrix(E11), slice_matrix(2 * E11))
+
+    def test_vanishing_pencil_without_a_factor_breaks_down(self):
+        # a factor span is named from ranks first, so span_structure never reads a vanishing
+        # pencil as the continuum of products
+        vanishing = RootReport(RootKind.INFINITELY_MANY, (), (0j, 0j, 0j))
+        with pytest.raises(ToleranceBreakdown, match="no factor was read"):
+            span_structure(E11, E22, vanishing)
 
     def test_roots_normalized(self):
         g = RandomSource(32).generator()
@@ -289,6 +299,22 @@ class TestSpanScaleInvariance:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFinite, match="float range"):
                 product_roots(W1, W2)
+
+    def test_finite_moduli_beyond_the_float_range_decided(self):
+        # finite parts whose modulus passes 2^1024 read as the same pencil at a quarter scale
+        a = complex(1.7e308, 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cases = (((a, 1, 1), RootKind.ONE_DOUBLE), ((a, 0, -a), RootKind.TWO_DISTINCT))
+            for coeffs, kind in cases:
+                got = projective_quadratic_roots(*coeffs, 1e-8)
+                assert got == projective_quadratic_roots(*[z / 4 for z in coeffs], 1e-8)
+                assert got[0] is kind
+            x, W2 = math.sqrt(1.5e308), slice_matrix(E12 + E21)
+            W1 = np.diag([x * (1 + 1j), x])  # det(W1) = 1.5e308 (1 + 1j)
+            got, want = product_roots(W1, W2), product_roots(W1 / 2, W2 / 2)
+        assert (got.kind, got.roots) == (want.kind, want.roots)
+        assert got.coeffs[0] == 4 * want.coeffs[0]
 
     @pytest.mark.parametrize("b", [1e-200, 1e160, 1e200])
     def test_discriminant_read_on_the_coefficients_scale(self, b):

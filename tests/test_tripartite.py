@@ -1103,3 +1103,67 @@ class TestOverflowingSigmaReadScaled:
             assert report_fields(*unpack(report)) == report_fields(*unpack(classify3(scaled)))
             assert_close_operators(ilos.ops, reduce_to_canonical(scaled)[1].ops, 0.0)
         assert overflowed >= 4  # the non-finite reading is what is tested
+
+
+class TestVanishingPencilAtFullRank:
+    """Ranks (2, 2, 2) rule out a factor, so a slice pencil that vanishes identically there is
+    a tolerance breakdown, in classify3 and in the line points' decision alike."""
+
+    def test_breaks_down(self, monkeypatch):
+        def vanishing(v1, v2, deg_tol):
+            return (0j, 0j, 0j), slocc.subspaces._root_kind(0j, 0j, 0j, deg_tol)
+
+        monkeypatch.setattr(slocc.tripartite, "_span_pencil", vanishing)
+        state = canonical_vector(TripartiteClass.GHZ)
+        with pytest.raises(ToleranceBreakdown, match="vanishes identically"):
+            classify3(state)
+        with pytest.raises(ToleranceBreakdown, match="vanishes identically"):
+            _classify3_rows(state.amps[None] / state.norm())
+
+
+class TestScaleChosenOnce:
+    """_classify3 alone chooses a 3-qubit state's working scale: where pivot 1's s1 s_r leaves
+    (2^-1010, 2^1010), classify3 and reduce_to_canonical read the amplitudes times 2^-e once,
+    so report and operators are byte for byte those of the unit-scaled ray."""
+
+    @staticmethod
+    def states():
+        for trial in range(24):
+            yield orbit_state(list(TripartiteClass)[trial % 6], RandomSource(7500 + trial))[0].amps
+        g = RandomSource(7530).generator()
+        for _ in range(6):
+            yield random_complex(g, 8)
+
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_far_scales_read_as_the_unit_scaled_ray(self, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for amps in self.states():
+                far = make_state((2, 2, 2), amps * 2.0**k)
+                unit = make_state((2, 2, 2), slocc.subspaces._scaled(far.amps))
+                got, want = classify3(far), classify3(unit)
+                assert report_fields(*unpack(got)) == report_fields(*unpack(want))
+                (_, got), (_, want) = reduce_to_canonical(far), reduce_to_canonical(unit)
+                assert [f.tobytes() for f in got.ops] == [f.tobytes() for f in want.ops]
+                assert got.residual == want.residual
+
+    @pytest.mark.parametrize("k", [-500, 0, 500])
+    def test_inside_the_window_read_as_given(self, k):
+        for amps in self.states():
+            state = make_state((2, 2, 2), amps * 2.0**k)
+            sigma = _leading_svd(state.amps[PIVOT1])[1].tolist()
+            assert classify3(state).sigma == tuple(sigma)
+
+    def test_read_again_at_most_once(self, monkeypatch):
+        # 0.5 |000> + 2.5e-305 |111>, the re-read, still leaves the window: it decides
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix)
+            return _leading_svd(matrix)
+
+        monkeypatch.setattr(slocc.tripartite, "_leading_svd", counting)
+        state = make_state((2, 2, 2), [1, 0, 0, 0, 0, 0, 0, 5e-305])
+        with pytest.raises(InconsistentRanks, match=r"ranks \(2, 1, 1\)"):
+            classify3(state, TolerancePolicy(rank_rel_tol=1e-305))
+        assert len(calls) == 2
