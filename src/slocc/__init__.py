@@ -40,14 +40,7 @@ from .multiqubit import (
     hyperdeterminant,
     same_broad_class,
 )
-from .numerics import (
-    DEFAULT_POLICY,
-    SvdResult,
-    TolerancePolicy,
-    inv2,
-    numerical_rank,
-    svd,
-)
+from .numerics import DEFAULT_POLICY, SvdResult, TolerancePolicy, inv2, numerical_rank, svd
 from .states import (
     CoeffMatrix,
     LocalOperatorSet,

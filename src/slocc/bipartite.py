@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import WrongArity
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _leading_svd, numerical_rank
-from .states import PureState, coefficient_matrix, make_state
-from .subspaces import _scaled
+from .states import PureState, _in_range, coefficient_matrix
 
 
 @dataclass(frozen=True)
@@ -70,11 +69,10 @@ def classify_bipartite(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY) 
 
 
 def _read_bipartite(state: PureState, pol: TolerancePolicy) -> tuple:
-    """The class and the singular values of the state read. A rank does not depend on scale,
-    so a state whose sigma_1 leaves the float range is read on its amplitudes times 2^-e."""
+    """The class and the singular values of the state read at its working scale
+    (``states._in_range``): a rank does not depend on scale, so where sigma_1 could pass 2^1024,
+    the unit ray is read."""
     _require_bipartite(state)
-    sigma = _leading_svd(coefficient_matrix(state, 1).entries)[1]
-    if not np.isfinite(sigma[0]):
-        return _read_bipartite(make_state(state.dims, _scaled(state.amps)), pol)
+    sigma = _leading_svd(coefficient_matrix(_in_range(state), 1).entries)[1]
     return BipartiteClass(schmidt_rank=numerical_rank(sigma, pol)), sigma
 

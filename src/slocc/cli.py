@@ -147,10 +147,7 @@ def format_state_text(state: PureState, label: str | None = None) -> str:
 
 
 def format_state_json(state: PureState, label: str | None = None) -> str:
-    data = {
-        "dims": list(state.dims),
-        "amps": [[amp.real, amp.imag] for amp in state.amps],
-    }
+    data = {"dims": list(state.dims), "amps": [[amp.real, amp.imag] for amp in state.amps]}
     if label:
         data["label"] = label
     return json.dumps(data, sort_keys=True) + "\n"

@@ -42,8 +42,8 @@ import numpy as np
 from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _eigenvalues, _exponent, _leading_svd
 from .numerics import _entries, numerical_rank, singular_values
-from .states import PureState, _checked_state, make_state, minor_index, pivot_index
-from .subspaces import _scaled, minor_pencil, projective_quadratic_roots
+from .states import PureState, _checked_state, _in_range, make_state, minor_index, pivot_index
+from .subspaces import minor_pencil, projective_quadratic_roots
 from .tripartite import TripartiteClass, _classify3_rows, _rank_class
 
 # chordal distances of machine-identical points already read ~sqrt(eps)
@@ -99,9 +99,7 @@ def _require_qubits(state: PureState, minimum: int):
     if any(d != 2 for d in state.dims):
         raise WrongArity(f"qubit subsystems required, got dims {state.dims}")
     if state.n_subsystems < minimum:
-        raise WrongArity(
-            f"need at least {minimum} qubits, got {state.n_subsystems}"
-        )
+        raise WrongArity(f"need at least {minimum} qubits, got {state.n_subsystems}")
 
 
 def hyperdeterminant(amps) -> complex:
@@ -245,17 +243,14 @@ def _generic_point(merged):
 def descriptor(
     state: PureState, pol: TolerancePolicy = DEFAULT_POLICY, max_qubits: int = 4
 ) -> StructureDescriptor:
-    """Right-singular-subspace descriptor of an N >= 4 qubit state (module docstring)."""
+    """Right-singular-subspace descriptor of an N >= 4 qubit state (module docstring), read at
+    its working scale (``states._in_range``: its unit ray where sigma_1 could pass 2^1024)."""
     _require_qubits(state, 4)
     n = state.n_subsystems
     if n > max_qubits:
-        raise UnsupportedDepth(
-            f"{n} qubits exceeds the configured recursion depth {max_qubits}"
-        )
-    n_sub = n - 1
+        raise UnsupportedDepth(f"{n} qubits exceeds the configured recursion depth {max_qubits}")
+    n_sub, state = n - 1, _in_range(state)
     _, sigma, W, _ = _leading_svd(state.amps[pivot_index(state.dims, 1)])
-    if not math.isfinite(sigma[0]):  # sigma_1 overflowed: read the ray times 2^-exponent
-        return descriptor(make_state(state.dims, _scaled(state.amps)), pol, max_qubits)
     dim_w = numerical_rank(sigma, pol)
 
     if dim_w == 1:
@@ -314,27 +309,24 @@ def factor_support(state: PureState, pol: TolerancePolicy = DEFAULT_POLICY):
     ``singular_values`` call over pivots 2..N, gathered through one cached index. The factor is C's
     first left singular vector, so only a rank-1 pivot takes a full SVD; reduced is factor^H C, the
     one ``np.dot`` that ``np.tensordot`` makes (its bytes), frozen uncopied. The rebuild test
-    compares factor (x) reduced with C in C's own layout, both scaled by the exact power of two of
-    the state's largest part. Returns ``(p, factor, reduced_state)`` for the first such p whose
-    factor rebuilds the state within ``residual_tol``, else ``None``; if sigma_1 leaves the float
-    range, factor (x) reduced_state rebuilds the state times 2^-e, e the exponent of its largest
-    part (the same ray). A pivot-qubit factor shows up as dim_w = 1 in :func:`descriptor` instead.
+    compares factor (x) reduced with C in C's own layout, both times 2^-e, e the state's stored
+    ``exponent``. Returns ``(p, factor, reduced_state)`` for the first such p whose factor
+    rebuilds the state within ``residual_tol``, else ``None``; the state is read at its working
+    scale (``states._in_range``), so where sigma_1 could pass 2^1024, factor (x) reduced_state
+    rebuilds its unit ray. A pivot-qubit factor shows up as dim_w = 1 in :func:`descriptor` instead.
     """
     _require_qubits(state, 3)
-    n = state.n_subsystems
+    n, state = state.n_subsystems, _in_range(state)
     pivots = state.amps[_factor_index(n)]
-    f = None
     for p, (s1, s2) in enumerate(singular_values(pivots).tolist(), start=2):
         if s2 > pol.rank_rel_tol * s1:
             continue
-        if not math.isfinite(s1):  # an inf or NaN sigma_1 reads rank 1: read the ray at scale 1
-            return factor_support(make_state(state.dims, _scaled(state.amps)), pol)
         c = pivots[p - 2]
         factor = _leading_svd(c)[0][:, 0]
         # tensordot's one np.dot (its (1, 2) row and a 1-D factor^H take the same gemv) on C, its
         # C-order copy for p < N; at p = N its strided view of the amplitudes sets the last bits
         reduced = np.dot(factor.conj(), c if p < n else state.amps.reshape(-1, 2).T)
-        f = f or math.ldexp(1.0, -_exponent(state.amps.tolist()))  # exact: no norm under- or overflows
+        f = math.ldexp(1.0, -state.exponent)  # exact: no norm under- or overflows
         residual = np.linalg.norm((factor[:, None] * reduced - c) * f)
         if residual > pol.residual_tol * np.linalg.norm(c * f):
             continue
@@ -380,12 +372,7 @@ def example_4partite_canonical(
     norm = np.linalg.norm(v)
     if norm == 0.0 or abs(v[0]) <= pol.deg_tol * norm or abs(v[1]) <= pol.deg_tol * norm:
         raise DegenerateParameter("psi must not be parallel to e1 or e2")
-    amps = np.zeros(16, dtype=complex)
-    amps[2] = v[0]
-    amps[3] = v[1]
-    amps[8] = 1.0
-    amps[15] = 1.0
-    return make_state((2, 2, 2, 2), amps)
+    return make_state((2, 2, 2, 2), [0, 0, *v, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])
 
 
 def ghz_state(n_qubits: int) -> PureState:
@@ -393,16 +380,10 @@ def ghz_state(n_qubits: int) -> PureState:
     if n_qubits < 2:
         raise WrongArity("a GHZ-type state needs at least 2 qubits")
     amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = 1.0
-    amps[-1] = 1.0
+    amps[[0, -1]] = 1.0
     return make_state((2,) * n_qubits, amps)
 
 
 def cluster_state_4() -> PureState:
     """The 4-qubit cluster state |0000> + |0011> + |1100> - |1111>."""
-    amps = np.zeros(16, dtype=complex)
-    amps[0] = 1.0
-    amps[3] = 1.0
-    amps[12] = 1.0
-    amps[15] = -1.0
-    return make_state((2, 2, 2, 2), amps)
+    return make_state((2, 2, 2, 2), [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1])

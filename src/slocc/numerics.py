@@ -53,7 +53,8 @@ class SvdResult:
     V is m x m unitary, W is n x n unitary (columns are the right singular
     vectors), sigma is nonincreasing, and ``matrix`` is a read-only copy of
     the decomposed input Q. ``residual``, the relative Frobenius
-    reconstruction error, is computed from it on first access.
+    reconstruction error, is computed from it on first access; it raises
+    :class:`NonFinite` where sigma_1, the largest value, left the float range.
     """
 
     V: np.ndarray
@@ -63,6 +64,8 @@ class SvdResult:
 
     @cached_property
     def residual(self) -> float:
+        if not math.isfinite(self.sigma[0]):  # as numerical_rank refuses it, with no warning
+            raise NonFinite("singular values leave the float range")
         # Q and sigma scaled by 2**-e: no norm under- or overflows
         f = math.ldexp(1.0, -_exponent(self.matrix.ravel().tolist()))
         q = self.matrix * f

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadPivot, DimensionMismatch, NonFinite, SingularOperator, ZeroState
+from .numerics import _exponent
 
 _DET_FLOOR = float(np.finfo(np.float64).tiny)
 
@@ -28,11 +29,18 @@ class PureState:
     """Unnormalized pure state: subsystem dimensions plus flat amplitudes.
 
     Two states are equal when their dims and their amplitudes are equal
-    entry by entry (so not up to scale), and equal states hash alike.
+    entry by entry (so not up to scale), and equal states hash alike. ``exponent``, the binary
+    exponent of the largest part (``numerics._exponent``, kept from :func:`make_state`'s check or
+    read here), takes no part in either or in repr; it sets the working scale (:func:`_in_range`).
     """
 
     dims: tuple[int, ...]
     amps: np.ndarray
+    exponent: int | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.exponent is None:
+            object.__setattr__(self, "exponent", _exponent(self.amps.ravel().tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, PureState):
@@ -117,8 +125,8 @@ class LocalOperatorSet:
 def make_state(dims, amps) -> PureState:
     """Validate and build a :class:`PureState`; amplitudes stored verbatim."""
     raw = tuple(dims)
-    dims = tuple(int(d) for d in raw)  # True == 1: a bool dimension would pass as 1
-    if any(d < 1 for d in dims) or dims != raw or any(isinstance(d, (bool, np.bool_)) for d in raw):
+    dims = _integers(raw)
+    if dims is None or any(d < 1 for d in dims):
         raise DimensionMismatch(f"subsystem dimensions must be positive integers, got {raw}")
     total = math.prod(dims)
     if total < 2:
@@ -129,15 +137,38 @@ def make_state(dims, amps) -> PureState:
     return _checked_state(dims, a)
 
 
+def _integers(raw: tuple) -> tuple[int, ...] | None:
+    """``raw`` as ints where each entry is a whole number, not a bool (True == 1 would pass): 2.0
+    and numpy integers pass, as ``int`` reads them; 1.5, nan, "2" or None give None."""
+    try:
+        ints = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ints if ints == raw and {bool, np.bool_}.isdisjoint(map(type, raw)) else None
+
+
 def _checked_state(dims: tuple[int, ...], a: np.ndarray) -> PureState:
     """:func:`make_state`'s amplitude checks on a new flat complex array of valid ``dims``."""
-    top = np.abs(a.view(float)).max()  # largest |part|: NaN propagates, no modulus overflows
+    top = float(np.abs(a.view(float)).max())  # largest |part|: NaN propagates, no modulus overflows
     if not math.isfinite(top):
         raise NonFinite("amplitudes contain NaN or infinite entries")
     if top == 0.0:
         raise ZeroState("the zero vector does not define a state")
     a.setflags(write=False)
-    return PureState(dims=dims, amps=a)
+    return PureState(dims, a, exponent=max(math.frexp(top)[1], -1023))  # numerics._exponent(a)
+
+
+def _in_range(state: PureState) -> PureState:
+    """The state, or its :func:`_unit_ray` where sigma_1 could pass 2^1024: no singular value
+    exceeds |amps| < 2^e sqrt(2 size), e its ``exponent``. Read before any SVD, never retried."""
+    big = state.exponent + math.log2(2 * state.amps.size) / 2 >= 1024
+    return _unit_ray(state) if big else state
+
+
+def _unit_ray(state: PureState) -> PureState:
+    """The state times 2^-e, e its ``exponent``: exact wherever a part stays normal, and the
+    package's one read of a state at another scale (its largest part in [0.5, 1))."""
+    return _checked_state(state.dims, state.amps * math.ldexp(1.0, -state.exponent))
 
 
 @functools.lru_cache(maxsize=128)
@@ -164,9 +195,10 @@ def minor_index(n: int) -> np.ndarray:
 
 def coefficient_matrix(state: PureState, pivot: int) -> CoeffMatrix:
     """Matrix of the state for the partition pivot | rest (pivot is 1-based)."""
-    n = state.n_subsystems
-    if not 1 <= pivot <= n:
-        raise BadPivot(f"pivot {pivot} out of range 1..{n}")
+    n, ks = state.n_subsystems, _integers((pivot,))
+    if ks is None or not 1 <= ks[0] <= n:
+        raise BadPivot(f"pivot must be an integer in 1..{n}, got {pivot!r}")
+    pivot = ks[0]
     entries = state.amps[pivot_index(state.dims, pivot)]
     entries.flags.writeable = False
     cols = tuple(k for k in range(1, n + 1) if k != pivot)
@@ -200,9 +232,10 @@ def permute_subsystems(state: PureState, order) -> PureState:
 
     ``permute_subsystems(s, (2, 1, 3))`` swaps the first two subsystems.
     """
-    order = tuple(int(k) for k in order)
-    if sorted(order) != list(range(1, state.n_subsystems + 1)):
+    order = tuple(order)
+    ints = _integers(order)
+    if ints is None or sorted(ints) != list(range(1, state.n_subsystems + 1)):
         raise BadPivot(f"{order} is not a permutation of 1..{state.n_subsystems}")
-    axes = tuple(k - 1 for k in order)
+    axes = tuple(k - 1 for k in ints)
     dims = tuple(state.dims[a] for a in axes)
     return make_state(dims, state.tensor().transpose(axes).reshape(-1))

@@ -96,8 +96,7 @@ def slice_matrix(w) -> np.ndarray:
 
 def unslice(matrix) -> np.ndarray:
     """Inverse of :func:`slice_matrix` (exact round trip)."""
-    m = np.asarray(matrix, dtype=complex)
-    return m.T.reshape(-1).copy()
+    return np.asarray(matrix, dtype=complex).T.reshape(-1).copy()
 
 
 def _normalize_root(alpha: complex, beta: complex) -> tuple[complex, complex]:
@@ -235,7 +234,7 @@ def classify_line(w, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStructure
     v = np.array(_entries(w, 4))
     if np.abs(v).max() == 0.0:
         raise ZeroVector("the zero vector spans no line")
-    rank = numerical_rank(singular_values(slice_matrix(v)), pol)
+    rank = numerical_rank(singular_values(slice_matrix(_scaled(v))), pol)  # a rank has no scale
     if rank == 1:
         return SubspaceStructure(tag=StructureTag.PRODUCT_LINE, witnesses=(v,))  # v: a new array
     return SubspaceStructure(tag=StructureTag.ENTANGLED_LINE)

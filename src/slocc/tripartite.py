@@ -38,14 +38,9 @@ import numpy as np
 from .errors import InconsistentRanks, ReductionFailed, SingularMatrix, SingularOperator
 from .errors import ToleranceBreakdown, WrongArity
 from .numerics import DEFAULT_POLICY, TolerancePolicy, inv2
-from .numerics import _exponent, _leading_svd, _pivot_ratios, _top_direction
-from .states import (
-    LocalOperatorSet,
-    PureState,
-    apply_local_operators,
-    make_state,
-    pivot_index,
-)
+from .numerics import _exponent, _leading_svd, _pivot_ratios, _top_direction  # _exponent: tests
+from .states import LocalOperatorSet, PureState, _unit_ray, apply_local_operators, make_state
+from .states import pivot_index
 from .subspaces import (
     RootKind,
     RootReport,
@@ -214,13 +209,13 @@ def _classify3_rows(amps, pol: TolerancePolicy = DEFAULT_POLICY) -> list[Tripart
 def _classify3(state: PureState, pol: TolerancePolicy) -> tuple:
     """:func:`classify3`, also returning pivot 1's SVD (V, sigma, W_k) and the state read. Where
     s1 s_r ~ 1 / |det F1| (s_r = s2 at pivot-1 rank 2, else s1) leaves (2^-1010, 2^1010), as an
-    inf or NaN sigma_1 does, the amplitudes times 2^-e (e: their largest part's) are read once."""
+    inf or NaN sigma_1 does, the unit ray (``states._unit_ray``: times 2^-e) is read once."""
     if state.dims != (2, 2, 2):
         raise WrongArity(f"expected dims (2, 2, 2), got {state.dims}")
     V, s, W, _ = _leading_svd(state.amps[_PIVOT_INDEX[0]])
     s1, s2 = sigma = s.tolist()
     if not 2.0**-1010 < s1 * (s2 if s2 > pol.rank_rel_tol * s1 else s1) < 2.0**1010:
-        state = make_state(state.dims, state.amps * 2.0 ** -_exponent(state.amps.tolist()))
+        state = _unit_ray(state)
         V, s, W, _ = _leading_svd(state.amps[_PIVOT_INDEX[0]])
         sigma = s.tolist()
     W.flags.writeable = False  # the report's pencil hands out its columns w1, w2
