@@ -42,7 +42,8 @@ import numpy as np
 from .errors import ArityMismatch, DegenerateParameter, UnsupportedDepth, WrongArity
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _eigenvalues, _exponent, _leading_svd
 from .numerics import _entries, numerical_rank, singular_values
-from .states import PureState, _checked_state, _in_range, make_state, minor_index, pivot_index
+from .states import PureState, _checked_state, _in_range, _integers, make_state, minor_index
+from .states import pivot_index
 from .subspaces import minor_pencil, projective_quadratic_roots
 from .tripartite import TripartiteClass, _classify3_rows, _rank_class
 
@@ -342,10 +343,10 @@ def class_count_bound(m_n: int, n: int) -> ClassCountBound:
     Python integers are arbitrary precision, so no overflow handling is
     needed. Non-integral inputs, infinities and bools are refused, not truncated.
     """
-    raw = (m_n, n)
-    m_n, n = (None if x in (math.inf, -math.inf) else int(x) for x in raw)  # int(nan) raises
-    if (m_n, n) != raw or any(isinstance(x, (bool, np.bool_)) for x in raw):
-        raise ValueError(f"m_n and n must be integers, got {raw}")
+    ints = _integers((m_n, n))
+    if ints is None:
+        raise ValueError(f"m_n and n must be integers, got {(m_n, n)}")
+    m_n, n = ints
     if m_n < 1:
         raise ValueError("m_n must be at least 1")
     if n < 2:

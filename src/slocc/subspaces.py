@@ -76,8 +76,7 @@ class SubspaceStructure:
             self.tag is other.tag
             and len(self.witnesses) == len(other.witnesses)
             and all(map(np.array_equal, self.witnesses, other.witnesses))
-            and (self.factor is None) == (other.factor is None)
-            and (self.factor is None or bool(np.array_equal(self.factor, other.factor)))
+            and (self.factor is other.factor or bool(np.array_equal(self.factor, other.factor)))
         )
 
     def __hash__(self):
@@ -160,14 +159,13 @@ def _scaled(v) -> np.ndarray:
 
 
 def _check_independent(w1, w2, pol):
+    w1, w2 = _scaled(w1), _scaled(w2)  # the one scale read of each generator
     g11, g22 = float(np.vdot(w1, w1).real), float(np.vdot(w2, w2).real)
-    if not (2.0**-500 < g11 < 2.0**500 and 2.0**-500 < g22 < 2.0**500):
-        w1, w2 = _scaled(w1), _scaled(w2)  # the test under- or overflows unscaled
-        g11, g22 = float(np.vdot(w1, w1).real), float(np.vdot(w2, w2).real)
     g12 = complex(np.vdot(w1, w2))
     gram = g11 * g22 - abs(g12) ** 2
     if g11 == 0.0 or g22 == 0.0 or gram <= pol.rank_rel_tol * g11 * g22:
         raise DependentGenerators("the generators are numerically parallel")
+    return w1, w2  # the unit rays, which classify_span reads
 
 
 def minor_pencil(A, B):
@@ -211,9 +209,20 @@ def product_roots(W1, W2, pol: TolerancePolicy = DEFAULT_POLICY) -> RootReport:
 
 
 def product_factors(w) -> tuple[np.ndarray, np.ndarray]:
-    """Split a finite (near-)product 4-vector as a (x) b, a of unit norm (:func:`_factors`)."""
-    a, b = _factors(_entries(w, 4))
-    return np.array(a), np.array(b)
+    """Split a finite (near-)product 4-vector as a (x) b, a of unit norm (:func:`_factors`), read
+    on the vector times 2^-e and b taken back to 2^e (:func:`_ldexp`)."""
+    v = _entries(w, 4)
+    e = _exponent(v)
+    a, b = _factors(*_ldexp(-e, v))
+    return np.array(a), np.array(_ldexp(e, b)[0])
+
+
+def _ldexp(e: int, *vectors) -> list[list]:
+    """Vectors times 2^e, part by part: exact where normal, :class:`NonFinite` past 2^1024."""
+    try:
+        return [[complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in v] for v in vectors]
+    except OverflowError:
+        raise NonFinite("a part leaves the float range at the input's scale") from None
 
 
 def _factors(w) -> tuple[list, list]:
@@ -248,19 +257,19 @@ def classify_span(w1, w2, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStru
     the rank-1 pivot reading of ``classify3``. Both sigma_2 / sigma_1 come
     from :func:`_pivot_ratios` on the unit generators (scaling a generator
     keeps the ranks); the smaller one at most ``rank_rel_tol`` names the
-    factor side, left on a tie. Any other span is read from the slice pencil of
-    its unit generators (:func:`span_structure`), so a generator's size does not
-    change the reading. The generators pass one Gram test, the one on ``w1``, ``w2``.
+    factor side, left on a tie. The Gram test, the factor, the pencil and its witnesses
+    (:func:`span_structure`) are read from the generators' unit rays, which
+    :func:`_check_independent` returns, so a generator's size does not change the reading.
     """
     v1, v2 = (np.array(_entries(w, 4)) for w in (w1, w2))  # finite 4-vectors only
-    _check_independent(v1, v2, pol)  # zero generators are refused before the division
-    u1, u2 = (v / np.linalg.norm(v) for v in map(_scaled, (v1, v2)))
+    r1, r2 = _check_independent(v1, v2, pol)  # zero generators are refused before the division
+    u1, u2 = r1 / np.linalg.norm(r1), r2 / np.linalg.norm(r2)
     l1, l2 = u1.tolist(), u2.tolist()
     left, right = _pivot_ratios(1.0, 1.0, l1, l2)
-    if left <= pol.rank_rel_tol and left <= right:
-        return SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=product_factors(v1)[0])
-    if right <= pol.rank_rel_tol:
-        b = _scaled(product_factors(v1)[1])
+    if min(left, right) <= pol.rank_rel_tol:
+        a, b = map(np.array, _factors(r1.tolist()))
+        if left <= right:
+            return SubspaceStructure(tag=StructureTag.LEFT_FACTOR, factor=a)
         return SubspaceStructure(tag=StructureTag.RIGHT_FACTOR, factor=b / np.linalg.norm(b))
     # Witnesses are read on the unit generators too, times the power of two of the larger
     # generator halved (a combination of unit vectors stays in range): a common power of
@@ -282,11 +291,9 @@ def span_structure(v1, v2, report: RootReport) -> SubspaceStructure:
     if report.kind is RootKind.INFINITELY_MANY:
         raise ToleranceBreakdown("slice pencil vanishes identically, but no factor was read")
     witnesses = tuple(alpha * v1 + beta * v2 for alpha, beta in report.roots)
-    if report.kind is RootKind.TWO_DISTINCT:
-        return SubspaceStructure(tag=StructureTag.TWO_PRODUCTS, witnesses=witnesses)
-    return SubspaceStructure(
-        tag=StructureTag.ONE_PRODUCT_PLUS_ENTANGLED, witnesses=witnesses
-    )
+    two = report.kind is RootKind.TWO_DISTINCT
+    tag = StructureTag.TWO_PRODUCTS if two else StructureTag.ONE_PRODUCT_PLUS_ENTANGLED
+    return SubspaceStructure(tag=tag, witnesses=witnesses)
 
 
 @dataclass(frozen=True)
@@ -321,10 +328,12 @@ def one_product_span_basis(w1, w2, witness) -> AdaptedSpanBasis:
     coordinate (0, 0); of the generator farther from it, coordinate (1, 1) must vanish
     (``leak``) and the cross ones fold into the complements, so the entangled generator
     reads a (x) b' + a' (x) b. :func:`_span_basis` reads the fields in Python scalars, from
-    three finite 4-vectors (:class:`DimensionMismatch`, :class:`NonFinite` otherwise)."""
-    flat = (_entries(v, 4) for v in (w1, w2, witness))
-    *fields, leak = _span_basis(*flat)
-    return AdaptedSpanBasis(*map(np.array, fields), leak=leak)
+    three finite 4-vectors (:class:`DimensionMismatch`, :class:`NonFinite` otherwise): the
+    witness on its unit ray and the generators at their common 2^-e, read back at 2^e."""
+    w1, w2, witness = (_entries(v, 4) for v in (w1, w2, witness))
+    e = _exponent(w1 + w2)
+    a, b, *fields, leak = _span_basis(*_ldexp(-e, w1, w2), *_ldexp(-_exponent(witness), witness))
+    return AdaptedSpanBasis(*map(np.array, (a, b, *_ldexp(e, *fields))), leak=leak)
 
 
 def _span_basis(w1, w2, witness) -> tuple:
