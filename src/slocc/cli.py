@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import math
 import sys
@@ -365,16 +366,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command: its output goes to stdout, a failure to one ``error:`` line on
-    stderr, and the exit code is 0 or the :class:`CommandError`'s code."""
+    stderr (also an output that cannot be written), and the exit code is 0 or the
+    :class:`CommandError`'s code."""
     args = build_parser().parse_args(argv)
     try:
         output = args.func(args)
+        try:
+            sys.stdout.write(output)
+            sys.stdout.flush()
+        except OSError as exc:  # a full device, a closed pipe
+            raise CommandError(f"cannot write the output: {exc}") from exc
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    sys.stdout.write(output)
     return EXIT_OK
 
 
+def run() -> int:
+    gc.freeze()  # the process entry: shutdown's full collections skip the import-time objects
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

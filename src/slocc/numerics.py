@@ -230,6 +230,12 @@ def _exponent(parts) -> int:
     return max(math.frexp(top)[1], -1023)
 
 
+def _times_pow2(a, e: int) -> np.ndarray:
+    """A complex array times 2**e, scaled on its float view: exact in every part that stays
+    normal, signed zeros included (a complex multiply by a real turns -0.0 into 0.0)."""
+    return (np.ascontiguousarray(a, dtype=complex).view(float) * math.ldexp(1.0, e)).view(complex)
+
+
 def inv2(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Adjugate-over-determinant inverse of a 2x2 matrix, in Python complex scalars. Raises
     :class:`SingularMatrix` unless |det| exceeds ``rank_rel_tol`` times the squared Frobenius

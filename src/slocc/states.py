@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadPivot, DimensionMismatch, NonFinite, SingularOperator, ZeroState
-from .numerics import _exponent
+from .numerics import _exponent, _times_pow2
 
 _DET_FLOOR = float(np.finfo(np.float64).tiny)
 
@@ -168,7 +168,7 @@ def _in_range(state: PureState) -> PureState:
 def _unit_ray(state: PureState) -> PureState:
     """The state times 2^-e, e its ``exponent``: exact wherever a part stays normal, and the
     package's one read of a state at another scale (its largest part in [0.5, 1))."""
-    return _checked_state(state.dims, state.amps * math.ldexp(1.0, -state.exponent))
+    return _checked_state(state.dims, _times_pow2(state.amps, -state.exponent))
 
 
 @functools.lru_cache(maxsize=128)

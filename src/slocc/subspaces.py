@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DependentGenerators, DimensionMismatch, NonFinite, ToleranceBreakdown, ZeroVector
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _entries, _exponent, _pivot_ratios
-from .numerics import numerical_rank, singular_values
+from .numerics import _times_pow2, numerical_rank, singular_values
 
 _EPS = 1e-13
 
@@ -155,7 +155,7 @@ def projective_quadratic_roots(a, b, c, deg_tol: float):
 def _scaled(v) -> np.ndarray:
     """v times the power of two that puts its largest part in [0.5, 1): exact, so a
     ratio of its norms or Gram entries reads as at scale 1, with no under- or overflow."""
-    return v * math.ldexp(1.0, -_exponent(v.tolist()))
+    return _times_pow2(v, -_exponent(v.tolist()))
 
 
 def _check_independent(w1, w2, pol):
