@@ -107,7 +107,6 @@ def test_main_does_not_freeze(capsys):
     assert main(["canonical", "W"]) == 0
     assert main(["canonical", "XYZ"]) == 2
     assert gc.get_freeze_count() == before
-    capsys.readouterr()
 
 
 IMPORT_PROBE = """
