@@ -24,6 +24,7 @@ import functools
 import gc
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -366,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command: its output goes to stdout, a failure to one ``error:`` line on
-    stderr (also an output that cannot be written), and the exit code is 0 or the
-    :class:`CommandError`'s code."""
+    stderr (also an output that cannot be written, whose bytes stay in stdout's buffer),
+    and the exit code is 0 or the :class:`CommandError`'s code."""
     args = build_parser().parse_args(argv)
     try:
         output = args.func(args)
@@ -384,7 +385,12 @@ def main(argv=None) -> int:
 
 def run() -> int:
     gc.freeze()  # the process entry: shutdown's full collections skip the import-time objects
-    return main()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # main has reported it: the kept bytes go to devnull, not to shutdown's flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -23,11 +23,11 @@ ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
-def child(*args, **kwargs) -> subprocess.CompletedProcess:
+def child(*args, env=ENV, **kwargs) -> subprocess.CompletedProcess:
     """``python *args`` with the package source on its path."""
     kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run(
-        [sys.executable, *args], env=ENV, stderr=subprocess.PIPE, timeout=60, **kwargs
+        [sys.executable, *args], env=env, stderr=subprocess.PIPE, timeout=60, **kwargs
     )
 
 
@@ -164,18 +164,28 @@ def _one_error_line(got, reason: str):
     assert got.stderr.decode() == f"error: cannot write the output: {reason}\n"
 
 
+# Python's default stdout keeps the bytes a failed flush could not write, and its flush at
+# shutdown meets the same error again; PYTHONUNBUFFERED=1 (python -u) writes straight through
+STDOUT_MODES = {
+    "buffered": {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"},
+    "unbuffered": {**ENV, "PYTHONUNBUFFERED": "1"},
+}
+
+
+@pytest.mark.parametrize("mode", STDOUT_MODES)
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
-def test_full_device_exits_2():
+def test_full_device_exits_2(mode):
     with open("/dev/full", "wb") as full:
-        got = child("-m", "slocc", "canonical", "W", stdout=full)
+        got = child("-m", "slocc", "canonical", "W", stdout=full, env=STDOUT_MODES[mode])
     _one_error_line(got, "[Errno 28] No space left on device")
 
 
-def test_closed_pipe_exits_2():
+@pytest.mark.parametrize("mode", STDOUT_MODES)
+def test_closed_pipe_exits_2(mode):
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before the child starts: its first write meets EPIPE
     try:
-        got = child("-m", "slocc", "canonical", "W", stdout=write_end)
+        got = child("-m", "slocc", "canonical", "W", stdout=write_end, env=STDOUT_MODES[mode])
     finally:
         os.close(write_end)
     _one_error_line(got, "[Errno 32] Broken pipe")
