@@ -367,11 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command: its output goes to stdout, a failure to one ``error:`` line on
-    stderr (also an output that cannot be written, whose bytes stay in stdout's buffer),
-    and the exit code is 0 or the :class:`CommandError`'s code."""
+    stderr (also an output that cannot be written, whose bytes stay in stdout's buffer, or
+    a closed stdout), and the exit code is 0 or the :class:`CommandError`'s code."""
     args = build_parser().parse_args(argv)
     try:
         output = args.func(args)
+        if sys.stdout is None:  # fd 1 was closed when the process started
+            raise CommandError("cannot write the output: stdout is closed")
         try:
             sys.stdout.write(output)
             sys.stdout.flush()
@@ -387,7 +389,8 @@ def run() -> int:
     gc.freeze()  # the process entry: shutdown's full collections skip the import-time objects
     code = main()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:  # a closed stdout: main has reported it, nothing to flush
+            sys.stdout.flush()
     except OSError:  # main has reported it: the kept bytes go to devnull, not to shutdown's flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code

@@ -137,12 +137,12 @@ def _minor_table(w1, w2, n_sub: int):
     return minor_pencil(w1[minor_index(n_sub)], w2[minor_index(n_sub)])
 
 
-def _rank_drop_candidates(table, norm, pol: TolerancePolicy, scales=None):
-    """Unit points of the line where some pivot's matrix drops rank: the roots of its largest
-    minor quadratic that zero all its minors, on Python scalars; pivot scales go to ``scales``."""
+def _rank_drop_candidates(table, norm, pol: TolerancePolicy):
+    """(drops, scales): the line's unit points where some pivot's matrix drops rank (roots of its
+    largest minor quadratic that zero all its minors, on Python scalars) and each pivot's scale."""
     a, b, c = table
     floor = 1e-13 * norm**2
-    drops, scales = [], [] if scales is None else scales
+    drops, scales = [], []
     for ak, bk, ck in zip(a.tolist(), b.tolist(), c.tolist()):  # pivot k: one entry per minor
         size = list(map(max, map(abs, ak), map(abs, bk), map(abs, ck)))
         scale = max(size)
@@ -155,7 +155,7 @@ def _rank_drop_candidates(table, norm, pol: TolerancePolicy, scales=None):
             uu, uv, vv, tol = u * u, u * v, v * v, pol.deg_tol * scale
             if all(abs(x * uu + y * uv + z * vv) <= tol for x, y, z in zip(ak, bk, ck)):
                 drops.append((u, v))
-    return drops
+    return drops, scales
 
 
 def _tangle_quartic(table) -> np.ndarray:
@@ -165,11 +165,11 @@ def _tangle_quartic(table) -> np.ndarray:
     return np.convolve(m03 - m12, m03 - m12) - 4.0 * np.convolve(m01, m23)
 
 
-def _tangle_candidates(table, norm, quartic=None) -> list:
-    """Unit roots of ``quartic``, the table's tangle quartic if None: (1, 0) if its degree in t
-    (points t*w1 + w2) is below 4, then (t, 1) for np.roots' t: companion eigenvalues (the
-    LAPACK gufunc, :func:`numerics._eigenvalues`), zeros."""
-    h = (_tangle_quartic(table) if quartic is None else quartic)[::-1].tolist()  # h[k]: t^k
+def _tangle_candidates(quartic, norm) -> list:
+    """Unit roots of a line's :func:`_tangle_quartic`: (1, 0) if its degree in t (points
+    t*w1 + w2) is below 4, then (t, 1) for np.roots' t: companion eigenvalues (the LAPACK
+    gufunc, :func:`numerics._eigenvalues`), zeros."""
+    h = quartic[::-1].tolist()  # h[k]: t^k
     s = max(map(abs, h))
     if s <= 1e-12 * norm**4:
         return []
@@ -205,12 +205,11 @@ def _line(w1, w2, n_sub: int, pol: TolerancePolicy):
     a drop being that drop; for N = 4 the generic class and the :func:`_table_classes` of the
     kept drops, the merge's prefix (None and [] above), each read once."""
     table, norm = _minor_table(w1, w2, n_sub), np.linalg.norm(w1) + np.linalg.norm(w2)
-    scales = []  # each pivot's largest minor coefficient, read by the rank-drop pass
-    drops = _rank_drop_candidates(table, norm, pol, scales)
+    drops, scales = _rank_drop_candidates(table, norm, pol)
     if n_sub > 3:
         return _merge(drops), None, []
     quartic = _tangle_quartic(table)  # one per line: its roots and the GHZ/W test
-    tangle = _tangle_candidates(table, norm, quartic)
+    tangle = _tangle_candidates(quartic, norm)
     overlaps = [[abs(a.conjugate() * x + b.conjugate() * y) for x, y in drops] for a, b in tangle]
     far = [p for p, o in zip(tangle, overlaps) if all(1.0 - v * v > _SNAP_DISTANCE**2 for v in o)]
     tag = _rank_class(tuple(2 if s > pol.rank_rel_tol * norm**2 else 1 for s in scales))

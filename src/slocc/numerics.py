@@ -113,7 +113,6 @@ def _leading_svd(matrix) -> tuple:
     return U / phases, s, Vh[:k].conj().T / phases[:k], Vh
 
 
-@_svd_errstate
 def svd(matrix) -> SvdResult:
     """SVD with a pinned phase convention so results are deterministic.
 
@@ -230,10 +229,14 @@ def _exponent(parts) -> int:
     return max(math.frexp(top)[1], -1023)
 
 
+@np.errstate(over="ignore")  # a part past 2^1024 is refused below, with no warning
 def _times_pow2(a, e: int) -> np.ndarray:
-    """A complex array times 2**e, scaled on its float view: exact in every part that stays
-    normal, signed zeros included (a complex multiply by a real turns -0.0 into 0.0)."""
-    return (np.ascontiguousarray(a, dtype=complex).view(float) * math.ldexp(1.0, e)).view(complex)
+    """Finite complex parts times 2**e, e of either sign, by ``np.ldexp`` on their float view:
+    exact where a part stays normal, signed zeros kept, and :class:`NonFinite` past 2^1024."""
+    x = np.ldexp(np.ascontiguousarray(a, dtype=complex).view(float), e)
+    if e > 0 and not np.isfinite(x).all():  # for e <= 0 every finite part stays finite
+        raise NonFinite("a part leaves the float range at the input's scale")
+    return x.view(complex)
 
 
 def inv2(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

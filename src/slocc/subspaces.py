@@ -210,19 +210,11 @@ def product_roots(W1, W2, pol: TolerancePolicy = DEFAULT_POLICY) -> RootReport:
 
 def product_factors(w) -> tuple[np.ndarray, np.ndarray]:
     """Split a finite (near-)product 4-vector as a (x) b, a of unit norm (:func:`_factors`), read
-    on the vector times 2^-e and b taken back to 2^e (:func:`_ldexp`)."""
+    on the vector times 2^-e, b taken back to 2^e (``_times_pow2``: ``NonFinite`` past 2^1024)."""
     v = _entries(w, 4)
     e = _exponent(v)
-    a, b = _factors(*_ldexp(-e, v))
-    return np.array(a), np.array(_ldexp(e, b)[0])
-
-
-def _ldexp(e: int, *vectors) -> list[list]:
-    """Vectors times 2^e, part by part: exact where normal, :class:`NonFinite` past 2^1024."""
-    try:
-        return [[complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in v] for v in vectors]
-    except OverflowError:
-        raise NonFinite("a part leaves the float range at the input's scale") from None
+    a, b = _factors(_times_pow2(v, -e).tolist())
+    return np.array(a), _times_pow2(b, e)
 
 
 def _factors(w) -> tuple[list, list]:
@@ -274,9 +266,9 @@ def classify_span(w1, w2, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceStru
     # Witnesses are read on the unit generators too, times the power of two of the larger
     # generator halved (a combination of unit vectors stays in range): a common power of
     # two scales them exactly, and no coefficient on v1, v2 can underflow.
-    f = math.ldexp(1.0, _exponent([*v1.tolist(), *v2.tolist()]) - 1)
+    e = _exponent([*v1.tolist(), *v2.tolist()])
     coeffs, reading = _span_pencil(l1, l2, pol.deg_tol)
-    return span_structure(u1 * f, u2 * f, RootReport(*_solve(reading), coeffs))
+    return span_structure(*_times_pow2((u1, u2), e - 1), RootReport(*_solve(reading), coeffs))
 
 
 def span_structure(v1, v2, report: RootReport) -> SubspaceStructure:
@@ -332,8 +324,9 @@ def one_product_span_basis(w1, w2, witness) -> AdaptedSpanBasis:
     witness on its unit ray and the generators at their common 2^-e, read back at 2^e."""
     w1, w2, witness = (_entries(v, 4) for v in (w1, w2, witness))
     e = _exponent(w1 + w2)
-    a, b, *fields, leak = _span_basis(*_ldexp(-e, w1, w2), *_ldexp(-_exponent(witness), witness))
-    return AdaptedSpanBasis(*map(np.array, (a, b, *_ldexp(e, *fields))), leak=leak)
+    unit = _times_pow2(witness, -_exponent(witness)).tolist()
+    a, b, *fields, leak = _span_basis(*_times_pow2((w1, w2), -e).tolist(), unit)
+    return AdaptedSpanBasis(np.array(a), np.array(b), *[_times_pow2(f, e) for f in fields], leak)
 
 
 def _span_basis(w1, w2, witness) -> tuple:

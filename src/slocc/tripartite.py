@@ -38,7 +38,7 @@ import numpy as np
 from .errors import InconsistentRanks, ReductionFailed, SingularMatrix, SingularOperator
 from .errors import ToleranceBreakdown, WrongArity
 from .numerics import DEFAULT_POLICY, TolerancePolicy, inv2
-from .numerics import _exponent, _leading_svd, _pivot_ratios, _top_direction  # _exponent: tests
+from .numerics import _leading_svd, _pivot_ratios, _top_direction
 from .states import LocalOperatorSet, PureState, _unit_ray, apply_local_operators, make_state
 from .states import pivot_index
 from .subspaces import (

@@ -503,6 +503,7 @@ def _candidate_lines():
 class TestCandidateSearch:
     def test_matches_scalar_reference(self):
         from slocc.multiqubit import _merge, _minor_table, _rank_drop_candidates, _tangle_candidates
+        from slocc.multiqubit import _tangle_quartic
         from slocc.numerics import DEFAULT_POLICY as pol
 
         lines = [(s, 4) for s in _candidate_lines()] + [(ghz_state(5), 5)]
@@ -510,8 +511,8 @@ class TestCandidateSearch:
         for state, n in lines:
             w1, w2 = _line(state)
             table, norm = _minor_table(w1, w2, n - 1), np.linalg.norm(w1) + np.linalg.norm(w2)
-            tangle = _tangle_candidates(table, norm) if n == 4 else []
-            drops = _rank_drop_candidates(table, norm, pol)
+            tangle = _tangle_candidates(_tangle_quartic(table), norm) if n == 4 else []
+            drops, _ = _rank_drop_candidates(table, norm, pol)
             reference = _reference_merge(_reference_rank_drop_candidates(w1, w2, n - 1, pol) + tangle)
             merged = [tuple(p) for p in _merge(drops + tangle)]
             assert len(merged) == len(reference)
@@ -577,7 +578,7 @@ class TestTangleRootsFromTheCompanion:
             assert quartic.tobytes() == tangle_quartic(w1, w2).tobytes()
             floor = 1e-12 * (np.linalg.norm(w1) + np.linalg.norm(w2)) ** 4
             want = tangle_roots(quartic, floor)
-            got = _tangle_candidates(table, norm)
+            got = _tangle_candidates(quartic, norm)
             assert np.array(got, dtype=complex).tobytes() == np.array(want, dtype=complex).tobytes()
             shapes.add((len(want), (1.0, 0.0) in want, any(t == 0 for t, _ in want[1:])))
         assert {(4, False, False), (4, True, False), (4, False, True), (3, True, True)} <= shapes
@@ -585,7 +586,7 @@ class TestTangleRootsFromTheCompanion:
     @pytest.mark.parametrize("outer", ["ignore", "warn", "raise"])
     def test_nonconvergence_is_linalg_error(self, monkeypatch, outer):
         # numpy's eigenvalue gufunc reports a failed convergence as an invalid operation
-        from slocc.multiqubit import _minor_table, _tangle_candidates
+        from slocc.multiqubit import _minor_table, _tangle_candidates, _tangle_quartic
 
         def not_converged(a, signature):
             return np.full(a.shape[:-1], np.subtract(np.inf, np.inf), complex)
@@ -594,7 +595,7 @@ class TestTangleRootsFromTheCompanion:
         w1, w2 = _line(GHZ4)
         table, norm = _minor_table(w1, w2, 3), np.linalg.norm(w1) + np.linalg.norm(w2)
         with np.errstate(all=outer), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            _tangle_candidates(table, norm)
+            _tangle_candidates(_tangle_quartic(table), norm)
 
 
 def _census_images(count):
@@ -1033,13 +1034,14 @@ class TestLineReadOnce:
 
     def test_scalar_merge_matches_numpy_merge(self, monkeypatch):
         from slocc.multiqubit import _merge, _minor_table, _rank_drop_candidates, _tangle_candidates
+        from slocc.multiqubit import _tangle_quartic
 
         lists = []
         for state in [*_candidate_lines(), *_census_image_set()]:
             w1, w2 = _line(state)
             table, norm = _minor_table(w1, w2, 3), np.linalg.norm(w1) + np.linalg.norm(w2)
-            drops = _rank_drop_candidates(table, norm, SEVEN_POLICIES[0])
-            tangle = _tangle_candidates(table, norm)
+            drops, _ = _rank_drop_candidates(table, norm, SEVEN_POLICIES[0])
+            tangle = _tangle_candidates(_tangle_quartic(table), norm)
             lists += [drops, drops + tangle, tangle + drops]
 
         def recording(candidates):
@@ -1105,7 +1107,7 @@ def _kept_drops(state, pol):
         return None
     w1, w2 = W.T
     table = _minor_table(w1, w2, 3)
-    drops = _rank_drop_candidates(table, np.linalg.norm(w1) + np.linalg.norm(w2), pol)
+    drops, _ = _rank_drop_candidates(table, np.linalg.norm(w1) + np.linalg.norm(w2), pol)
     return w1, w2, table, _merge(drops)
 
 
@@ -1213,12 +1215,13 @@ class TestDropClassesFromTheTable:
 
     @pytest.mark.parametrize("seed", range(830, 835))
     def test_random_state_takes_one_row_per_far_tangle_root(self, seed, monkeypatch):
-        from slocc.multiqubit import _merge, _tangle_candidates
+        from slocc.multiqubit import _merge, _tangle_candidates, _tangle_quartic
 
         state = make_state((2,) * 4, random_complex(RandomSource(seed).generator(), 16))
         w1, w2, table, kept = _kept_drops(state, TolerancePolicy())
         assert kept.size == 0
-        far = _merge(_tangle_candidates(table, np.linalg.norm(w1) + np.linalg.norm(w2)))
+        norm = np.linalg.norm(w1) + np.linalg.norm(w2)
+        far = _merge(_tangle_candidates(_tangle_quartic(table), norm))
         rows = []
 
         def counting(points, *args, **kwargs):

@@ -712,3 +712,39 @@ class TestTopDirection:
         a = top([[1 + 1j, 0j, 2.0, 0j], [2j, 0j, 2 + 2j, 0j]])  # row 2 = (1 + 1j) * row 1
         assert abs(a[1] / a[0] - (1 + 1j)) <= 1e-15 and a[0].imag == 0.0 < a[0].real
         assert top([[1.0, 0j], [0j, 1.0]]) == [1.0, 0.0]  # G = I: any unit vector; e1
+
+
+class TestTimesPow2:
+    """The package's one builder of a vector at another power of two: ``math.ldexp`` part by
+    part, byte for byte, signed zeros and subnormal results included, and a refusal with no
+    warning where a part passes 2^1024."""
+
+    @staticmethod
+    def parts(g, e: int) -> list:
+        # each result's exponent drawn from [-1080, 1024], so none leaves the float range
+        floats = [math.ldexp(g.uniform(0.5, 1.0) * g.choice([-1.0, 1.0]), k)
+                  for k in np.clip(g.integers(-1080, 1025, 64) - e, -1073, 1024).tolist()]
+        floats[:4] = [0.0, -0.0, -0.0, 0.0]  # complex(0, -0), (-0, 0)
+        d = min(e, 0)  # e < 0: subnormal results, one a tie at 2^-1075; e > 0: subnormal parts
+        floats[4:8] = [math.ldexp(0.75, -1060 - d), -0.0, -math.ldexp(0.5, -1074 - d), 0.5]
+        return [complex(x, y) for x, y in zip(floats[::2], floats[1::2])]
+
+    @pytest.mark.parametrize("e", [-1023, -600, -1, 1, 600, 1023, 1024])
+    def test_matches_math_ldexp_byte_for_byte(self, e):
+        parts = self.parts(RandomSource(7200 + e).generator(), e)
+        want = np.array([complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in parts])
+        tiny = want if e < 0 else np.array(parts)
+        assert any(0.0 < abs(x) < 2.0**-1022 for x in tiny.view(float).tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for given in (parts, np.array(parts)):
+                assert slocc.numerics._times_pow2(given, e).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("outer", ["ignore", "warn", "raise"])
+    def test_past_the_float_range_is_non_finite(self, outer):
+        with warnings.catch_warnings(), np.errstate(all=outer):
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                slocc.numerics._times_pow2([1.5 + 0j], 1024)
+            with pytest.raises(NonFinite):
+                slocc.numerics._times_pow2(np.array([0j, complex(0.0, -2.0**-1074)]), 2099)

@@ -189,3 +189,15 @@ def test_closed_pipe_exits_2(mode):
     finally:
         os.close(write_end)
     _one_error_line(got, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child before exec")
+@pytest.mark.parametrize(
+    "argv", [["canonical", "W"], ["bound", "6", "3"], ["canonical", "XYZ"]],
+    ids=["canonical", "bound", "unknown-name"],
+)
+def test_closed_stdout_exits_2(argv):
+    # with fd 1 closed at start, sys.stdout is None: one error line, no traceback
+    got = child("-m", "slocc", *argv, stdout=None, preexec_fn=lambda: os.close(1))
+    lines = got.stderr.decode().splitlines()
+    assert (got.returncode, len(lines)) == (2, 1) and lines[0].startswith("error: "), got.stderr

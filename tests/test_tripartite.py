@@ -427,7 +427,7 @@ class TestScale:
             for trial in range(60):
                 tag = list(TripartiteClass)[trial % 6]
                 amps = orbit_state(tag, RandomSource(4500 + trial))[0].amps
-                unit = 2.0 ** -slocc.tripartite._exponent(amps.tolist())
+                unit = 2.0 ** -slocc.numerics._exponent(amps.tolist())
                 _, expected = reduce_to_canonical(make_state([2, 2, 2], amps * unit))
                 report, ilos = reduce_to_canonical(make_state([2, 2, 2], amps * 2.0**k))
                 assert report.tag is tag and ilos.residual <= 1e-8
@@ -522,7 +522,7 @@ class TestBoundaryBehavior:
 
 def unit_scaled(amps):
     """Amplitudes times the exact power of two 2^-e of their largest part."""
-    return amps * 2.0 ** -slocc.tripartite._exponent(amps.ravel().tolist())
+    return amps * 2.0 ** -slocc.numerics._exponent(amps.ravel().tolist())
 
 
 def projective_distance(out, tag):
